@@ -24,15 +24,11 @@ from .model import (
 )
 from .potential import (
     CoveringStats,
-    Potential,
     PotentialSet,
     combine_sets,
     covering,
     is_covering,
-    multiply,
-    sum_out,
     sum_out_set,
-    unit_potential,
 )
 from .treedecomp import (
     TreeDecomposition,
@@ -71,7 +67,6 @@ __all__ = [
     "InstanceTooLargeError",
     "NodeStats",
     "Policy",
-    "Potential",
     "PotentialSet",
     "ReductionResult",
     "SolveStats",
@@ -91,7 +86,6 @@ __all__ = [
     "enumerate_pure_policies",
     "expected_utility",
     "is_covering",
-    "multiply",
     "normalize_utilities",
     "pure_policy",
     "pure_policy_count",
@@ -99,9 +93,7 @@ __all__ = [
     "root_and_order",
     "solve",
     "solve_full",
-    "sum_out",
     "sum_out_set",
-    "unit_potential",
     "utility_bounds",
     "validate_decomposition",
     "validate_diagram",

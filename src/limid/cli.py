@@ -300,10 +300,15 @@ def _solver_config(args: argparse.Namespace) -> SolverConfig:
     cap: int | None = DEFAULT_MAX_SET_SIZE
     env = os.environ.get(MAX_SET_SIZE_ENV)
     if env:
-        cap = int(env)
-    exact = bool(args.exact) or args.epsilon == 0.0
-    return SolverConfig(epsilon=0.0 if exact else float(args.epsilon),
-                        exact_mode=exact, max_set_size=cap,
+        bad = f"{MAX_SET_SIZE_ENV} must be an integer of at least 1, got {env!r}"
+        try:
+            cap = int(env)
+        except ValueError:
+            raise ValueError(bad) from None
+        if cap < 1:
+            raise ValueError(bad)
+    return SolverConfig(epsilon=0.0 if args.exact else float(args.epsilon),
+                        max_set_size=cap,
                         collect_stats=bool(getattr(args, "stats", False)))
 
 

@@ -1,11 +1,18 @@
-"""Dense potential algebra with set-valued operations and covering pruning.
+"""Sets of dense potentials tagged with the pure policies that produced them.
 
 A potential is a nonnegative table over the joint assignments of its scope
-(an id-sorted tuple of discrete variables).  Sets of potentials over a
-common scope are combined by pairwise multiplication (Cartesian product)
-and marginalized member-wise; every member drags along a provenance record
-of the pure policies that produced it, so a maximizing member can later be
+(an id-sorted tuple of discrete variables).  A :class:`PotentialSet`
+stacks the tables of its members over one common scope and records their
+provenance as a policy-index matrix: ``decisions`` is an id-sorted tuple of
+decision ids, and row ``i`` of ``policies`` holds the pure-policy index each
+of those decisions takes in member ``i``.  A maximizing member can thus be
 turned back into a strategy.
+
+Sets are combined by pairwise multiplication (Cartesian product, rows laid
+out in lexicographic pair order) and marginalized member-wise.  The solver
+places each decision's policies at exactly one node and sibling subtrees
+are disjoint, so combined sets never share a decision; that is checked once
+per combination.
 
 ``covering`` prunes a set down to one representative per bucket of the
 signature y -> floor(log_alpha P(y)), with a distinct sentinel for zero
@@ -18,15 +25,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
-
-#: provenance: the set of (decision id, pure policy index) choices baked
-#: into a potential
-Provenance = frozenset[tuple[str, int]]
-
-EMPTY_PROVENANCE: Provenance = frozenset()
 
 #: signature value standing in for entries that are exactly zero
 _ZERO_SENTINEL = np.iinfo(np.int64).min
@@ -36,170 +37,64 @@ _ZERO_SENTINEL = np.iinfo(np.int64).min
 _LOG_SNAP = 1e-12
 
 
-def provenance_key(prov: Provenance) -> tuple[tuple[str, int], ...]:
-    return tuple(sorted(prov))
-
-
-def merge_provenance(a: Provenance, b: Provenance) -> Provenance | None:
-    """Union of two provenances, or None if they pick conflicting policies."""
-    merged = a | b
-    seen: dict[str, int] = {}
-    for dec, idx in merged:
-        if seen.setdefault(dec, idx) != idx:
-            return None
-    return merged
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float, order="C")
+def _frozen(a: np.ndarray, dtype: type, shape: tuple[int, ...]) -> np.ndarray:
+    a = np.array(a, dtype=dtype, order="C").reshape(shape)
     a.flags.writeable = False
     return a
 
 
-@dataclass(frozen=True, eq=False)
-class Potential:
-    """A nonnegative table over the joint assignments of ``scope``."""
-
-    scope: tuple[str, ...]
-    cards: tuple[int, ...]
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        scope = tuple(self.scope)
-        cards = tuple(int(c) for c in self.cards)
-        if list(scope) != sorted(scope):
-            raise ValueError("potential scope must be sorted by variable id")
-        if len(scope) != len(set(scope)):
-            raise ValueError("potential scope has duplicate variables")
-        values = np.asarray(self.values, dtype=float).reshape(cards)
-        if not np.all(np.isfinite(values)):
-            raise ValueError("potential has non-finite entries")
-        if np.any(values < 0.0):
-            raise ValueError("potential has negative entries")
-        object.__setattr__(self, "scope", scope)
-        object.__setattr__(self, "cards", cards)
-        object.__setattr__(self, "values", _freeze(values))
-
-    def card_of(self, var: str) -> int:
-        return self.cards[self.scope.index(var)]
-
-
-def unit_potential(cards: Mapping[str, int]) -> Potential:
-    """The all-ones potential; an empty scope yields the scalar 1."""
-    scope = tuple(sorted(cards))
-    shape = tuple(cards[v] for v in scope)
-    return Potential(scope, shape, np.ones(shape))
-
-
-def _union_scope(*pots: Potential) -> tuple[tuple[str, ...], tuple[int, ...]]:
-    cards: dict[str, int] = {}
-    for p in pots:
-        for var, card in zip(p.scope, p.cards):
-            if cards.setdefault(var, card) != card:
-                raise ValueError(f"inconsistent cardinality for {var!r}")
-    scope = tuple(sorted(cards))
-    return scope, tuple(cards[v] for v in scope)
-
-
-def _aligned(p: Potential, scope: tuple[str, ...], cards: tuple[int, ...]) -> np.ndarray:
-    """View of ``p.values`` broadcastable over the union scope."""
-    shape = tuple(c if v in p.scope else 1 for v, c in zip(scope, cards))
-    return p.values.reshape(shape)
-
-
-def multiply(p: Potential, q: Potential) -> Potential:
-    """Pointwise product over the union of the scopes."""
-    scope, cards = _union_scope(p, q)
-    return Potential(scope, cards, _aligned(p, scope, cards) * _aligned(q, scope, cards))
-
-
-def sum_out(p: Potential, zs: Iterable[str]) -> Potential:
-    """Marginalize the variables ``zs`` out of ``p``."""
-    zs = set(zs)
-    if not zs <= set(p.scope):
-        raise ValueError(f"cannot sum out {sorted(zs - set(p.scope))}: not in scope")
-    if not zs:
-        return p
-    axes = tuple(i for i, v in enumerate(p.scope) if v in zs)
-    keep = tuple(i for i, v in enumerate(p.scope) if v not in zs)
-    scope = tuple(p.scope[i] for i in keep)
-    cards = tuple(p.cards[i] for i in keep)
-    return Potential(scope, cards, p.values.sum(axis=axes))
+def _check_ids(ids: tuple[str, ...], what: str) -> None:
+    if any(x >= y for x, y in zip(ids, ids[1:])):
+        raise ValueError(f"{what} must be sorted by id without repeats")
 
 
 @dataclass(frozen=True, eq=False)
 class PotentialSet:
-    """A set of potentials with provenance over one common scope.
+    """Potentials over one common scope, each tagged with pure-policy indices.
 
-    Members are stored stacked (leading member axis) for vectorized set
-    operations; exact duplicates in both values and provenance are dropped,
-    first occurrence kept.
+    ``values`` has shape ``(n, *cards)``; ``policies`` has shape
+    ``(n, len(decisions))`` and defaults to no decisions at all.
     """
 
     scope: tuple[str, ...]
     cards: tuple[int, ...]
-    values: np.ndarray  # shape (n, *cards)
-    provenances: tuple[Provenance, ...]
+    values: np.ndarray
+    decisions: tuple[str, ...] = ()
+    policies: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         scope = tuple(self.scope)
         cards = tuple(int(c) for c in self.cards)
-        if list(scope) != sorted(scope):
-            raise ValueError("potential set scope must be sorted by variable id")
-        values = np.ascontiguousarray(self.values, dtype=float)
-        values = values.reshape((values.shape[0],) + cards)
-        provs = tuple(self.provenances)
-        if len(provs) != values.shape[0]:
-            raise ValueError("one provenance per member required")
+        decisions = tuple(self.decisions)
+        _check_ids(scope, "potential set scope")
+        _check_ids(decisions, "potential set decisions")
+        n = np.shape(self.values)[0]
+        values = _frozen(self.values, float, (n,) + cards)
         if not np.all(np.isfinite(values)) or np.any(values < 0.0):
             raise ValueError("potential set entries must be nonnegative and finite")
-
-        seen: set[tuple[bytes, tuple[tuple[str, int], ...]]] = set()
-        keep: list[int] = []
-        for i in range(values.shape[0]):
-            key = (values[i].tobytes(), provenance_key(provs[i]))
-            if key not in seen:
-                seen.add(key)
-                keep.append(i)
-        if len(keep) != values.shape[0]:
-            values = values[keep]
-            provs = tuple(provs[i] for i in keep)
+        policies = np.zeros((n, 0)) if self.policies is None else self.policies
+        if np.shape(policies) != (n, len(decisions)):
+            raise ValueError("one policy index per member and decision required")
         object.__setattr__(self, "scope", scope)
         object.__setattr__(self, "cards", cards)
-        object.__setattr__(self, "values", _freeze(values))
-        object.__setattr__(self, "provenances", provs)
+        object.__setattr__(self, "decisions", decisions)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "policies", _frozen(policies, np.int64, (n, len(decisions))))
 
     def __len__(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def members(self) -> tuple[tuple[Potential, Provenance], ...]:
-        return tuple(
-            (Potential(self.scope, self.cards, self.values[i]), self.provenances[i])
-            for i in range(len(self))
-        )
 
-    @classmethod
-    def singleton(cls, p: Potential, prov: Provenance = EMPTY_PROVENANCE) -> "PotentialSet":
-        return cls(p.scope, p.cards, p.values[np.newaxis, ...], (prov,))
-
-    @classmethod
-    def from_members(cls, members: Iterable[tuple[Potential, Provenance]]) -> "PotentialSet":
-        members = list(members)
-        if not members:
-            raise ValueError("a potential set needs at least one member")
-        scope, cards = members[0][0].scope, members[0][0].cards
-        for p, _ in members:
-            if p.scope != scope or p.cards != cards:
-                raise ValueError("all members must share one scope")
-        values = np.stack([p.values for p, _ in members])
-        return cls(scope, cards, values, tuple(prov for _, prov in members))
-
-
-def _combine_pair(a: PotentialSet, b: PotentialSet, on_conflict: str) -> PotentialSet:
-    pa = Potential(a.scope, a.cards, np.ones(a.cards))
-    pb = Potential(b.scope, b.cards, np.ones(b.cards))
-    scope, cards = _union_scope(pa, pb)
+def _combine_pair(a: PotentialSet, b: PotentialSet) -> PotentialSet:
+    shared = set(a.decisions) & set(b.decisions)
+    if shared:
+        raise RuntimeError(f"decisions {sorted(shared)} met twice during combination")
+    card_by_var = dict(zip(a.scope, a.cards))
+    for var, card in zip(b.scope, b.cards):
+        if card_by_var.setdefault(var, card) != card:
+            raise ValueError(f"inconsistent cardinality for {var!r}")
+    scope = tuple(sorted(card_by_var))
+    cards = tuple(card_by_var[v] for v in scope)
     shape_a = tuple(c if v in a.scope else 1 for v, c in zip(scope, cards))
     shape_b = tuple(c if v in b.scope else 1 for v, c in zip(scope, cards))
     na, nb = len(a), len(b)
@@ -207,42 +102,32 @@ def _combine_pair(a: PotentialSet, b: PotentialSet, on_conflict: str) -> Potenti
     rhs = b.values.reshape((1, nb) + shape_b)
     values = (lhs * rhs).reshape((na * nb,) + cards)
 
-    provs: list[Provenance] = []
-    keep: list[int] = []
-    for i in range(na):
-        for j in range(nb):
-            merged = merge_provenance(a.provenances[i], b.provenances[j])
-            if merged is None:
-                if on_conflict == "error":
-                    raise RuntimeError("conflicting policy choices met during combination")
-                continue
-            keep.append(i * nb + j)
-            provs.append(merged)
-    if len(keep) != na * nb:
-        values = values[keep]
-    return PotentialSet(scope, cards, values, tuple(provs))
+    # member i * nb + j pairs row i of a with row j of b
+    joined = a.decisions + b.decisions
+    columns = sorted(range(len(joined)), key=joined.__getitem__)
+    policies = np.concatenate([np.repeat(a.policies, nb, axis=0),
+                               np.tile(b.policies, (na, 1))], axis=1)
+    return PotentialSet(scope, cards, values, tuple(joined[c] for c in columns),
+                        policies[:, columns])
 
 
-def combine_sets(sets: Sequence[PotentialSet], *, on_conflict: str = "skip") -> PotentialSet:
+def combine_sets(sets: Sequence[PotentialSet]) -> PotentialSet:
     """Cartesian-product multiplication of potential sets.
 
-    Member order is the lexicographic product order of the input members.
-    Provenances are unioned; pairs whose provenances pick different pure
-    policies for the same decision are skipped (or raise, with
-    ``on_conflict="error"``).
+    Member order is the lexicographic product order of the input members;
+    the empty product is the scalar unit.  Raises ``RuntimeError`` when two
+    inputs carry policies of the same decision.
     """
-    if on_conflict not in ("skip", "error"):
-        raise ValueError(f"unknown conflict handling {on_conflict!r}")
     if not sets:
-        return PotentialSet((), (), np.ones((1,)), (EMPTY_PROVENANCE,))
+        return PotentialSet((), (), np.ones((1,)))
     out = sets[0]
     for nxt in sets[1:]:
-        out = _combine_pair(out, nxt, on_conflict)
+        out = _combine_pair(out, nxt)
     return out
 
 
 def sum_out_set(k: PotentialSet, zs: Iterable[str]) -> PotentialSet:
-    """Marginalize ``zs`` out of every member; provenance is carried through."""
+    """Marginalize ``zs`` out of every member; policies are carried through."""
     zs = set(zs)
     if not zs <= set(k.scope):
         raise ValueError(f"cannot sum out {sorted(zs - set(k.scope))}: not in scope")
@@ -252,7 +137,7 @@ def sum_out_set(k: PotentialSet, zs: Iterable[str]) -> PotentialSet:
     keep = tuple(i for i, v in enumerate(k.scope) if v not in zs)
     scope = tuple(k.scope[i] for i in keep)
     cards = tuple(k.cards[i] for i in keep)
-    return PotentialSet(scope, cards, k.values.sum(axis=axes), k.provenances)
+    return PotentialSet(scope, cards, k.values.sum(axis=axes), k.decisions, k.policies)
 
 
 def floor_log(value: float, alpha: float) -> int:
@@ -299,19 +184,14 @@ def covering(k: PotentialSet, alpha: float) -> tuple[PotentialSet, CoveringStats
         q = np.log(flat[positive]) / math.log(alpha)
         r = np.rint(q)
         sig[positive] = np.where(np.abs(q - r) <= _LOG_SNAP, r, np.floor(q)).astype(np.int64)
-
-    keep: list[int] = []
-    seen: set[bytes] = set()
-    for i in range(n):
-        key = sig[i].tobytes()
-        if key not in seen:
-            seen.add(key)
-            keep.append(i)
+    # one opaque byte string per row: np.unique(sig, axis=0) forms the same groups
+    # but compares rows field by field, several times slower
+    rows = sig.view(np.dtype((np.void, sig.itemsize * eta))).ravel()
+    keep = np.sort(np.unique(rows, return_index=True)[1])
+    pruned = PotentialSet(k.scope, k.cards, k.values[keep], k.decisions, k.policies[keep])
 
     smallest = float(flat[positive].min()) if np.any(positive) else None
     bound = None if smallest is None else (1 - floor_log(smallest, alpha)) ** eta
-    pruned = PotentialSet(k.scope, k.cards, k.values[keep],
-                          tuple(k.provenances[i] for i in keep))
     stats = CoveringStats(n, len(pruned), smallest, eta, bound, alpha, had_zero)
     return pruned, stats
 

@@ -8,13 +8,14 @@ root; at each node the incoming sets are combined, the variables leaving
 the separator are summed out, and the resulting set is pruned to a
 covering within a pointwise factor alpha = 1 + epsilon / (2m).  Every
 number surviving at the root is the exact expected utility of the strategy
-recorded in its provenance, and the maximum E among them satisfies
+recorded in its policy row, and the maximum E among them satisfies
 MEU <= (1 + epsilon) * E.  With pruning disabled the maximum is the exact
 MEU.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -30,11 +31,9 @@ from .model import (
 )
 from .potential import (
     CoveringObserver,
-    Potential,
     PotentialSet,
     combine_sets,
     covering,
-    provenance_key,
     sum_out_set,
 )
 from .reduction import normalize_utilities, reduce_to_single_value
@@ -56,19 +55,22 @@ UTILITY_RANGE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Solver knobs.  ``epsilon == 0`` forces exact mode (no pruning)."""
+    """Solver knobs.  ``epsilon == 0`` means exact mode (no pruning)."""
 
     epsilon: float = 0.0
-    exact_mode: bool = False
     max_set_size: int | None = DEFAULT_MAX_SET_SIZE
     collect_stats: bool = False
     covering_observer: CoveringObserver | None = None
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.epsilon):
+            raise ValueError(f"epsilon must be finite, got {self.epsilon!r}")
         if self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
-        if self.epsilon == 0:
-            object.__setattr__(self, "exact_mode", True)
+
+    @property
+    def exact_mode(self) -> bool:
+        return self.epsilon == 0
 
 
 @dataclass(frozen=True)
@@ -127,16 +129,12 @@ def assign_factors(d: InfluenceDiagram, t: TreeDecomposition) -> dict[str, int]:
     return sigma
 
 
-def _scalar_unit() -> PotentialSet:
-    return PotentialSet((), (), np.ones((1,)), (frozenset(),))
-
-
 def _cpt_potential_set(d: InfluenceDiagram, var: str) -> PotentialSet:
     parents = d.parents(var)
     scope = tuple(sorted(parents + (var,)))
     table = np.moveaxis(d.cpt(var), 0, scope.index(var))
     cards = tuple(d.cardinality(x) for x in scope)
-    return PotentialSet.singleton(Potential(scope, cards, table))
+    return PotentialSet(scope, cards, table[np.newaxis])
 
 
 def _policy_potential_set(d: InfluenceDiagram, dec: str,
@@ -152,17 +150,20 @@ def _policy_potential_set(d: InfluenceDiagram, dec: str,
     scope = tuple(sorted(d.parents(dec) + (dec,)))
     stacked = np.moveaxis(tables, 1, 1 + scope.index(dec))
     cards = tuple(d.cardinality(x) for x in scope)
-    provs = tuple(frozenset({(dec, i)}) for i in range(tables.shape[0]))
-    return PotentialSet(scope, cards, stacked, provs)
+    indices = np.arange(tables.shape[0]).reshape(-1, 1)
+    return PotentialSet(scope, cards, stacked, (dec,), indices)
 
 
 def _utility_potential_set(d: InfluenceDiagram, var: str) -> PotentialSet:
     parents = d.parents(var)
     cards = tuple(d.cardinality(p) for p in parents)
-    return PotentialSet.singleton(Potential(parents, cards, d.reward(var)))
+    return PotentialSet(parents, cards, d.reward(var)[np.newaxis])
 
 
-def _check_cap(size: int, cap: int | None, node: int, stage: str) -> None:
+def _check_cap(parts: list[PotentialSet], cap: int | None, node: int, stage: str) -> None:
+    """Reject a combination whose product set would exceed ``cap`` before it
+    is built; combined sets share no decision, so the product size is exact."""
+    size = math.prod(len(s) for s in parts)
     if cap is not None and size > cap:
         raise InstanceTooLargeError(
             f"set size {size} at node {node} ({stage}) exceeds the cap {cap}")
@@ -205,8 +206,7 @@ def solve(d: InfluenceDiagram, t: TreeDecomposition, cfg: SolverConfig) -> Solve
         raise ValueError("invalid decomposition: " + "; ".join(problems))
 
     m = t.n
-    epsilon = 0.0 if cfg.exact_mode else cfg.epsilon
-    alpha = 1.0 + epsilon / (2 * m)
+    alpha = 1.0 + cfg.epsilon / (2 * m)
     cap = cfg.max_set_size
     sigma = assign_factors(d, t)
 
@@ -219,17 +219,16 @@ def solve(d: InfluenceDiagram, t: TreeDecomposition, cfg: SolverConfig) -> Solve
 
     initial: dict[int, PotentialSet] = {}
     for i in range(m):
-        k = combine_sets([_scalar_unit()] + hold[i], on_conflict="error")
-        _check_cap(len(k), cap, i, "initialization")
-        initial[i] = k
+        _check_cap(hold[i], cap, i, "initialization")
+        initial[i] = combine_sets(hold[i])
 
     cluster_sets = [set(c) for c in t.clusters]
     node_stats: list[NodeStats] = []
     messages: dict[int, PotentialSet] = {}
     for i in _postorder(t):
-        a = combine_sets([initial[i]] + [messages.pop(c) for c in t.children(i)],
-                         on_conflict="error")
-        _check_cap(len(a), cap, i, "combination")
+        parts = [initial[i]] + [messages.pop(c) for c in t.children(i)]
+        _check_cap(parts, cap, i, "combination")
+        a = combine_sets(parts)
         parent = t.parent(i)
         separator = cluster_sets[i] & cluster_sets[parent] if parent is not None else set()
         gone = cluster_sets[i] - separator
@@ -255,9 +254,10 @@ def solve(d: InfluenceDiagram, t: TreeDecomposition, cfg: SolverConfig) -> Solve
     values = final.values.reshape(len(final))
     best_value = float(values.max())
     ties = np.nonzero(values == best_value)[0]
-    winner = min(ties, key=lambda i: provenance_key(final.provenances[i]))
-    chosen = dict(final.provenances[winner])
-    strategy = Strategy(pure_policy(d, dec, chosen.get(dec, 0)) for dec in d.decision_ids)
+    # every root member carries every decision, in id order
+    winner = min(ties, key=lambda i: final.policies[i].tolist())
+    chosen = dict(zip(final.decisions, final.policies[winner].tolist()))
+    strategy = Strategy(pure_policy(d, dec, chosen[dec]) for dec in d.decision_ids)
 
     stats = SolveStats(m, alpha, cfg.exact_mode, time.perf_counter() - started,
                        tuple(node_stats))

@@ -250,6 +250,25 @@ def test_solver_cap_env_override_exits_2(capsys, tmp_path, monkeypatch):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-5", "1.5"])
+def test_solver_cap_env_rejects_bad_values(capsys, tmp_path, monkeypatch, value):
+    monkeypatch.setenv("LIMID_MAX_SET_SIZE", value)
+    path = write(tmp_path, "d.json", serialize(pick_diagram()))
+    code, out, err = run(capsys, "solve", "--exact", path)
+    assert code == 1
+    assert out == ""
+    assert "LIMID_MAX_SET_SIZE" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_solve_rejects_non_finite_epsilon(capsys, tmp_path, value):
+    path = write(tmp_path, "d.json", serialize(pick_diagram()))
+    code, out, err = run(capsys, "solve", "--epsilon", value, path)
+    assert code == 1
+    assert out == ""
+    assert "epsilon" in err
+
+
 def test_stdin_input(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(serialize(pick_diagram())))
     code, out, _ = run(capsys, "oracle", "-")

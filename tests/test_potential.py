@@ -3,31 +3,29 @@ import pytest
 
 from limid.potential import (
     CoveringStats,
-    Potential,
     PotentialSet,
     combine_sets,
     covering,
     floor_log,
     is_covering,
-    multiply,
-    sum_out,
     sum_out_set,
-    unit_potential,
 )
 
 
-def pot(cards: dict, values) -> Potential:
+def single(cards: dict, values, decisions=(), policies=None) -> PotentialSet:
+    """A one-member set over the id-sorted scope of ``cards``."""
     scope = tuple(sorted(cards))
-    return Potential(scope, tuple(cards[v] for v in scope), values)
+    return PotentialSet(scope, tuple(cards[v] for v in scope), np.asarray(values)[np.newaxis],
+                        decisions, policies)
 
 
-def members_set(cards: dict, tables, provs=None) -> PotentialSet:
+def members_set(cards: dict, tables, decision="d") -> PotentialSet:
+    """Member i takes pure policy i of ``decision``."""
     scope = tuple(sorted(cards))
     shape = tuple(cards[v] for v in scope)
     values = np.array([np.reshape(t, shape) for t in tables], dtype=float)
-    if provs is None:
-        provs = tuple(frozenset({("d", i)}) for i in range(len(tables)))
-    return PotentialSet(scope, shape, values, provs)
+    return PotentialSet(scope, shape, values, (decision,),
+                        np.arange(len(tables)).reshape(-1, 1))
 
 
 def random_set(rng, cards: dict, n: int, zeros: bool = False) -> PotentialSet:
@@ -36,105 +34,101 @@ def random_set(rng, cards: dict, n: int, zeros: bool = False) -> PotentialSet:
     values = rng.uniform(0.0, 1.0, size=shape)
     if zeros:
         values[rng.uniform(size=shape) < 0.3] = 0.0
-    return PotentialSet(scope, shape[1:], values,
-                        tuple(frozenset({("d", i)}) for i in range(n)))
+    return PotentialSet(scope, shape[1:], values, ("d",), np.arange(n).reshape(-1, 1))
 
 
-# -- potentials -----------------------------------------------------------------
+# -- single potentials, as one-member sets -------------------------------------------
 
 def test_unit_examples():
-    assert np.array_equal(unit_potential({"a": 2}).values, [1.0, 1.0])
-    empty = unit_potential({})
-    assert empty.scope == () and float(empty.values) == 1.0
-    assert unit_potential({"a": 2, "b": 3}).values.size == 6
-    assert np.all(unit_potential({"a": 2, "b": 3}).values == 1.0)
+    unit = combine_sets([])
+    assert unit.scope == () and np.array_equal(unit.values, [1.0])
+    assert np.array_equal(combine_sets([unit, single({"a": 2}, [1.0, 1.0])]).values,
+                          [[1.0, 1.0]])
+    ones = combine_sets([single({"a": 2}, [1.0, 1.0]), single({"b": 3}, [1.0] * 3)])
+    assert ones.values.size == 6
+    assert np.all(ones.values == 1.0)
 
 
 def test_potential_rejects_bad_entries():
     with pytest.raises(ValueError):
-        pot({"a": 2}, [-0.1, 0.5])
+        single({"a": 2}, [-0.1, 0.5])
     with pytest.raises(ValueError):
-        pot({"a": 2}, [np.inf, 0.5])
+        single({"a": 2}, [np.inf, 0.5])
     with pytest.raises(ValueError):
-        Potential(("b", "a"), (2, 2), np.ones((2, 2)))
+        PotentialSet(("b", "a"), (2, 2), np.ones((1, 2, 2)))
 
 
 def test_multiply_examples():
-    p = pot({"a": 2}, [0.4, 0.6])
-    assert np.array_equal(multiply(p, unit_potential({"a": 2})).values, p.values)
-    assert float(multiply(pot({}, 2.0), pot({}, 3.0)).values) == 6.0
-    q = pot({"a": 2}, [0.5, 0.5])
-    assert np.allclose(multiply(p, q).values, [0.2, 0.3])
+    p = single({"a": 2}, [0.4, 0.6])
+    assert np.array_equal(combine_sets([p, single({"a": 2}, [1.0, 1.0])]).values, p.values)
+    assert combine_sets([single({}, 2.0), single({}, 3.0)]).values.tolist() == [6.0]
+    q = single({"a": 2}, [0.5, 0.5])
+    assert np.allclose(combine_sets([p, q]).values, [[0.2, 0.3]])
 
 
 def test_multiply_scope_union_and_card_mismatch():
-    p = pot({"a": 2}, [0.4, 0.6])
-    q = pot({"b": 3}, [0.1, 0.2, 0.7])
-    got = multiply(p, q)
+    p = single({"a": 2}, [0.4, 0.6])
+    q = single({"b": 3}, [0.1, 0.2, 0.7])
+    got = combine_sets([p, q])
     assert got.scope == ("a", "b")
-    assert np.allclose(got.values, np.outer([0.4, 0.6], [0.1, 0.2, 0.7]))
+    assert np.allclose(got.values[0], np.outer([0.4, 0.6], [0.1, 0.2, 0.7]))
     with pytest.raises(ValueError):
-        multiply(p, pot({"a": 3}, [0.1, 0.2, 0.7]))
+        combine_sets([p, single({"a": 3}, [0.1, 0.2, 0.7])])
 
 
 def test_sum_out_examples():
-    p = pot({"a": 2, "b": 2}, [[0.2, 0.3], [0.1, 0.4]])
-    assert np.allclose(sum_out(p, {"b"}).values, [0.5, 0.5])
-    assert sum_out(p, set()) is p
-    cpt_column = pot({"a": 2}, [0.4, 0.6])
-    assert float(sum_out(cpt_column, {"a"}).values) == pytest.approx(1.0, abs=1e-15)
+    p = single({"a": 2, "b": 2}, [[0.2, 0.3], [0.1, 0.4]])
+    assert np.allclose(sum_out_set(p, {"b"}).values, [[0.5, 0.5]])
+    assert sum_out_set(p, set()) is p
+    cpt_column = single({"a": 2}, [0.4, 0.6])
+    assert float(sum_out_set(cpt_column, {"a"}).values[0]) == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(ValueError):
-        sum_out(p, {"z"})
+        sum_out_set(p, {"z"})
 
 
 def test_distributivity(rng):
     for _ in range(20):
-        p = pot({"a": 2, "b": 3}, rng.uniform(size=(2, 3)))
-        q = pot({"b": 3, "c": 2}, rng.uniform(size=(3, 2)))
-        left = sum_out(multiply(p, q), {"c"})
-        right = multiply(p, sum_out(q, {"c"}))
+        p = single({"a": 2, "b": 3}, rng.uniform(size=(2, 3)))
+        q = single({"b": 3, "c": 2}, rng.uniform(size=(3, 2)))
+        left = sum_out_set(combine_sets([p, q]), {"c"})
+        right = combine_sets([p, sum_out_set(q, {"c"})])
         assert np.allclose(left.values, right.values, atol=1e-12)
 
 
 # -- potential sets ---------------------------------------------------------------
 
-def test_set_dedup_keeps_first():
-    table = [0.5, 0.5]
-    same_prov = tuple([frozenset({("d", 0)})] * 2)
-    k = members_set({"a": 2}, [table, table], same_prov)
-    assert len(k) == 1
-    distinct = members_set({"a": 2}, [table, table])
-    assert len(distinct) == 2  # same values, different provenance
-
-
 def test_combine_singletons_and_sizes():
     a = members_set({"a": 2}, [[0.4, 0.6]])
-    b = members_set({"a": 2}, [[0.5, 0.5]], provs=(frozenset({("e", 0)}),))
+    b = single({"a": 2}, [0.5, 0.5], ("e",), [[0]])
     got = combine_sets([a, b])
     assert len(got) == 1
     assert np.allclose(got.values[0], [0.2, 0.3])
-    assert got.provenances[0] == frozenset({("d", 0), ("e", 0)})
+    assert got.decisions == ("d", "e") and got.policies.tolist() == [[0, 0]]
 
-    two = members_set({"a": 2}, [[0.1, 0.9], [0.2, 0.8]])
-    three = members_set({"b": 2}, [[1, 0], [0, 1], [0.5, 0.5]],
-                        provs=tuple(frozenset({("e", i)}) for i in range(3)))
-    assert len(combine_sets([two, three])) == 6
+    two = members_set({"a": 2}, [[0.1, 0.9], [0.2, 0.8]], decision="f")
+    three = members_set({"b": 2}, [[1, 0], [0, 1], [0.5, 0.5]], decision="e")
+    got = combine_sets([two, three])
+    assert len(got) == 6
+    # lexicographic pair order, columns in decision id order
+    assert got.decisions == ("e", "f")
+    assert got.policies.tolist() == [[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [2, 1]]
+    assert np.allclose(got.values[3], np.outer([0.2, 0.8], [1, 0]))
 
 
 def test_combine_with_unit_is_identity():
     k = members_set({"a": 2}, [[0.4, 0.6], [0.2, 0.8]])
-    unit = PotentialSet.singleton(unit_potential({"a": 2}))
+    unit = single({"a": 2}, [1.0, 1.0])
     got = combine_sets([k, unit])
     assert np.array_equal(got.values, k.values)
-    assert got.provenances == k.provenances
+    assert got.decisions == k.decisions
+    assert np.array_equal(got.policies, k.policies)
 
 
-def test_combine_conflicts_are_skipped_or_raise():
-    a = members_set({"a": 2}, [[1.0, 0.0]], provs=(frozenset({("d", 0)}),))
-    b = members_set({"a": 2}, [[0.0, 1.0]], provs=(frozenset({("d", 1)}),))
-    assert len(combine_sets([a, b])) == 0
+def test_combine_rejects_shared_decisions():
+    a = members_set({"a": 2}, [[1.0, 0.0]])
+    b = single({"a": 2}, [0.0, 1.0], ("d",), [[1]])
     with pytest.raises(RuntimeError):
-        combine_sets([a, b], on_conflict="error")
+        combine_sets([a, b])
 
 
 def test_combine_empty_list_gives_scalar_unit():
@@ -152,7 +146,7 @@ def test_sum_out_set_examples():
     scalars = sum_out_set(three, {"a", "b"})
     assert scalars.scope == () and len(scalars) == 3
     assert np.allclose(scalars.values, [1.0, 2.0, 0.0])
-    assert scalars.provenances == three.provenances
+    assert np.array_equal(scalars.policies, three.policies)
 
 
 # -- covering ----------------------------------------------------------------------
@@ -201,9 +195,9 @@ def test_covering_property_and_bounds(rng):
         pruned, stats = covering(k, alpha)
         assert is_covering(k, pruned, alpha)
         # survivors are verbatim members of the input
-        originals = {(k.values[i].tobytes(), k.provenances[i]) for i in range(len(k))}
+        originals = {(k.values[i].tobytes(), k.policies[i].tobytes()) for i in range(len(k))}
         for i in range(len(pruned)):
-            assert (pruned.values[i].tobytes(), pruned.provenances[i]) in originals
+            assert (pruned.values[i].tobytes(), pruned.policies[i].tobytes()) in originals
         if stats.smallest_positive is not None:
             base = 1 - floor_log(stats.smallest_positive, alpha)
             if stats.had_zero:

@@ -1,3 +1,6 @@
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from limid import (
@@ -6,7 +9,9 @@ from limid import (
     Variable,
     brute_force_meu,
     expected_utility,
+    pure_policy,
 )
+from limid.cli import generate_diagram
 from limid.solver import SolverConfig, assign_factors, solve, solve_full
 from limid.treedecomp import (
     TreeDecomposition,
@@ -32,6 +37,12 @@ def test_config_zero_epsilon_forces_exact():
     assert not SolverConfig(epsilon=0.5).exact_mode
     with pytest.raises(ValueError):
         SolverConfig(epsilon=-0.1)
+
+
+@pytest.mark.parametrize("epsilon", [float("nan"), float("inf")])
+def test_config_rejects_non_finite_epsilon(epsilon):
+    with pytest.raises(ValueError, match="epsilon"):
+        SolverConfig(epsilon=epsilon)
 
 
 # -- solve on a prepared diagram -------------------------------------------------------
@@ -90,6 +101,37 @@ def test_max_set_size_reports_node():
     with pytest.raises(InstanceTooLargeError) as err:
         solve(d, t, SolverConfig(epsilon=0.0, max_set_size=1))
     assert "cap" in str(err.value)
+
+
+def test_cap_fires_before_the_product_is_built():
+    d = generate_diagram(12, 5, 3, 2, 3, 0, decision_max_parents=2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InstanceTooLargeError) as err:
+            solve_full(d, SolverConfig(epsilon=0.0, max_set_size=20000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == \
+        "set size 4782969 at node 7 (combination) exceeds the cap 20000"
+    assert peak < 64 * 2**20
+
+
+def test_ties_go_to_the_smallest_policy_indices():
+    # "a" changes nothing; actions 1 and 2 of "b" are equally good
+    p_good = np.array([0.2, 0.9, 0.9])
+    d = InfluenceDiagram(
+        [Variable("a", "decision", 3), Variable("b", "decision", 3),
+         Variable("c", "chance", 2), Variable("v", "value")],
+        [("a", "c"), ("b", "c"), ("c", "v")],
+        {"c": np.stack([np.tile(1.0 - p_good, (3, 1)), np.tile(p_good, (3, 1))])},
+        {"v": [0.0, 1.0]})
+    for eps in (0.0, 0.5):
+        got = solve_full(d, SolverConfig(epsilon=eps))
+        assert got.value == pytest.approx(0.9, abs=1e-12)
+        want = (pure_policy(d, "a", 0), pure_policy(d, "b", 1))
+        assert [p.table.tolist() for p in got.strategy.policies] == \
+               [p.table.tolist() for p in want]
 
 
 # -- factor assignment -------------------------------------------------------------------
