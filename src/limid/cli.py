@@ -40,17 +40,14 @@ from .model import (
     brute_force_meu,
     validate_diagram,
 )
-from .solver import DEFAULT_MAX_SET_SIZE, SolverConfig, SolverResult, solve_full
-from .treedecomp import (
-    TreeDecomposition,
-    binarize,
-    build_decomposition,
-    default_root,
-    ensure_value_leaves,
-    root_and_order,
-    validate_decomposition,
+from .solver import (
+    DEFAULT_MAX_SET_SIZE,
+    SolverConfig,
+    SolverResult,
+    shape_and_reduce,
+    solve_full,
 )
-from .reduction import reduce_to_single_value
+from .treedecomp import TreeDecomposition
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -64,13 +61,20 @@ class DocumentError(ValueError):
     """The input document is malformed or fails validation."""
 
 
+def _expect(value: Any, kind: type, what: str) -> Any:
+    """``value`` if it is a ``kind``: ``list`` for a JSON array, ``dict`` for an object."""
+    if not isinstance(value, kind):
+        raise DocumentError(f"{what} must be a JSON {'array' if kind is list else 'object'}")
+    return value
+
+
 # -- table layout -------------------------------------------------------------
 
 def _parse_table(d_vars: dict[str, Variable], owner: str, spec: Any,
                  lead_card: int | None) -> tuple[tuple[str, ...], np.ndarray]:
     if not isinstance(spec, dict) or "parents" not in spec or "table" not in spec:
         raise DocumentError(f"table for {owner!r} needs 'parents' and 'table' keys")
-    listed = [str(p) for p in spec["parents"]]
+    listed = [str(p) for p in _expect(spec["parents"], list, f"'parents' of {owner!r}")]
     if len(listed) != len(set(listed)):
         raise DocumentError(f"table for {owner!r} lists a parent twice")
     for p in listed:
@@ -105,23 +109,27 @@ def document_to_diagram(doc: Any) -> tuple[InfluenceDiagram, TreeDecomposition |
     if not isinstance(doc, dict):
         raise DocumentError("document must be a JSON object")
     variables: list[Variable] = []
-    for entry in doc.get("variables", []):
+    for entry in _expect(doc.get("variables", []), list, "'variables'"):
         if not isinstance(entry, dict) or "id" not in entry or "kind" not in entry:
             raise DocumentError("every variable needs 'id' and 'kind'")
+        vid = str(entry["id"])
         card = entry.get("cardinality")
         states = entry.get("states")
+        if states is not None:
+            states = tuple(_expect(states, list, f"'states' of {vid!r}"))
         try:
-            variables.append(Variable(str(entry["id"]), str(entry["kind"]),
-                                      None if card is None else int(card),
-                                      None if states is None else tuple(states)))
+            variables.append(Variable(vid, str(entry["kind"]),
+                                      None if card is None else int(card), states))
         except ValueError as exc:
             raise DocumentError(str(exc)) from None
+        except TypeError:
+            raise DocumentError(f"'cardinality' of {vid!r} must be an integer") from None
     by_id = {v.id: v for v in variables}
     if len(by_id) != len(variables):
         raise DocumentError("duplicate variable ids")
 
     arcs = []
-    for arc in doc.get("arcs", []):
+    for arc in _expect(doc.get("arcs", []), list, "'arcs'"):
         if not isinstance(arc, (list, tuple)) or len(arc) != 2:
             raise DocumentError(f"arcs must be [from, to] pairs, got {arc!r}")
         arcs.append((str(arc[0]), str(arc[1])))
@@ -136,7 +144,7 @@ def document_to_diagram(doc: Any) -> tuple[InfluenceDiagram, TreeDecomposition |
                                 f"arcs give {list(arc_parents.get(var, ()))}")
 
     cpts: dict[str, np.ndarray] = {}
-    for var, spec in dict(doc.get("cpts", {})).items():
+    for var, spec in _expect(doc.get("cpts", {}), dict, "'cpts'").items():
         var = str(var)
         if var not in by_id:
             raise DocumentError(f"cpt for unknown variable {var!r}")
@@ -145,7 +153,7 @@ def document_to_diagram(doc: Any) -> tuple[InfluenceDiagram, TreeDecomposition |
         parents, cpts[var] = _parse_table(by_id, var, spec, by_id[var].cardinality)
         check_parents(var, parents)
     rewards: dict[str, np.ndarray] = {}
-    for var, spec in dict(doc.get("rewards", {})).items():
+    for var, spec in _expect(doc.get("rewards", {}), dict, "'rewards'").items():
         var = str(var)
         if var not in by_id:
             raise DocumentError(f"reward table for unknown variable {var!r}")
@@ -197,19 +205,14 @@ def diagram_to_document(d: InfluenceDiagram,
     return doc
 
 
-def parse(text: str, *, validate: bool = True) -> tuple[InfluenceDiagram,
-                                                        TreeDecomposition | None]:
-    """Parse a document; with ``validate`` the diagram must pass all invariants."""
+def parse(text: str) -> tuple[InfluenceDiagram, TreeDecomposition | None]:
+    """Parse a document; the diagram is not checked against its invariants
+    (see :func:`~limid.model.validate_diagram`)."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"malformed JSON: {exc}") from None
-    diagram, decomposition = document_to_diagram(doc)
-    if validate:
-        problems = validate_diagram(diagram)
-        if problems:
-            raise DocumentError("invalid diagram: " + "; ".join(problems))
-    return diagram, decomposition
+    return document_to_diagram(doc)
 
 
 def serialize(d: InfluenceDiagram, decomposition: TreeDecomposition | None = None) -> str:
@@ -308,8 +311,7 @@ def _solver_config(args: argparse.Namespace) -> SolverConfig:
         if cap < 1:
             raise ValueError(bad)
     return SolverConfig(epsilon=0.0 if args.exact else float(args.epsilon),
-                        max_set_size=cap,
-                        collect_stats=bool(getattr(args, "stats", False)))
+                        max_set_size=cap)
 
 
 def _result_document(result: SolverResult, with_stats: bool) -> dict[str, Any]:
@@ -329,6 +331,12 @@ def _result_document(result: SolverResult, with_stats: bool) -> dict[str, Any]:
     return doc
 
 
+def _require_valid(d: InfluenceDiagram) -> None:
+    problems = validate_diagram(d)
+    if problems:
+        raise DocumentError("invalid diagram: " + "; ".join(problems))
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
     diagram, decomposition = parse(_read_input(args.file))
     cfg = _solver_config(args)
@@ -339,16 +347,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
     diagram, decomposition = parse(_read_input(args.file))
+    _require_valid(diagram)
     if not diagram.value_ids:
         raise DocumentError("diagram has no value variables to merge")
-    base = decomposition if decomposition is not None else build_decomposition(diagram)
-    if decomposition is not None:
-        problems = validate_decomposition(diagram, decomposition)
-        if problems:
-            raise DocumentError("invalid decomposition: " + "; ".join(problems))
-    shaped = ensure_value_leaves(diagram, binarize(base))
-    rooted = root_and_order(shaped, default_root(shaped))
-    reduced = reduce_to_single_value(diagram, rooted)
+    reduced = shape_and_reduce(diagram, decomposition)
     doc = diagram_to_document(reduced.diagram, reduced.decomposition)
     doc["reduction"] = {
         "utility_lower": reduced.bounds[0],
@@ -363,6 +365,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     diagram, _ = parse(_read_input(args.file))
+    _require_valid(diagram)
     value, strategy = brute_force_meu(diagram)
     sys.stdout.write(_dump({"value": value, "strategy": _strategy_document(strategy)}))
     return EXIT_OK
@@ -376,7 +379,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    diagram, _ = parse(_read_input(args.file), validate=False)
+    diagram, _ = parse(_read_input(args.file))
     problems = validate_diagram(diagram)
     sys.stdout.write(_dump({"violations": problems}))
     return EXIT_OK if not problems else EXIT_INVALID

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -207,7 +207,3 @@ def is_covering(k: PotentialSet, kprime: PotentialSet, alpha: float,
     covers = kprime.values.reshape(1, len(kprime), eta)
     ok = np.all(covered <= alpha * covers * (1.0 + slack), axis=2)
     return bool(ok.any(axis=1).all())
-
-
-#: callback signature observing each covering call: (before, after, alpha, stats)
-CoveringObserver = Callable[[PotentialSet, PotentialSet, float, CoveringStats], None]

@@ -30,13 +30,12 @@ from .model import (
     validate_diagram,
 )
 from .potential import (
-    CoveringObserver,
     PotentialSet,
     combine_sets,
     covering,
     sum_out_set,
 )
-from .reduction import normalize_utilities, reduce_to_single_value
+from .reduction import ReductionResult, normalize_utilities, reduce_to_single_value
 from .treedecomp import (
     TreeDecomposition,
     binarize,
@@ -55,18 +54,25 @@ UTILITY_RANGE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Solver knobs.  ``epsilon == 0`` means exact mode (no pruning)."""
+    """Solver knobs.
+
+    ``epsilon`` is the approximation factor; ``epsilon == 0`` means exact
+    mode (no pruning).  ``max_set_size`` caps every potential set the solve
+    would build (``None`` for no cap) and must be an integer of at least 1.
+    """
 
     epsilon: float = 0.0
     max_set_size: int | None = DEFAULT_MAX_SET_SIZE
-    collect_stats: bool = False
-    covering_observer: CoveringObserver | None = None
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.epsilon):
             raise ValueError(f"epsilon must be finite, got {self.epsilon!r}")
         if self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
+        cap = self.max_set_size
+        if cap is not None and (not isinstance(cap, int) or cap < 1):
+            raise ValueError(f"max_set_size must be None or an integer of at least 1, "
+                             f"got {cap!r}")
 
     @property
     def exact_mode(self) -> bool:
@@ -241,11 +247,8 @@ def solve(d: InfluenceDiagram, t: TreeDecomposition, cfg: SolverConfig) -> Solve
         else:
             pruned, cstats = covering(b, alpha)
             smallest, bound = cstats.smallest_positive, cstats.size_bound
-            if cfg.covering_observer is not None:
-                cfg.covering_observer(b, pruned, alpha, cstats)
-        if cfg.collect_stats:
-            node_stats.append(NodeStats(i, t.clusters[i], len(initial[i]), len(a),
-                                        len(b), len(pruned), smallest, bound))
+        node_stats.append(NodeStats(i, t.clusters[i], len(initial[i]), len(a),
+                                    len(b), len(pruned), smallest, bound))
         messages[i] = pruned
 
     final = messages[t.root]
@@ -264,15 +267,36 @@ def solve(d: InfluenceDiagram, t: TreeDecomposition, cfg: SolverConfig) -> Solve
     return SolverResult(best_value, strategy, stats)
 
 
+def shape_and_reduce(d: InfluenceDiagram,
+                     decomposition: TreeDecomposition | None = None) -> ReductionResult:
+    """Decomposition shaping and value merging on a valid diagram with at
+    least one value variable.
+
+    Validates the supplied decomposition (or builds one), binarizes it,
+    gives every value variable a leaf, roots it at :func:`default_root`,
+    and reduces to a single value variable.
+    """
+    # every step is looked up in this module at call time, so tracers can rebind it
+    if decomposition is None:
+        base = build_decomposition(d)
+    else:
+        problems = validate_decomposition(d, decomposition)
+        if problems:
+            raise ValueError("invalid decomposition: " + "; ".join(problems))
+        base = decomposition
+    shaped = ensure_value_leaves(d, binarize(base))
+    rooted = root_and_order(shaped, default_root(shaped))
+    return reduce_to_single_value(d, rooted)
+
+
 def solve_full(d: InfluenceDiagram, cfg: SolverConfig,
                decomposition: TreeDecomposition | None = None) -> SolverResult:
-    """Full pipeline on an arbitrary valid diagram.
+    """Full pipeline on an arbitrary diagram.
 
-    Builds (or adopts) a decomposition, binarizes it, gives every value
-    variable a leaf, roots it, reduces to a single value variable,
-    normalizes the utilities, solves, and maps the value back to the
-    original utility scale.  The returned strategy covers exactly the
-    original decision variables.
+    Validates the diagram, shapes a decomposition and merges the value
+    variables (:func:`shape_and_reduce`), normalizes the utilities, solves,
+    and maps the value back to the original utility scale.  The returned
+    strategy covers exactly the original decision variables.
     """
     started = time.perf_counter()
     problems = validate_diagram(d)
@@ -285,16 +309,7 @@ def solve_full(d: InfluenceDiagram, cfg: SolverConfig,
         stats = SolveStats(0, 1.0, cfg.exact_mode, time.perf_counter() - started)
         return SolverResult(0.0, strategy, stats)
 
-    if decomposition is None:
-        base = build_decomposition(d)
-    else:
-        problems = validate_decomposition(d, decomposition)
-        if problems:
-            raise ValueError("invalid decomposition: " + "; ".join(problems))
-        base = decomposition
-    shaped = ensure_value_leaves(d, binarize(base))
-    rooted = root_and_order(shaped, default_root(shaped))
-    reduced = reduce_to_single_value(d, rooted)
+    reduced = shape_and_reduce(d, decomposition)
     normalized, offset, scale = normalize_utilities(reduced.diagram)
     result = solve(normalized, reduced.decomposition, cfg)
     value = offset + scale * result.value

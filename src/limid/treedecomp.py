@@ -6,9 +6,9 @@ decomposition is valid when the edges form a tree, every family (and every
 reward parent set) fits in some cluster, and the clusters containing any
 given variable induce a connected subtree.
 
-Construction eliminates the moral graph with a min-fill ordering by
-default; for small graphs an exact search over all elimination orders
-(dynamic programming on vertex subsets) certifies the optimal width.
+Construction eliminates the moral graph in a min-fill ordering.  The
+solver's guarantee needs a decomposition of bounded width, not an optimal
+one, so no exact ordering search is made.
 """
 
 from __future__ import annotations
@@ -18,9 +18,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .model import InfluenceDiagram, VALUE
-
-#: exact ordering search is feasible for this many vertices at most
-EXACT_SEARCH_LIMIT = 16
 
 
 @dataclass(frozen=True)
@@ -119,18 +116,6 @@ class TreeDecomposition:
     def children(self, i: int) -> tuple[int, ...]:
         return self._orientation[1][i]
 
-    def leaf_order(self) -> tuple[int, ...]:
-        """Leaves in depth-first order, children visited left to right."""
-        order: list[int] = []
-        stack = [self.root]
-        while stack:
-            i = stack.pop()
-            kids = self.children(i)
-            if not kids:
-                order.append(i)
-            stack.extend(reversed(kids))
-        return tuple(order)
-
     def euler_tour(self) -> tuple[int, ...]:
         """Walk printing each node once more than its child count (2m - 1 symbols)."""
         tour: list[int] = []
@@ -147,11 +132,10 @@ class TreeDecomposition:
 
 # -- construction -------------------------------------------------------------
 
-def moral_graph(d: InfluenceDiagram) -> tuple[tuple[str, ...], dict[str, set[str]]]:
+def moral_graph(d: InfluenceDiagram) -> dict[str, set[str]]:
     """Undirected graph over chance/decision variables with every family
     and every reward parent set completed into a clique."""
-    vertices = tuple(sorted(d.chance_ids + d.decision_ids))
-    adj: dict[str, set[str]] = {v: set() for v in vertices}
+    adj: dict[str, set[str]] = {v: set() for v in sorted(d.chance_ids + d.decision_ids)}
     for v in d.variables:
         group = set(d.parents(v.id))
         if v.kind != VALUE:
@@ -160,132 +144,42 @@ def moral_graph(d: InfluenceDiagram) -> tuple[tuple[str, ...], dict[str, set[str
             for b in group:
                 if a != b:
                     adj[a].add(b)
-    return vertices, adj
+    return adj
 
 
-def min_fill_order(vertices: tuple[str, ...], adj: dict[str, set[str]]) -> list[str]:
-    work = {v: set(adj[v]) for v in vertices}
-    order: list[str] = []
-    remaining = set(vertices)
-    while remaining:
-        best = None
-        for v in sorted(remaining):
-            nb = sorted(work[v])
-            fill = sum(1 for i, a in enumerate(nb) for b in nb[i + 1:] if b not in work[a])
-            if best is None or fill < best[0]:
-                best = (fill, v)
-        v = best[1]
-        nb = sorted(work[v])
-        for i, a in enumerate(nb):
-            for b in nb[i + 1:]:
-                work[a].add(b)
-                work[b].add(a)
-        for a in nb:
-            work[a].discard(v)
-        del work[v]
-        remaining.discard(v)
-        order.append(v)
-    return order
+def build_decomposition(d: InfluenceDiagram) -> TreeDecomposition:
+    """Tree decomposition of the moral graph of ``d``, eliminated in min-fill order.
 
-
-def exact_order(vertices: tuple[str, ...], adj: dict[str, set[str]]) -> list[str]:
-    """Width-optimal elimination order by dynamic programming over subsets."""
-    n = len(vertices)
-    if n > EXACT_SEARCH_LIMIT:
-        raise ValueError(f"exact ordering search limited to {EXACT_SEARCH_LIMIT} vertices")
-    if n == 0:
-        return []
-    index = {v: i for i, v in enumerate(vertices)}
-    bits = [0] * n
-    for v, nbs in adj.items():
-        for u in nbs:
-            bits[index[v]] |= 1 << index[u]
-
-    def spread(mask: int) -> int:
-        out = 0
-        m = mask
-        while m:
-            low = m & -m
-            out |= bits[low.bit_length() - 1]
-            m ^= low
-        return out
-
-    def q_size(eliminated: int, v: int) -> int:
-        inside = eliminated | (1 << v)
-        reach = 1 << v
-        while True:
-            grow = spread(reach) & inside & ~reach
-            if not grow:
-                break
-            reach |= grow
-        return (spread(reach) & ~inside).bit_count()
-
-    full = (1 << n) - 1
-    width = [0] * (full + 1)
-    last = [0] * (full + 1)
-    for s in range(1, full + 1):
-        best = None
-        m = s
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            prev = s ^ low
-            w = max(width[prev], q_size(prev, v))
-            if best is None or w < best[0]:
-                best = (w, v)
-            m ^= low
-        width[s], last[s] = best
-
-    order_rev: list[str] = []
-    s = full
-    while s:
-        v = last[s]
-        order_rev.append(vertices[v])
-        s ^= 1 << v
-    return list(reversed(order_rev))
-
-
-def _order_to_decomposition(vertices: tuple[str, ...], adj: dict[str, set[str]],
-                            order: list[str]) -> TreeDecomposition:
-    if not vertices:
-        return TreeDecomposition(((),), ())
-    work = {v: set(adj[v]) for v in vertices}
-    position = {v: i for i, v in enumerate(order)}
-    bags: list[tuple[str, ...]] = []
-    edges: list[tuple[int, int]] = []
-    roots: list[int] = []
-    for idx, v in enumerate(order):
-        nb = sorted(work[v])
-        bags.append(tuple(sorted([v] + nb)))
-        if nb:
-            # attach to the bag of the neighbor eliminated next
-            u = min(nb, key=position.__getitem__)
-            edges.append((idx, position[u]))
-        else:
-            roots.append(idx)
-        for i, a in enumerate(nb):
-            for b in nb[i + 1:]:
-                work[a].add(b)
-                work[b].add(a)
-        for a in nb:
-            work[a].discard(v)
-        del work[v]
-    # a disconnected moral graph yields one subtree per component: chain them
-    for a, b in zip(roots, roots[1:]):
-        edges.append((a, b))
-    return TreeDecomposition(tuple(bags), tuple(edges))
-
-
-def build_decomposition(d: InfluenceDiagram, *, exhaustive: bool = False) -> TreeDecomposition:
-    """Tree decomposition of the moral graph of ``d``.
-
-    ``exhaustive=True`` searches all elimination orders (small graphs only)
-    and certifies the optimal width; the default min-fill heuristic gives a
-    valid decomposition of possibly larger width.
+    The vertex needing the fewest fill edges goes next (ties to the smallest
+    id).  It leaves the bag of itself and its remaining neighbors, and that
+    bag hangs off the bag of the neighbor eliminated next.
     """
-    vertices, adj = moral_graph(d)
-    order = exact_order(vertices, adj) if exhaustive else min_fill_order(vertices, adj)
-    return _order_to_decomposition(vertices, adj, order)
+    work = moral_graph(d)
+    if not work:
+        return TreeDecomposition(((),), ())
+
+    def fill(v: str) -> int:
+        nb = sorted(work[v])
+        return sum(1 for i, a in enumerate(nb) for b in nb[i + 1:] if b not in work[a])
+
+    order: list[str] = []
+    neighbors: list[list[str]] = []
+    while work:
+        v = min(work, key=lambda u: (fill(u), u))
+        nb = sorted(work.pop(v))
+        for a in nb:
+            work[a].update(nb)
+            work[a].discard(a)
+            work[a].discard(v)
+        order.append(v)
+        neighbors.append(nb)
+    position = {v: i for i, v in enumerate(order)}
+    edges = [(i, min(position[u] for u in nb)) for i, nb in enumerate(neighbors) if nb]
+    # a disconnected moral graph yields one subtree per component: chain them
+    roots = [i for i, nb in enumerate(neighbors) if not nb]
+    edges += zip(roots, roots[1:])
+    bags = tuple(tuple(sorted([v] + nb)) for v, nb in zip(order, neighbors))
+    return TreeDecomposition(bags, tuple(edges))
 
 
 # -- validation ---------------------------------------------------------------

@@ -15,6 +15,7 @@ from limid import brute_force_meu, expected_utility
 from limid.cli import generate_diagram, main
 from limid.potential import is_covering
 from limid.reduction import reduce_to_single_value, verify_chain_identity
+from limid import solver
 from limid.solver import SolverConfig, solve_full
 from limid.treedecomp import (
     binarize,
@@ -51,15 +52,17 @@ def merge_corpus_diagram(seed: int):
 
 
 class CoveringAudit:
-    """Checks every covering call as it happens."""
+    """Stands in for the solver's ``covering`` and checks every call as it happens."""
 
-    def __init__(self) -> None:
+    def __init__(self, covering) -> None:
+        self.covering = covering
         self.calls = 0
         self.cover_failures = 0
         self.bound_checked = 0
         self.bound_failures = 0
 
-    def __call__(self, before, after, alpha, stats) -> None:
+    def __call__(self, before, alpha):
+        after, stats = self.covering(before, alpha)
         self.calls += 1
         if len(before) <= 500 and not is_covering(before, after, alpha):
             self.cover_failures += 1
@@ -68,27 +71,26 @@ class CoveringAudit:
             self.bound_checked += 1
             if stats.size_bound is None or len(after) > stats.size_bound:
                 self.bound_failures += 1
+        return after, stats
 
 
 @pytest.fixture(scope="module")
 def solver_runs():
     """Brute-force value, exact solve, and pruned solves per corpus instance."""
-    audit = CoveringAudit()
+    audit = CoveringAudit(solver.covering)
     records = []
     exact_elapsed = 0.0
-    for seed in range(SOLVER_CORPUS):
-        diagram = small_random_diagram(seed)
-        start = time.perf_counter()
-        oracle_value, _ = brute_force_meu(diagram)
-        exact = solve_full(diagram, SolverConfig(epsilon=0.0, collect_stats=True))
-        exact_elapsed += time.perf_counter() - start
-        pruned = {
-            eps: solve_full(diagram, SolverConfig(epsilon=eps, collect_stats=True,
-                                                  covering_observer=audit))
-            for eps in EPSILONS
-        }
-        records.append({"seed": seed, "diagram": diagram, "oracle": oracle_value,
-                        "exact": exact, "pruned": pruned})
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "covering", audit)
+        for seed in range(SOLVER_CORPUS):
+            diagram = small_random_diagram(seed)
+            start = time.perf_counter()
+            oracle_value, _ = brute_force_meu(diagram)
+            exact = solve_full(diagram, SolverConfig(epsilon=0.0))
+            exact_elapsed += time.perf_counter() - start
+            pruned = {eps: solve_full(diagram, SolverConfig(epsilon=eps)) for eps in EPSILONS}
+            records.append({"seed": seed, "diagram": diagram, "oracle": oracle_value,
+                            "exact": exact, "pruned": pruned})
     return {"records": records, "audit": audit, "exact_elapsed": exact_elapsed}
 
 

@@ -214,6 +214,53 @@ def test_solve_rejects_invalid_document(capsys, tmp_path):
     assert "invalid diagram" in err
 
 
+@pytest.mark.parametrize("command", ["reduce", "oracle"])
+def test_reduce_and_oracle_reject_invalid_diagram(capsys, tmp_path, command):
+    doc = json.loads(serialize(pick_diagram()))
+    doc["cpts"]["c"]["table"] = [0.6, 0.3, 0.3, 0.7]
+    path = write(tmp_path, "bad.json", json.dumps(doc))
+    code, out, err = run(capsys, command, path)
+    assert code == 1
+    assert out == ""
+    assert "invalid diagram" in err
+
+
+@pytest.mark.parametrize("argv", [["solve", "--exact"], ["reduce"]])
+def test_supplied_decomposition_without_edges_is_rejected(capsys, tmp_path, argv):
+    from limid.treedecomp import build_decomposition
+    d = two_agent_diagram()
+    doc = json.loads(serialize(d, build_decomposition(d)))
+    assert len(doc["decomposition"]["clusters"]) > 1
+    doc["decomposition"]["edges"] = []
+    path = write(tmp_path, "d.json", json.dumps(doc))
+    code, out, err = run(capsys, *argv, path)
+    assert code == 1
+    assert out == ""
+    assert "invalid decomposition" in err
+
+
+def test_reduce_needs_a_value_variable(capsys, tmp_path):
+    doc = {"variables": [{"id": "c", "kind": "chance", "cardinality": 2}], "arcs": [],
+           "cpts": {"c": {"parents": [], "table": [0.5, 0.5]}}, "rewards": {}}
+    path = write(tmp_path, "d.json", json.dumps(doc))
+    code, out, err = run(capsys, "reduce", path)
+    assert code == 1
+    assert out == ""
+    assert "value" in err
+
+
+def test_reduce_accepts_supplied_decomposition(capsys, tmp_path):
+    from limid.treedecomp import build_decomposition
+    d = two_agent_diagram()
+    bare = write(tmp_path, "bare.json", serialize(d))
+    supplied = write(tmp_path, "supplied.json", serialize(d, build_decomposition(d)))
+    code, out_supplied, _ = run(capsys, "reduce", supplied)
+    assert code == 0
+    code, out_bare, _ = run(capsys, "reduce", bare)
+    assert code == 0
+    assert out_supplied == out_bare
+
+
 def test_usage_errors_exit_64(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -274,3 +321,21 @@ def test_stdin_input(capsys, monkeypatch):
     code, out, _ = run(capsys, "oracle", "-")
     assert code == 0
     assert json.loads(out)["value"] == pytest.approx(0.8, abs=1e-9)
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"variables": 5}, "variables"),
+    ({"variables": [], "arcs": 5}, "arcs"),
+    ({"variables": [], "arcs": [], "cpts": [1]}, "cpts"),
+    ({"variables": [{"id": "c", "kind": "chance", "cardinality": [2]}]}, "cardinality"),
+    ({"variables": [{"id": "c", "kind": "chance", "cardinality": 2}], "arcs": [],
+      "cpts": {"c": {"parents": 5, "table": [0.5, 0.5]}}}, "parents"),
+])
+def test_malformed_fields_exit_1_with_one_message(capsys, tmp_path, doc, field):
+    path = write(tmp_path, "bad.json", json.dumps(doc))
+    code, out, err = run(capsys, "validate", path)
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("limid: ") and err.count("\n") == 1
+    assert repr(field) in err

@@ -45,6 +45,17 @@ def test_config_rejects_non_finite_epsilon(epsilon):
         SolverConfig(epsilon=epsilon)
 
 
+@pytest.mark.parametrize("cap", [0, -3, 1.5, "10"])
+def test_config_rejects_bad_max_set_size(cap):
+    with pytest.raises(ValueError, match="max_set_size"):
+        SolverConfig(epsilon=0.5, max_set_size=cap)
+
+
+def test_config_accepts_positive_or_no_cap():
+    assert SolverConfig(max_set_size=1).max_set_size == 1
+    assert SolverConfig(max_set_size=None).max_set_size is None
+
+
 # -- solve on a prepared diagram -------------------------------------------------------
 
 def test_two_strategy_diagram_exact_and_approximate():
@@ -248,28 +259,26 @@ def test_negative_rewards_round_trip():
 def test_exact_work_upper_bounds_pruned_work():
     for seed in range(8):
         d = small_random_diagram(seed)
-        exact = solve_full(d, SolverConfig(epsilon=0.0, collect_stats=True))
+        exact = solve_full(d, SolverConfig(epsilon=0.0))
         for eps in (0.1, 0.5, 1.0):
-            pruned = solve_full(d, SolverConfig(epsilon=eps, collect_stats=True))
+            pruned = solve_full(d, SolverConfig(epsilon=eps))
             assert pruned.stats.total_pruned_size <= exact.stats.total_pruned_size
 
 
 def test_stats_shape():
     d = pick_diagram()
-    got = solve_full(d, SolverConfig(epsilon=0.5, collect_stats=True))
+    got = solve_full(d, SolverConfig(epsilon=0.5))
     assert len(got.stats.nodes) == got.stats.m
     for s in got.stats.nodes:
         assert s.c_size <= s.b_size <= s.a_size
         assert s.k_size >= 1
-    bare = solve_full(d, SolverConfig(epsilon=0.5))
-    assert bare.stats.nodes == ()
 
 
 def test_determinism():
     for seed in (2, 9):
         d = small_random_diagram(seed)
-        a = solve_full(d, SolverConfig(epsilon=0.3, collect_stats=True))
-        b = solve_full(d, SolverConfig(epsilon=0.3, collect_stats=True))
+        a = solve_full(d, SolverConfig(epsilon=0.3))
+        b = solve_full(d, SolverConfig(epsilon=0.3))
         assert a.value == b.value
         for pa, pb in zip(a.strategy.policies, b.strategy.policies):
             assert pa.table.tobytes() == pb.table.tobytes()

@@ -8,8 +8,6 @@ from limid.treedecomp import (
     build_decomposition,
     default_root,
     ensure_value_leaves,
-    exact_order,
-    moral_graph,
     root_and_order,
     validate_decomposition,
 )
@@ -47,29 +45,15 @@ def test_chain_has_width_one():
 
 
 def test_two_agent_width_two_certified():
+    # 2 is the optimal width of this diagram's moral graph
     d = two_agent_diagram()
-    exact = build_decomposition(d, exhaustive=True)
-    assert exact.width() == 2
-    heuristic = build_decomposition(d)
-    assert heuristic.width() <= 2
-    assert validate_decomposition(d, heuristic) == []
+    t = build_decomposition(d)
+    assert t.width() == 2
+    assert validate_decomposition(d, t) == []
 
 
 def test_clique_width():
-    d = clique_diagram(4)
-    assert build_decomposition(d, exhaustive=True).width() == 3
-
-
-def test_exact_order_matches_heuristic_or_better():
-    for seed in range(8):
-        d = small_random_diagram(seed)
-        vertices, adj = moral_graph(d)
-        if len(vertices) > 10:
-            continue
-        exact = build_decomposition(d, exhaustive=True)
-        heuristic = build_decomposition(d)
-        assert exact.width() <= heuristic.width()
-        assert exact_order(vertices, adj)  # deterministic, non-empty
+    assert build_decomposition(clique_diagram(4)).width() == 3
 
 
 def test_empty_diagram_single_empty_cluster():
@@ -172,13 +156,13 @@ def test_root_path_at_end():
     assert rooted.parent(0) is None
     assert rooted.parent(1) == 0 and rooted.parent(2) == 1
     assert rooted.children(0) == (1,)
-    assert rooted.leaf_order() == (2,)
+    assert [i for i in range(rooted.n) if not rooted.children(i)] == [2]
 
 
 def test_single_node_tour():
     t = root_and_order(TreeDecomposition((("a",),), ()), 0)
     assert t.euler_tour() == (0,)
-    assert t.leaf_order() == (0,)
+    assert t.children(0) == ()
 
 
 def test_unknown_root_rejected():
@@ -196,8 +180,9 @@ def test_tour_length_and_visit_counts():
         counts = {i: 0 for i in range(t.n)}
         for node in tour:
             counts[node] += 1
-        for leaf in t.leaf_order():
-            assert counts[leaf] == 1
+        for i in range(t.n):
+            if not t.children(i):
+                assert counts[i] == 1
         for i in range(t.n):
             assert counts[i] <= 3
 
