@@ -28,7 +28,6 @@ from .potential import (
     combine_sets,
     covering,
     is_covering,
-    sum_out_set,
 )
 from .treedecomp import (
     TreeDecomposition,
@@ -93,7 +92,6 @@ __all__ = [
     "root_and_order",
     "solve",
     "solve_full",
-    "sum_out_set",
     "utility_bounds",
     "validate_decomposition",
     "validate_diagram",

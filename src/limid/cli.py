@@ -85,7 +85,11 @@ def _parse_table(d_vars: dict[str, Variable], owner: str, spec: Any,
     cards = [d_vars[p].cardinality for p in listed]
     lead = () if lead_card is None else (lead_card,)
     shape = lead + tuple(cards)
-    flat = np.asarray(spec["table"], dtype=float)
+    try:
+        flat = np.asarray(spec["table"], dtype=float)
+    except (TypeError, ValueError):
+        kind = "reward" if lead_card is None else "cpt"
+        raise DocumentError(f"{kind} table of {owner!r} must hold only numbers") from None
     expected = math.prod(shape)
     if flat.ndim != 1 or flat.size != expected:
         raise DocumentError(f"table for {owner!r} has {flat.size} entries, "
@@ -114,6 +118,10 @@ def document_to_diagram(doc: Any) -> tuple[InfluenceDiagram, TreeDecomposition |
             raise DocumentError("every variable needs 'id' and 'kind'")
         vid = str(entry["id"])
         card = entry.get("cardinality")
+        # bool is an int subclass; 2.0 is accepted, 2.7 and "2" are not
+        if card is not None and (isinstance(card, bool) or not isinstance(card, (int, float))
+                                 or not float(card).is_integer()):
+            raise DocumentError(f"'cardinality' of {vid!r} must be an integer, got {card!r}")
         states = entry.get("states")
         if states is not None:
             states = tuple(_expect(states, list, f"'states' of {vid!r}"))
@@ -122,8 +130,6 @@ def document_to_diagram(doc: Any) -> tuple[InfluenceDiagram, TreeDecomposition |
                                       None if card is None else int(card), states))
         except ValueError as exc:
             raise DocumentError(str(exc)) from None
-        except TypeError:
-            raise DocumentError(f"'cardinality' of {vid!r} must be an integer") from None
     by_id = {v.id: v for v in variables}
     if len(by_id) != len(variables):
         raise DocumentError("duplicate variable ids")

@@ -8,11 +8,13 @@ decision ids, and row ``i`` of ``policies`` holds the pure-policy index each
 of those decisions takes in member ``i``.  A maximizing member can thus be
 turned back into a strategy.
 
-Sets are combined by pairwise multiplication (Cartesian product, rows laid
-out in lexicographic pair order) and marginalized member-wise.  The solver
-places each decision's policies at exactly one node and sibling subtrees
-are disjoint, so combined sets never share a decision; that is checked once
-per combination.
+Sets are combined by multiplication over their Cartesian product (members
+in lexicographic order) with the marginalization fused in: ``combine_sets``
+builds any contiguous range of product members already summed down to the
+remaining scope, so a caller can walk a large product in blocks without
+ever holding it whole.  The solver places each decision's policies at
+exactly one node and sibling subtrees are disjoint, so combined sets never
+share a decision; that is checked once per combination.
 
 ``covering`` prunes a set down to one representative per bucket of the
 signature y -> floor(log_alpha P(y)), with a distinct sentinel for zero
@@ -85,59 +87,80 @@ class PotentialSet:
         return self.values.shape[0]
 
 
-def _combine_pair(a: PotentialSet, b: PotentialSet) -> PotentialSet:
-    shared = set(a.decisions) & set(b.decisions)
-    if shared:
-        raise RuntimeError(f"decisions {sorted(shared)} met twice during combination")
-    card_by_var = dict(zip(a.scope, a.cards))
-    for var, card in zip(b.scope, b.cards):
-        if card_by_var.setdefault(var, card) != card:
-            raise ValueError(f"inconsistent cardinality for {var!r}")
-    scope = tuple(sorted(card_by_var))
-    cards = tuple(card_by_var[v] for v in scope)
-    shape_a = tuple(c if v in a.scope else 1 for v, c in zip(scope, cards))
-    shape_b = tuple(c if v in b.scope else 1 for v, c in zip(scope, cards))
-    na, nb = len(a), len(b)
-    lhs = a.values.reshape((na, 1) + shape_a)
-    rhs = b.values.reshape((1, nb) + shape_b)
-    values = (lhs * rhs).reshape((na * nb,) + cards)
+def combine_sets(sets: Sequence[PotentialSet], sum_out: Iterable[str] = (),
+                 start: int = 0, stop: int | None = None) -> PotentialSet:
+    """Members ``start`` to ``stop`` of the Cartesian-product multiplication of
+    ``sets``, with the variables ``sum_out`` marginalized out of every member.
 
-    # member i * nb + j pairs row i of a with row j of b
-    joined = a.decisions + b.decisions
-    columns = sorted(range(len(joined)), key=joined.__getitem__)
-    policies = np.concatenate([np.repeat(a.policies, nb, axis=0),
-                               np.tile(b.policies, (na, 1))], axis=1)
-    return PotentialSet(scope, cards, values, tuple(joined[c] for c in columns),
-                        policies[:, columns])
-
-
-def combine_sets(sets: Sequence[PotentialSet]) -> PotentialSet:
-    """Cartesian-product multiplication of potential sets.
-
-    Member order is the lexicographic product order of the input members;
-    the empty product is the scalar unit.  Raises ``RuntimeError`` when two
-    inputs carry policies of the same decision.
+    Member order is the lexicographic product order of the input members,
+    the first set varying slowest; the empty product is the scalar unit.
+    Tables are multiplied left to right over the joint scope and summed in
+    one ``sum`` over the marginalized axes, so a member comes out with the
+    same numbers in whatever range it is built.  Raises ``RuntimeError``
+    when two inputs carry policies of the same decision and ``ValueError``
+    on inconsistent cardinalities or a variable to sum out that no input has.
     """
+    card_by_var: dict[str, int] = {}
+    decisions: list[str] = []
+    for s in sets:
+        shared = set(decisions) & set(s.decisions)
+        if shared:
+            raise RuntimeError(f"decisions {sorted(shared)} met twice during combination")
+        decisions.extend(s.decisions)
+        for var, card in zip(s.scope, s.cards):
+            if card_by_var.setdefault(var, card) != card:
+                raise ValueError(f"inconsistent cardinality for {var!r}")
+    zs = set(sum_out)
+    if not zs <= card_by_var.keys():
+        raise ValueError(f"cannot sum out {sorted(zs - card_by_var.keys())}: not in scope")
     if not sets:
         return PotentialSet((), (), np.ones((1,)))
-    out = sets[0]
-    for nxt in sets[1:]:
-        out = _combine_pair(out, nxt)
-    return out
+    scope = tuple(sorted(card_by_var))
+    cards = tuple(card_by_var[v] for v in scope)
+    sizes = tuple(len(s) for s in sets)
+    total = math.prod(sizes)
+    stop = total if stop is None else stop
+    if not 0 <= start <= stop <= total:
+        raise ValueError(f"member range {start}..{stop} outside the product of {total}")
+    n = stop - start
+    order = sorted(decisions)
+    policies = np.empty((n, len(order)), dtype=np.int64)
+    if n == total:
+        # the whole product: each set's member axis broadcasts against the others
+        rows = [(1,) * k + (size,) + (1,) * (len(sets) - k - 1) for k, size in enumerate(sizes)]
+        picks = [s.values.reshape(r + _joint_shape(s, scope, cards)) for s, r in zip(sets, rows)]
+        grid = policies.reshape(sizes + (len(order),))
+        policy_picks = [s.policies.reshape(r + (len(s.decisions),)) for s, r in zip(sets, rows)]
+    else:
+        members = np.unravel_index(np.arange(start, stop), sizes)
+        picks = [s.values[m].reshape((n,) + _joint_shape(s, scope, cards))
+                 for s, m in zip(sets, members)]
+        grid = policies
+        policy_picks = [s.policies[m] for s, m in zip(sets, members)]
+    for s, pick in zip(sets, policy_picks):
+        grid[..., [order.index(dec) for dec in s.decisions]] = pick
+    values = picks[0]
+    for pick in picks[1:]:
+        values = values * pick
+    values = np.ascontiguousarray(values.reshape((n,) + cards))
+    if zs:
+        values = values.sum(axis=tuple(1 + i for i, v in enumerate(scope) if v in zs))
+        cards = tuple(c for v, c in zip(scope, cards) if v not in zs)
+        scope = tuple(v for v in scope if v not in zs)
+    return PotentialSet(scope, cards, values, tuple(order), policies)
 
 
-def sum_out_set(k: PotentialSet, zs: Iterable[str]) -> PotentialSet:
-    """Marginalize ``zs`` out of every member; policies are carried through."""
-    zs = set(zs)
-    if not zs <= set(k.scope):
-        raise ValueError(f"cannot sum out {sorted(zs - set(k.scope))}: not in scope")
-    if not zs:
-        return k
-    axes = tuple(1 + i for i, v in enumerate(k.scope) if v in zs)
-    keep = tuple(i for i, v in enumerate(k.scope) if v not in zs)
-    scope = tuple(k.scope[i] for i in keep)
-    cards = tuple(k.cards[i] for i in keep)
-    return PotentialSet(scope, cards, k.values.sum(axis=axes), k.decisions, k.policies)
+def _joint_shape(s: PotentialSet, scope: tuple[str, ...],
+                 cards: tuple[int, ...]) -> tuple[int, ...]:
+    """The table shape of ``s`` laid over the joint ``scope``, 1 on axes it lacks."""
+    return tuple(c if v in s.scope else 1 for v, c in zip(scope, cards))
+
+
+def concat_sets(sets: Sequence[PotentialSet]) -> PotentialSet:
+    """The members of ``sets`` one after another; all share scope and decisions."""
+    first = sets[0]
+    return PotentialSet(first.scope, first.cards, np.concatenate([s.values for s in sets]),
+                        first.decisions, np.concatenate([s.policies for s in sets]))
 
 
 def floor_log(value: float, alpha: float) -> int:
@@ -190,10 +213,20 @@ def covering(k: PotentialSet, alpha: float) -> tuple[PotentialSet, CoveringStats
     keep = np.sort(np.unique(rows, return_index=True)[1])
     pruned = PotentialSet(k.scope, k.cards, k.values[keep], k.decisions, k.policies[keep])
 
-    smallest = float(flat[positive].min()) if np.any(positive) else None
-    bound = None if smallest is None else (1 - floor_log(smallest, alpha)) ** eta
+    smallest, bound = covering_bound(k, alpha)
     stats = CoveringStats(n, len(pruned), smallest, eta, bound, alpha, had_zero)
     return pruned, stats
+
+
+def covering_bound(k: PotentialSet, alpha: float) -> tuple[float | None, int | None]:
+    """The smallest positive entry t of ``k`` (``None`` if there is none) and
+    the cap ``(1 - floor_log(t, alpha)) ** assignments`` on the survivors of
+    :func:`covering`, valid whenever all entries are positive and at most one."""
+    positive = k.values[k.values > 0.0]
+    if not positive.size:
+        return None, None
+    smallest = float(positive.min())
+    return smallest, (1 - floor_log(smallest, alpha)) ** math.prod(k.cards)
 
 
 def is_covering(k: PotentialSet, kprime: PotentialSet, alpha: float,

@@ -6,7 +6,9 @@ of chance variables, the full set of pure policies of decision variables,
 and the (normalized) utility table.  Messages flow from the leaves to the
 root; at each node the incoming sets are combined, the variables leaving
 the separator are summed out, and the resulting set is pruned to a
-covering within a pointwise factor alpha = 1 + epsilon / (2m).  Every
+covering within a pointwise factor alpha = 1 + epsilon / (2m).  The three
+steps run together over blocks of the combined members
+(:func:`node_message`), so a node's full product is never held at once.  Every
 number surviving at the root is the exact expected utility of the strategy
 recorded in its policy row, and the maximum E among them satisfies
 MEU <= (1 + epsilon) * E.  With pruning disabled the maximum is the exact
@@ -32,8 +34,9 @@ from .model import (
 from .potential import (
     PotentialSet,
     combine_sets,
+    concat_sets,
     covering,
-    sum_out_set,
+    covering_bound,
 )
 from .reduction import ReductionResult, normalize_utilities, reduce_to_single_value
 from .treedecomp import (
@@ -47,6 +50,10 @@ from .treedecomp import (
 )
 
 DEFAULT_MAX_SET_SIZE = 1_000_000
+
+#: bytes of cluster-scope tables and policy rows one block of a node's product
+#: members may take; the product is never built whole beyond one block
+BLOCK_BYTES = 1 << 23
 
 #: slack admitted on "utilities lie in [0, 1]" input checks
 UTILITY_RANGE_TOL = 1e-9
@@ -175,6 +182,52 @@ def _check_cap(parts: list[PotentialSet], cap: int | None, node: int, stage: str
             f"set size {size} at node {node} ({stage}) exceeds the cap {cap}")
 
 
+def sum_out_set(k: PotentialSet, zs: set[str]) -> PotentialSet:
+    """Marginalize ``zs`` out of every member of ``k``.
+
+    :func:`solve` sums out inside :func:`combine_sets`; this one-set form
+    stays because ``bench/spans.py`` traces the solver by these names.
+    """
+    return combine_sets([k], zs)
+
+
+def node_message(parts: list[PotentialSet], gone: set[str], alpha: float | None
+                 ) -> tuple[PotentialSet, float | None, int | None]:
+    """The product of ``parts`` with ``gone`` summed out, pruned by
+    :func:`covering` at ``alpha`` (``None``: exact, no pruning).
+
+    The product members are walked in order in blocks of at most
+    ``BLOCK_BYTES`` of joint-scope tables, each contracted and pruned on its
+    own; when there are several blocks their survivors are pruned once
+    more, which keeps the first member of every signature over the whole
+    product, as one covering call on it would.  Also returns the smallest
+    positive entry of the unpruned message and covering's survivor bound
+    for it (``None`` when exact).
+    """
+    cards = {v: c for p in parts for v, c in zip(p.scope, p.cards)}
+    width = math.prod(cards.values()) + sum(len(p.decisions) for p in parts)
+    step = max(1, BLOCK_BYTES // (8 * width))
+    total = math.prod(len(p) for p in parts)
+    blocks = []
+    found = []
+    # a product that fits in one block is built whole, by broadcasting
+    for lo in range(0, max(total, 1), step):
+        block = combine_sets(parts, gone, lo, min(lo + step, total))
+        if alpha is not None:
+            block, cstats = covering(block, alpha)
+            if cstats.smallest_positive is not None:
+                found.append(cstats)
+        blocks.append(block)
+    message = concat_sets(blocks) if len(blocks) > 1 else blocks[0]
+    if alpha is not None and len(blocks) > 1:
+        message, _ = covering(message, alpha)
+    # the bound belongs to the smallest entry over all blocks, pruned or not
+    least = min(found, key=lambda c: c.smallest_positive, default=None)
+    if least is None:
+        return message, None, None
+    return message, least.smallest_positive, least.size_bound
+
+
 def _postorder(t: TreeDecomposition) -> list[int]:
     order: list[int] = []
     stack: list[tuple[int, bool]] = [(t.root, False)]
@@ -234,22 +287,25 @@ def solve(d: InfluenceDiagram, t: TreeDecomposition, cfg: SolverConfig) -> Solve
     for i in _postorder(t):
         parts = [initial[i]] + [messages.pop(c) for c in t.children(i)]
         _check_cap(parts, cap, i, "combination")
-        a = combine_sets(parts)
         parent = t.parent(i)
         separator = cluster_sets[i] & cluster_sets[parent] if parent is not None else set()
         gone = cluster_sets[i] - separator
-        if not gone <= set(a.scope):
-            raise RuntimeError(f"variables {sorted(gone - set(a.scope))} reach node {i} "
+        scope = set().union(*(p.scope for p in parts))
+        if not gone <= scope:
+            raise RuntimeError(f"variables {sorted(gone - scope)} reach node {i} "
                                f"without their defining tables")
-        b = sum_out_set(a, gone)
-        if cfg.exact_mode:
-            pruned, smallest, bound = b, None, None
+        if not hold[i] and len(parts) == 2 and not gone:
+            # a pass-through node: its one child's message is already covered
+            # at alpha, so covering it again would keep every member
+            message = parts[1]
+            smallest, bound = (None, None) if cfg.exact_mode else covering_bound(message, alpha)
         else:
-            pruned, cstats = covering(b, alpha)
-            smallest, bound = cstats.smallest_positive, cstats.size_bound
-        node_stats.append(NodeStats(i, t.clusters[i], len(initial[i]), len(a),
-                                    len(b), len(pruned), smallest, bound))
-        messages[i] = pruned
+            message, smallest, bound = node_message(parts, gone,
+                                                    None if cfg.exact_mode else alpha)
+        size = math.prod(len(p) for p in parts)
+        node_stats.append(NodeStats(i, t.clusters[i], len(initial[i]), size, size,
+                                    len(message), smallest, bound))
+        messages[i] = message
 
     final = messages[t.root]
     if final.scope:

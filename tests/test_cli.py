@@ -339,3 +339,34 @@ def test_malformed_fields_exit_1_with_one_message(capsys, tmp_path, doc, field):
     assert "Traceback" not in err
     assert err.startswith("limid: ") and err.count("\n") == 1
     assert repr(field) in err
+
+
+def one_reward_document(cardinality=2, cpt=(0.5, 0.5), reward=(0.0, 1.0)) -> dict:
+    return {"variables": [{"id": "c", "kind": "chance", "cardinality": cardinality},
+                          {"id": "v", "kind": "value"}],
+            "arcs": [["c", "v"]],
+            "cpts": {"c": {"parents": [], "table": list(cpt)}},
+            "rewards": {"v": {"parents": ["c"], "table": list(reward)}}}
+
+
+@pytest.mark.parametrize("doc, where", [
+    (one_reward_document(cardinality=2.7), "'cardinality' of 'c'"),
+    (one_reward_document(cardinality=True), "'cardinality' of 'c'"),
+    (one_reward_document(cardinality="abc"), "'cardinality' of 'c'"),
+    (one_reward_document(cardinality="2"), "'cardinality' of 'c'"),
+    (one_reward_document(cpt=("x", 0.5)), "cpt table of 'c'"),
+    (one_reward_document(reward=(0.0, "x")), "reward table of 'v'"),
+    (one_reward_document(reward=([0.0], 1.0)), "reward table of 'v'"),
+])
+def test_bad_numbers_name_the_variable_and_field(capsys, tmp_path, doc, where):
+    path = write(tmp_path, "bad.json", json.dumps(doc))
+    code, out, err = run(capsys, "validate", path)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"limid: {where} ") and err.count("\n") == 1
+
+
+def test_integral_float_cardinality_is_accepted(capsys, tmp_path):
+    path = write(tmp_path, "ok.json", json.dumps(one_reward_document(cardinality=2.0)))
+    code, out, _ = run(capsys, "validate", path)
+    assert code == 0 and json.loads(out) == {"violations": []}

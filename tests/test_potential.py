@@ -1,15 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import limid.solver
 from limid.potential import (
     CoveringStats,
     PotentialSet,
     combine_sets,
+    concat_sets,
     covering,
+    covering_bound,
     floor_log,
     is_covering,
-    sum_out_set,
 )
+from limid.solver import node_message
 
 
 def single(cards: dict, values, decisions=(), policies=None) -> PotentialSet:
@@ -78,20 +83,20 @@ def test_multiply_scope_union_and_card_mismatch():
 
 def test_sum_out_examples():
     p = single({"a": 2, "b": 2}, [[0.2, 0.3], [0.1, 0.4]])
-    assert np.allclose(sum_out_set(p, {"b"}).values, [[0.5, 0.5]])
-    assert sum_out_set(p, set()) is p
+    assert np.allclose(combine_sets([p], {"b"}).values, [[0.5, 0.5]])
+    assert np.array_equal(combine_sets([p], set()).values, p.values)
     cpt_column = single({"a": 2}, [0.4, 0.6])
-    assert float(sum_out_set(cpt_column, {"a"}).values[0]) == pytest.approx(1.0, abs=1e-15)
+    assert float(combine_sets([cpt_column], {"a"}).values[0]) == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(ValueError):
-        sum_out_set(p, {"z"})
+        combine_sets([p], {"z"})
 
 
 def test_distributivity(rng):
     for _ in range(20):
         p = single({"a": 2, "b": 3}, rng.uniform(size=(2, 3)))
         q = single({"b": 3, "c": 2}, rng.uniform(size=(3, 2)))
-        left = sum_out_set(combine_sets([p, q]), {"c"})
-        right = combine_sets([p, sum_out_set(q, {"c"})])
+        left = combine_sets([p, q], {"c"})
+        right = combine_sets([p, combine_sets([q], {"c"})])
         assert np.allclose(left.values, right.values, atol=1e-12)
 
 
@@ -138,15 +143,99 @@ def test_combine_empty_list_gives_scalar_unit():
 
 def test_sum_out_set_examples():
     k = members_set({"a": 2, "b": 2}, [[[0.2, 0.3], [0.1, 0.4]]])
-    got = sum_out_set(k, {"b"})
+    got = combine_sets([k], {"b"})
     assert np.allclose(got.values, [[0.5, 0.5]])
-    assert sum_out_set(k, set()) is k
+    same = combine_sets([k], set())
+    assert np.array_equal(same.values, k.values) and np.array_equal(same.policies, k.policies)
     three = members_set({"a": 2, "b": 2},
                         [np.full((2, 2), 0.25), np.eye(2), np.zeros((2, 2))])
-    scalars = sum_out_set(three, {"a", "b"})
+    scalars = combine_sets([three], {"a", "b"})
     assert scalars.scope == () and len(scalars) == 3
     assert np.allclose(scalars.values, [1.0, 2.0, 0.0])
     assert np.array_equal(scalars.policies, three.policies)
+
+
+def test_combine_member_ranges_rebuild_the_product(rng):
+    a = random_set(rng, {"a": 2, "b": 3}, 5)
+    b = PotentialSet(("b", "c"), (3, 2), rng.uniform(size=(4, 3, 2)), ("e",),
+                     np.arange(4).reshape(-1, 1))
+    c = PotentialSet(("c",), (2,), rng.uniform(size=(3, 2)), ("f",),
+                     np.arange(3).reshape(-1, 1))
+    for gone in (set(), {"b"}, {"a", "c"}):
+        whole = combine_sets([a, b, c], gone)
+        assert len(whole) == 60
+        # the whole product matches the pairwise products summed afterwards
+        pairwise = combine_sets([combine_sets([combine_sets([a, b]), c])], gone)
+        assert whole.values.tobytes() == pairwise.values.tobytes()
+        assert np.array_equal(whole.policies, pairwise.policies)
+        pieces = concat_sets([combine_sets([a, b, c], gone, lo, min(lo + 7, 60))
+                              for lo in range(0, 60, 7)])
+        assert pieces.values.tobytes() == whole.values.tobytes()
+        assert np.array_equal(pieces.policies, whole.policies)
+    assert len(combine_sets([a, b], (), 3, 3)) == 0
+    with pytest.raises(ValueError):
+        combine_sets([a, b], (), 5, 21)
+
+
+# -- the blocked node kernel ---------------------------------------------------------
+
+def unblocked(parts, gone, alpha):
+    """The node message built whole: product, sum-out, then one covering call."""
+    whole = combine_sets(parts, gone)
+    if alpha is None:
+        return whole, None, None
+    pruned, stats = covering(whole, alpha)
+    return pruned, stats.smallest_positive, stats.size_bound
+
+
+def assert_same_message(got, want):
+    assert got[0].scope == want[0].scope and got[0].decisions == want[0].decisions
+    assert got[0].values.tobytes() == want[0].values.tobytes()
+    assert np.array_equal(got[0].policies, want[0].policies)
+    assert got[1:] == want[1:]
+
+
+def test_blocked_kernel_matches_the_whole_product(rng, monkeypatch):
+    monkeypatch.setattr(limid.solver, "BLOCK_BYTES", 400)  # three members per block
+    for trial in range(40):
+        a = random_set(rng, {"a": 2, "b": 2}, int(rng.integers(1, 12)), zeros=trial % 2 == 0)
+        nb = int(rng.integers(1, 9))
+        # coarse entries: many equal signatures, some of them in different blocks
+        b = PotentialSet(("b", "c"), (2, 3), np.round(rng.uniform(size=(nb, 2, 3)), 1),
+                         ("e",), np.arange(nb).reshape(-1, 1))
+        gone = [set(), {"a"}, {"b", "c"}, {"a", "b", "c"}][trial % 4]
+        for alpha in (None, 1.05, 2.0):
+            blocked = node_message([a, b], gone, alpha)
+            assert_same_message(blocked, unblocked([a, b], gone, alpha))
+
+
+def test_blocked_kernel_keeps_the_first_signature_across_blocks(monkeypatch):
+    # eight members per block; members 6..9 share one signature across the boundary
+    k = members_set({"a": 2}, [[0.9, 0.9]] * 6 + [[0.5, 0.4], [0.6, 0.3], [0.5, 0.4],
+                                                   [0.55, 0.26], [0.0, 0.2], [0.0, 0.2]])
+    unit = single({"a": 2}, [1.0, 1.0], ("e",), [[0]])
+    monkeypatch.setattr(limid.solver, "BLOCK_BYTES", 8 * 8 * (2 + 2))
+    got = node_message([k, unit], set(), 2.0)
+    assert got[0].policies.tolist() == [[0, 0], [6, 0], [10, 0]]
+    assert_same_message(got, unblocked([k, unit], set(), 2.0))
+    exact = node_message([k, unit], {"a"}, None)
+    assert_same_message(exact, unblocked([k, unit], {"a"}, None))
+
+
+def test_blocked_contraction_never_holds_the_product(rng):
+    # 729 x 1269 members over 18 entries: the whole product would take 133 MB
+    a = PotentialSet(("x", "y"), (3, 3), rng.uniform(size=(729, 3, 3)), ("d",),
+                     np.arange(729).reshape(-1, 1))
+    b = PotentialSet(("y", "z"), (3, 2), rng.uniform(size=(1269, 3, 2)), ("e",),
+                     np.arange(1269).reshape(-1, 1))
+    tracemalloc.start()
+    try:
+        message, _, _ = node_message([a, b], {"y", "z"}, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert message.scope == ("x",) and 0 < len(message) < 729 * 1269
+    assert peak < 40e6
 
 
 # -- covering ----------------------------------------------------------------------
@@ -204,6 +293,14 @@ def test_covering_property_and_bounds(rng):
                 assert len(pruned) <= (base + 1) ** stats.assignments
             else:
                 assert len(pruned) <= base ** stats.assignments
+
+
+def test_covering_bound_is_the_covering_stats(rng):
+    for trial in range(10):
+        k = random_set(rng, {"a": 2, "b": 3}, n=int(rng.integers(1, 30)), zeros=trial % 2 == 0)
+        _, stats = covering(k, 1.3)
+        assert covering_bound(k, 1.3) == (stats.smallest_positive, stats.size_bound)
+    assert covering_bound(members_set({"a": 2}, [[0.0, 0.0]]), 2.0) == (None, None)
 
 
 def test_covering_all_zero_members():

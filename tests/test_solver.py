@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import limid.solver
 from limid import (
     InfluenceDiagram,
     InstanceTooLargeError,
@@ -272,6 +273,27 @@ def test_stats_shape():
     for s in got.stats.nodes:
         assert s.c_size <= s.b_size <= s.a_size
         assert s.k_size >= 1
+
+
+def test_pass_through_nodes_are_not_covered_again(monkeypatch):
+    covered, passed = [], []
+    real_covering, real_bound = limid.solver.covering, limid.solver.covering_bound
+
+    def bound(k, alpha):
+        passed.append((k, alpha))
+        return real_bound(k, alpha)
+
+    monkeypatch.setattr(limid.solver, "covering",
+                        lambda k, alpha: covered.append(len(k)) or real_covering(k, alpha))
+    monkeypatch.setattr(limid.solver, "covering_bound", bound)
+    got = solve_full(two_agent_diagram(), SolverConfig(epsilon=0.3))
+    assert passed and len(covered) + len(passed) == got.stats.m
+    for k, alpha in passed:
+        # the message handed on is already a covering: pruning it again keeps it whole
+        again, stats = real_covering(k, alpha)
+        assert again.values.tobytes() == k.values.tobytes()
+        assert np.array_equal(again.policies, k.policies)
+        assert real_bound(k, alpha) == (stats.smallest_positive, stats.size_bound)
 
 
 def test_determinism():
