@@ -21,13 +21,18 @@ signature y -> floor(log_alpha P(y)), with a distinct sentinel for zero
 entries.  Any two members sharing a signature dominate each other within a
 pointwise factor alpha, so every pruned member stays alpha-covered by a
 survivor.
+
+Arrays handed to the :class:`PotentialSet` constructor are copied, so no
+caller can change a set afterwards; arrays this module allocates itself
+(products, sums, gathers, concatenations) are adopted as they are through
+:meth:`PotentialSet.adopt`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -38,9 +43,13 @@ _ZERO_SENTINEL = np.iinfo(np.int64).min
 #: signatures stable at bucket boundaries
 _LOG_SNAP = 1e-12
 
+#: entries per row chunk of covering's signature pass, which bounds its float
+#: temporaries; a set of at most this many entries skips the row key
+_CHUNK_ENTRIES = 1 << 14
 
-def _frozen(a: np.ndarray, dtype: type, shape: tuple[int, ...]) -> np.ndarray:
-    a = np.array(a, dtype=dtype, order="C").reshape(shape)
+
+def _frozen(a: np.ndarray, dtype: type, shape: tuple[int, ...], copy: bool) -> np.ndarray:
+    a = (np.array if copy else np.asarray)(a, dtype=dtype, order="C").reshape(shape)
     a.flags.writeable = False
     return a
 
@@ -55,7 +64,9 @@ class PotentialSet:
     """Potentials over one common scope, each tagged with pure-policy indices.
 
     ``values`` has shape ``(n, *cards)``; ``policies`` has shape
-    ``(n, len(decisions))`` and defaults to no decisions at all.
+    ``(n, len(decisions))`` and defaults to no decisions at all.  The
+    constructor copies both arrays; :meth:`adopt` takes them over.  Either
+    way they are validated (shape, finite, nonnegative) and read-only.
     """
 
     scope: tuple[str, ...]
@@ -65,14 +76,34 @@ class PotentialSet:
     policies: np.ndarray | None = None
 
     def __post_init__(self) -> None:
+        self._settle(copy=True)
+
+    @classmethod
+    def adopt(cls, scope: Sequence[str], cards: Sequence[int], values: np.ndarray,
+              decisions: Sequence[str] = (), policies: np.ndarray | None = None
+              ) -> PotentialSet:
+        """A set that takes ``values`` and ``policies`` over without copying.
+
+        Only for arrays the caller has just allocated and keeps no other
+        reference to, such as product, sum, gather or concatenation results.
+        """
+        k = object.__new__(cls)
+        for name, field in (("scope", scope), ("cards", cards), ("values", values),
+                            ("decisions", decisions), ("policies", policies)):
+            object.__setattr__(k, name, field)
+        k._settle(copy=False)
+        return k
+
+    def _settle(self, copy: bool) -> None:
         scope = tuple(self.scope)
         cards = tuple(int(c) for c in self.cards)
         decisions = tuple(self.decisions)
         _check_ids(scope, "potential set scope")
         _check_ids(decisions, "potential set decisions")
         n = np.shape(self.values)[0]
-        values = _frozen(self.values, float, (n,) + cards)
-        if not np.all(np.isfinite(values)) or np.any(values < 0.0):
+        values = _frozen(self.values, float, (n,) + cards, copy)
+        # min and max propagate NaN, so two reductions check every entry
+        if not (values.min(initial=0.0) >= 0.0 and math.isfinite(values.max(initial=0.0))):
             raise ValueError("potential set entries must be nonnegative and finite")
         policies = np.zeros((n, 0)) if self.policies is None else self.policies
         if np.shape(policies) != (n, len(decisions)):
@@ -81,7 +112,8 @@ class PotentialSet:
         object.__setattr__(self, "cards", cards)
         object.__setattr__(self, "decisions", decisions)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "policies", _frozen(policies, np.int64, (n, len(decisions))))
+        object.__setattr__(self, "policies",
+                           _frozen(policies, np.int64, (n, len(decisions)), copy))
 
     def __len__(self) -> int:
         return self.values.shape[0]
@@ -114,7 +146,7 @@ def combine_sets(sets: Sequence[PotentialSet], sum_out: Iterable[str] = (),
     if not zs <= card_by_var.keys():
         raise ValueError(f"cannot sum out {sorted(zs - card_by_var.keys())}: not in scope")
     if not sets:
-        return PotentialSet((), (), np.ones((1,)))
+        return PotentialSet.adopt((), (), np.ones((1,)))
     scope = tuple(sorted(card_by_var))
     cards = tuple(card_by_var[v] for v in scope)
     sizes = tuple(len(s) for s in sets)
@@ -147,7 +179,7 @@ def combine_sets(sets: Sequence[PotentialSet], sum_out: Iterable[str] = (),
         values = values.sum(axis=tuple(1 + i for i, v in enumerate(scope) if v in zs))
         cards = tuple(c for v, c in zip(scope, cards) if v not in zs)
         scope = tuple(v for v in scope if v not in zs)
-    return PotentialSet(scope, cards, values, tuple(order), policies)
+    return PotentialSet.adopt(scope, cards, values, tuple(order), policies)
 
 
 def _joint_shape(s: PotentialSet, scope: tuple[str, ...],
@@ -159,8 +191,8 @@ def _joint_shape(s: PotentialSet, scope: tuple[str, ...],
 def concat_sets(sets: Sequence[PotentialSet]) -> PotentialSet:
     """The members of ``sets`` one after another; all share scope and decisions."""
     first = sets[0]
-    return PotentialSet(first.scope, first.cards, np.concatenate([s.values for s in sets]),
-                        first.decisions, np.concatenate([s.policies for s in sets]))
+    return PotentialSet.adopt(first.scope, first.cards, np.concatenate([s.values for s in sets]),
+                              first.decisions, np.concatenate([s.policies for s in sets]))
 
 
 def floor_log(value: float, alpha: float) -> int:
@@ -188,7 +220,13 @@ def covering(k: PotentialSet, alpha: float) -> tuple[PotentialSet, CoveringStats
 
     Members are bucketed on the integer signature floor(log_alpha value)
     per assignment (zero entries get their own sentinel); the first member
-    of each bucket survives.  The returned stats carry the guaranteed cap
+    of each bucket survives, in input order.  Signatures are computed in row
+    chunks of ``_CHUNK_ENTRIES`` entries into one ``int64`` matrix, so the
+    float temporaries stay bounded.  A set larger than one chunk is grouped
+    on a 64-bit key per signature row, and the groups are checked exactly
+    against the rows; on any collision, and for sets within one chunk, rows
+    are grouped as raw bytes.  When every member survives, ``k`` itself is
+    returned.  The returned stats carry the guaranteed cap
     ``(1 - floor(log_alpha t)) ** assignments`` on the number of survivors,
     valid whenever all entries are positive and at most one.
     """
@@ -198,35 +236,106 @@ def covering(k: PotentialSet, alpha: float) -> tuple[PotentialSet, CoveringStats
     eta = math.prod(k.cards)
     if n == 0:
         return k, CoveringStats(0, 0, None, eta, None, alpha, False)
-    flat = k.values.reshape(n, eta)
-    positive = flat > 0.0
-    had_zero = bool(np.any(~positive))
-
-    sig = np.full(flat.shape, _ZERO_SENTINEL, dtype=np.int64)
-    if np.any(positive):
-        q = np.log(flat[positive]) / math.log(alpha)
-        r = np.rint(q)
-        sig[positive] = np.where(np.abs(q - r) <= _LOG_SNAP, r, np.floor(q)).astype(np.int64)
-    # one opaque byte string per row: np.unique(sig, axis=0) forms the same groups
-    # but compares rows field by field, several times slower
-    rows = sig.view(np.dtype((np.void, sig.itemsize * eta))).ravel()
-    keep = np.sort(np.unique(rows, return_index=True)[1])
-    pruned = PotentialSet(k.scope, k.cards, k.values[keep], k.decisions, k.policies[keep])
-
-    smallest, bound = covering_bound(k, alpha)
-    stats = CoveringStats(n, len(pruned), smallest, eta, bound, alpha, had_zero)
-    return pruned, stats
+    sig, smallest, had_zero = _signatures(k.values.reshape(n, eta), alpha)
+    keep = _first_rows(sig)
+    del sig  # freed before the survivors are gathered, to lower the peak
+    if len(keep) < n:
+        k = PotentialSet.adopt(k.scope, k.cards, k.values[keep], k.decisions, k.policies[keep])
+    smallest, bound = _size_bound(smallest, alpha, eta)
+    return k, CoveringStats(n, len(keep), smallest, eta, bound, alpha, had_zero)
 
 
 def covering_bound(k: PotentialSet, alpha: float) -> tuple[float | None, int | None]:
     """The smallest positive entry t of ``k`` (``None`` if there is none) and
     the cap ``(1 - floor_log(t, alpha)) ** assignments`` on the survivors of
     :func:`covering`, valid whenever all entries are positive and at most one."""
-    positive = k.values[k.values > 0.0]
-    if not positive.size:
+    eta = math.prod(k.cards)
+    flat = k.values.reshape(len(k), eta)
+    smallest = math.inf
+    for rows in _chunks(flat):
+        x = flat[rows]
+        smallest = min(smallest, _smallest_positive(x, x > 0.0))
+    return _size_bound(smallest, alpha, eta)
+
+
+def _chunks(a: np.ndarray) -> Iterator[slice]:
+    """Row ranges of ``a`` holding ``_CHUNK_ENTRIES`` entries each (at least one row)."""
+    step = max(1, _CHUNK_ENTRIES // a.shape[1])
+    return (slice(lo, lo + step) for lo in range(0, len(a), step))
+
+
+def _smallest_positive(x: np.ndarray, positive: np.ndarray) -> float:
+    # a masked min reduction takes several times longer than this
+    return float(np.where(positive, x, math.inf).min())
+
+
+def _size_bound(smallest: float, alpha: float, eta: int) -> tuple[float | None, int | None]:
+    if smallest == math.inf:
         return None, None
-    smallest = float(positive.min())
-    return smallest, (1 - floor_log(smallest, alpha)) ** math.prod(k.cards)
+    return smallest, (1 - floor_log(smallest, alpha)) ** eta
+
+
+def _signatures(flat: np.ndarray, alpha: float) -> tuple[np.ndarray, float, bool]:
+    """The ``int64`` signature of every entry of ``flat``, its smallest
+    positive entry (``inf`` if none) and whether it has a zero entry."""
+    sig = np.empty(flat.shape, dtype=np.int64)
+    log_alpha = math.log(alpha)
+    smallest = math.inf
+    had_zero = False
+    for rows in _chunks(flat):
+        x = flat[rows]
+        positive = x > 0.0
+        smallest = min(smallest, _smallest_positive(x, positive))
+        had_zero = had_zero or not positive.all()
+        # divide by log(alpha): multiplying by its reciprocal rounds differently
+        q = np.log(x, out=np.zeros(x.shape), where=positive)
+        q /= log_alpha
+        r = np.rint(q)
+        near = np.abs(q - r) <= _LOG_SNAP
+        np.floor(q, out=q)
+        np.copyto(q, r, where=near)
+        # the sentinel -2**63 is exact in float64, so it survives the cast
+        np.copyto(q, float(_ZERO_SENTINEL), where=~positive)
+        np.copyto(sig[rows], q, casting="unsafe")
+    return sig, smallest, had_zero
+
+
+def _key_multipliers(width: int) -> np.ndarray:
+    """Fixed odd 64-bit multipliers, one per signature column."""
+    return np.random.default_rng(width).integers(2**64, size=width, dtype=np.uint64) | np.uint64(1)
+
+
+def _row_keys(sig: np.ndarray) -> np.ndarray:
+    """One ``uint64`` key per row of ``sig``.
+
+    Every entry is mixed before the columns are summed: with a plain
+    multiply-add key the zero sentinel -2**63 maps to 2**63 under any odd
+    multiplier, so rows differing only in where their zeros sit would collide.
+    """
+    u = sig.view(np.uint64)
+    key = np.zeros(len(u), dtype=np.uint64)
+    for j, mult in enumerate(_key_multipliers(u.shape[1])):
+        h = u[:, j] ^ (u[:, j] >> np.uint64(31))
+        h *= mult
+        h ^= h >> np.uint64(29)
+        h *= np.uint64(0xBF58476D1CE4E5B9)
+        h ^= h >> np.uint64(32)
+        key += h
+    return key
+
+
+def _first_rows(sig: np.ndarray) -> np.ndarray:
+    """Ascending indices of the first occurrence of every distinct row of ``sig``."""
+    if sig.size > _CHUNK_ENTRIES:
+        _, first, inverse = np.unique(_row_keys(sig), return_index=True, return_inverse=True)
+        # a key group is one signature only if every row equals the group's first row
+        owner = first[inverse]
+        if all(np.array_equal(sig[rows], sig[owner[rows]]) for rows in _chunks(sig)):
+            return np.sort(first)
+    # one opaque byte string per row: np.unique(sig, axis=0) forms the same groups
+    # but compares rows field by field, several times slower
+    rows = sig.view(np.dtype((np.void, sig.itemsize * sig.shape[1]))).ravel()
+    return np.sort(np.unique(rows, return_index=True)[1])
 
 
 def is_covering(k: PotentialSet, kprime: PotentialSet, alpha: float,

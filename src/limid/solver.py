@@ -200,27 +200,41 @@ def node_message(parts: list[PotentialSet], gone: set[str], alpha: float | None
     ``BLOCK_BYTES`` of joint-scope tables, each contracted and pruned on its
     own; when there are several blocks their survivors are pruned once
     more, which keeps the first member of every signature over the whole
-    product, as one covering call on it would.  Also returns the smallest
-    positive entry of the unpruned message and covering's survivor bound
-    for it (``None`` when exact).
+    product, as one covering call on it would.  In exact mode the blocks
+    are written straight into the message, allocated once at the product
+    size.  Also returns the smallest positive entry of the unpruned message
+    and covering's survivor bound for it (``None`` when exact).
     """
     cards = {v: c for p in parts for v, c in zip(p.scope, p.cards)}
     width = math.prod(cards.values()) + sum(len(p.decisions) for p in parts)
     step = max(1, BLOCK_BYTES // (8 * width))
     total = math.prod(len(p) for p in parts)
-    blocks = []
-    found = []
     # a product that fits in one block is built whole, by broadcasting
-    for lo in range(0, max(total, 1), step):
-        block = combine_sets(parts, gone, lo, min(lo + step, total))
-        if alpha is not None:
-            block, cstats = covering(block, alpha)
-            if cstats.smallest_positive is not None:
-                found.append(cstats)
-        blocks.append(block)
-    message = concat_sets(blocks) if len(blocks) > 1 else blocks[0]
-    if alpha is not None and len(blocks) > 1:
-        message, _ = covering(message, alpha)
+    if total <= step:
+        if alpha is None:
+            return combine_sets(parts, gone), None, None
+        message, cstats = covering(combine_sets(parts, gone), alpha)
+        return message, cstats.smallest_positive, cstats.size_bound
+    if alpha is None:
+        for lo in range(0, total, step):
+            block = combine_sets(parts, gone, lo, min(lo + step, total))
+            if lo == 0:
+                values = np.empty((total,) + block.values.shape[1:])
+                policies = np.empty((total, len(block.decisions)), dtype=np.int64)
+            values[lo:lo + len(block)] = block.values
+            policies[lo:lo + len(block)] = block.policies
+        message = PotentialSet.adopt(block.scope, block.cards, values, block.decisions, policies)
+        return message, None, None
+    survivors = []
+    found = []
+    for lo in range(0, total, step):
+        block, cstats = covering(combine_sets(parts, gone, lo, min(lo + step, total)), alpha)
+        if cstats.smallest_positive is not None:
+            found.append(cstats)
+        survivors.append(block)
+    merged = concat_sets(survivors)
+    del survivors, block  # only the concatenation stays live through the merge
+    message, _ = covering(merged, alpha)
     # the bound belongs to the smallest entry over all blocks, pruned or not
     least = min(found, key=lambda c: c.smallest_positive, default=None)
     if least is None:

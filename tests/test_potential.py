@@ -1,8 +1,10 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import limid.potential
 import limid.solver
 from limid.potential import (
     CoveringStats,
@@ -222,20 +224,39 @@ def test_blocked_kernel_keeps_the_first_signature_across_blocks(monkeypatch):
     assert_same_message(exact, unblocked([k, unit], {"a"}, None))
 
 
-def test_blocked_contraction_never_holds_the_product(rng):
-    # 729 x 1269 members over 18 entries: the whole product would take 133 MB
+def traced_peak(run):
+    """``run()`` and the peak bytes ``tracemalloc`` saw while it ran."""
+    tracemalloc.start()
+    try:
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def contraction_parts(rng):
+    """729 x 1269 members over 18 entries: the whole product would take 133 MB."""
     a = PotentialSet(("x", "y"), (3, 3), rng.uniform(size=(729, 3, 3)), ("d",),
                      np.arange(729).reshape(-1, 1))
     b = PotentialSet(("y", "z"), (3, 2), rng.uniform(size=(1269, 3, 2)), ("e",),
                      np.arange(1269).reshape(-1, 1))
-    tracemalloc.start()
-    try:
-        message, _, _ = node_message([a, b], {"y", "z"}, 2.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return [a, b]
+
+
+def test_blocked_contraction_never_holds_the_product(rng):
+    (message, _, _), peak = traced_peak(
+        lambda: node_message(contraction_parts(rng), {"y", "z"}, 2.0))
     assert message.scope == ("x",) and 0 < len(message) < 729 * 1269
     assert peak < 40e6
+
+
+def test_exact_contraction_holds_one_message_and_one_block(rng):
+    parts = contraction_parts(rng)
+    (message, _, _), peak = traced_peak(lambda: node_message(parts, {"y", "z"}, None))
+    assert message.scope == ("x",) and len(message) == 729 * 1269
+    assert message.policies[1270].tolist() == [1, 1]
+    # the message is written block by block into one array, never copied whole
+    assert peak < 1.75 * (message.values.nbytes + message.policies.nbytes)
 
 
 # -- covering ----------------------------------------------------------------------
@@ -301,6 +322,76 @@ def test_covering_bound_is_the_covering_stats(rng):
         _, stats = covering(k, 1.3)
         assert covering_bound(k, 1.3) == (stats.smallest_positive, stats.size_bound)
     assert covering_bound(members_set({"a": 2}, [[0.0, 0.0]]), 2.0) == (None, None)
+
+
+def reference_survivors(values: np.ndarray, alpha: float) -> np.ndarray:
+    """Covering's survivors by the direct formula: all signatures at once,
+    rows grouped as raw bytes."""
+    flat = values.reshape(len(values), -1)
+    positive = flat > 0.0
+    sig = np.full(flat.shape, np.iinfo(np.int64).min, dtype=np.int64)
+    q = np.log(flat[positive]) / math.log(alpha)
+    r = np.rint(q)
+    sig[positive] = np.where(np.abs(q - r) <= 1e-12, r, np.floor(q)).astype(np.int64)
+    rows = sig.view(np.dtype((np.void, 8 * flat.shape[1]))).ravel()
+    return np.sort(np.unique(rows, return_index=True)[1])
+
+
+@pytest.mark.parametrize("collide", [False, True])
+def test_covering_matches_the_direct_formula(rng, monkeypatch, collide):
+    # small chunks put these sets on the chunked, keyed path
+    monkeypatch.setattr(limid.potential, "_CHUNK_ENTRIES", 40)
+    if collide:
+        # every row gets the same key, so every set must fall back to byte rows
+        monkeypatch.setattr(limid.potential, "_key_multipliers",
+                            lambda width: np.zeros(width, dtype=np.uint64))
+    for trial in range(24):
+        # coarse entries and zeros: many rows share a signature
+        k = random_set(rng, {"a": 2, "b": 3}, n=int(rng.integers(8, 300)), zeros=True)
+        k = PotentialSet(k.scope, k.cards, np.round(k.values, 1), k.decisions, k.policies)
+        for alpha in (1.01, 1.3, 2.0, 10.0):
+            pruned, stats = covering(k, alpha)
+            want = reference_survivors(k.values, alpha)
+            assert pruned.policies[:, 0].tolist() == want.tolist()
+            assert pruned.values.tobytes() == k.values[want].tobytes()
+            assert stats.had_zero == bool(np.any(k.values == 0.0))
+
+
+def test_rows_differing_only_in_their_zeros_get_distinct_keys():
+    # every zero pattern over nine entries of one signature: a plain multiply-add
+    # key maps the zero sentinel to 2**63 in every column, and these would collide
+    patterns = (np.arange(512)[:, None] >> np.arange(9)) & 1
+    for filler in (1.0, 0.5, 1e-9):
+        k = PotentialSet(("a",), (9,), patterns * filler)
+        sig = limid.potential._signatures(k.values, 2.0)[0]
+        assert len(np.unique(limid.potential._row_keys(sig))) == 512
+        assert len(covering(k, 2.0)[0]) == 512
+
+
+def test_covering_memory_stays_near_its_input(rng):
+    # 150,000 x 9 members, all surviving; the unchunked pass took about 5x the input
+    k = random_set(rng, {"a": 3, "b": 3}, n=150_000)
+    (pruned, _), peak = traced_peak(lambda: covering(k, 1.001))
+    assert len(pruned) == len(k)
+    assert peak < 3 * k.values.nbytes
+
+
+def test_sets_never_alias_a_callers_arrays(rng):
+    values = rng.uniform(size=(4, 2))
+    policies = np.arange(4).reshape(-1, 1)
+    k = PotentialSet(("a",), (2,), values, ("d",), policies)
+    before = (k.values.copy(), k.policies.copy())
+    values[:] = 7.0
+    policies[:] = 3
+    assert np.array_equal(k.values, before[0]) and np.array_equal(k.policies, before[1])
+    built = [k, combine_sets([k], {"a"}), concat_sets([k, k]), covering(k, 1.5)[0],
+             PotentialSet.adopt(("a",), (2,), np.ones((1, 2)))]
+    for s in built:
+        assert not (s.values.flags.writeable or s.policies.flags.writeable)
+        assert not np.shares_memory(s.values, values)
+        assert not np.shares_memory(s.policies, policies)
+    with pytest.raises(ValueError):
+        PotentialSet.adopt(("a",), (2,), np.array([[0.5, -1.0]]))
 
 
 def test_covering_all_zero_members():
