@@ -433,6 +433,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "solve" and not args.exact and args.epsilon is None:
         parser.error("solve needs --epsilon or --exact")
+    if args.command == "solve" and args.exact and args.epsilon is not None:
+        parser.error("solve takes --epsilon or --exact, not both")
     try:
         return args.handler(args)
     except InstanceTooLargeError as exc:

@@ -10,11 +10,13 @@ turned back into a strategy.
 
 Sets are combined by multiplication over their Cartesian product (members
 in lexicographic order) with the marginalization fused in: ``combine_sets``
-builds any contiguous range of product members already summed down to the
-remaining scope, so a caller can walk a large product in blocks without
-ever holding it whole.  The solver places each decision's policies at
-exactly one node and sibling subtrees are disjoint, so combined sets never
-share a decision; that is checked once per combination.
+broadcasts each set's member axis against the others and sums the product
+straight down to the remaining scope.  A caller walks a large product in
+blocks by combining member slices of the sets (:meth:`PotentialSet.members`,
+views without a copy), so the product is never held whole.  The solver
+places each decision's policies at exactly one node and sibling subtrees
+are disjoint, so combined sets never share a decision; that is checked
+once per combination.
 
 ``covering`` prunes a set down to one representative per bucket of the
 signature y -> floor(log_alpha P(y)), with a distinct sentinel for zero
@@ -25,7 +27,8 @@ survivor.
 Arrays handed to the :class:`PotentialSet` constructor are copied, so no
 caller can change a set afterwards; arrays this module allocates itself
 (products, sums, gathers, concatenations) are adopted as they are through
-:meth:`PotentialSet.adopt`.
+:meth:`PotentialSet.adopt`, and member slices share their set's read-only
+arrays.
 """
 
 from __future__ import annotations
@@ -118,19 +121,32 @@ class PotentialSet:
     def __len__(self) -> int:
         return self.values.shape[0]
 
+    def members(self, start: int, stop: int) -> PotentialSet:
+        """Members ``start`` to ``stop`` as a set viewing this set's arrays, without a copy."""
+        if not 0 <= start <= stop <= len(self):
+            raise ValueError(f"member range {start}..{stop} outside a set of {len(self)}")
+        k = object.__new__(PotentialSet)
+        for name in ("scope", "cards", "decisions"):
+            object.__setattr__(k, name, getattr(self, name))
+        # slices of read-only arrays are read-only views
+        object.__setattr__(k, "values", self.values[start:stop])
+        object.__setattr__(k, "policies", self.policies[start:stop])
+        return k
 
-def combine_sets(sets: Sequence[PotentialSet], sum_out: Iterable[str] = (),
-                 start: int = 0, stop: int | None = None) -> PotentialSet:
-    """Members ``start`` to ``stop`` of the Cartesian-product multiplication of
-    ``sets``, with the variables ``sum_out`` marginalized out of every member.
+
+def combine_sets(sets: Sequence[PotentialSet], sum_out: Iterable[str] = ()) -> PotentialSet:
+    """The Cartesian-product multiplication of ``sets``, with the variables
+    ``sum_out`` marginalized out of every member.
 
     Member order is the lexicographic product order of the input members,
     the first set varying slowest; the empty product is the scalar unit.
-    Tables are multiplied left to right over the joint scope and summed in
-    one ``sum`` over the marginalized axes, so a member comes out with the
-    same numbers in whatever range it is built.  Raises ``RuntimeError``
-    when two inputs carry policies of the same decision and ``ValueError``
-    on inconsistent cardinalities or a variable to sum out that no input has.
+    Each set's member axis broadcasts against the others; tables are
+    multiplied left to right over the joint scope and summed in one ``sum``
+    over the marginalized axes, so a member comes out with the same numbers
+    whichever member slices of the sets it is built from.  Raises
+    ``RuntimeError`` when two inputs carry policies of the same decision and
+    ``ValueError`` on inconsistent cardinalities or a variable to sum out
+    that no input has.
     """
     card_by_var: dict[str, int] = {}
     decisions: list[str] = []
@@ -150,30 +166,17 @@ def combine_sets(sets: Sequence[PotentialSet], sum_out: Iterable[str] = (),
     scope = tuple(sorted(card_by_var))
     cards = tuple(card_by_var[v] for v in scope)
     sizes = tuple(len(s) for s in sets)
-    total = math.prod(sizes)
-    stop = total if stop is None else stop
-    if not 0 <= start <= stop <= total:
-        raise ValueError(f"member range {start}..{stop} outside the product of {total}")
-    n = stop - start
+    n = math.prod(sizes)
     order = sorted(decisions)
     policies = np.empty((n, len(order)), dtype=np.int64)
-    if n == total:
-        # the whole product: each set's member axis broadcasts against the others
-        rows = [(1,) * k + (size,) + (1,) * (len(sets) - k - 1) for k, size in enumerate(sizes)]
-        picks = [s.values.reshape(r + _joint_shape(s, scope, cards)) for s, r in zip(sets, rows)]
-        grid = policies.reshape(sizes + (len(order),))
-        policy_picks = [s.policies.reshape(r + (len(s.decisions),)) for s, r in zip(sets, rows)]
-    else:
-        members = np.unravel_index(np.arange(start, stop), sizes)
-        picks = [s.values[m].reshape((n,) + _joint_shape(s, scope, cards))
-                 for s, m in zip(sets, members)]
-        grid = policies
-        policy_picks = [s.policies[m] for s, m in zip(sets, members)]
-    for s, pick in zip(sets, policy_picks):
-        grid[..., [order.index(dec) for dec in s.decisions]] = pick
-    values = picks[0]
-    for pick in picks[1:]:
-        values = values * pick
+    grid = policies.reshape(sizes + (len(order),))
+    values = None
+    for k, s in enumerate(sets):
+        row = (1,) * k + (sizes[k],) + (1,) * (len(sets) - k - 1)
+        grid[..., [order.index(dec) for dec in s.decisions]] = \
+            s.policies.reshape(row + (len(s.decisions),))
+        pick = s.values.reshape(row + _joint_shape(s, scope, cards))
+        values = pick if values is None else values * pick
     values = np.ascontiguousarray(values.reshape((n,) + cards))
     if zs:
         values = values.sum(axis=tuple(1 + i for i, v in enumerate(scope) if v in zs))
@@ -327,10 +330,17 @@ def _row_keys(sig: np.ndarray) -> np.ndarray:
 def _first_rows(sig: np.ndarray) -> np.ndarray:
     """Ascending indices of the first occurrence of every distinct row of ``sig``."""
     if sig.size > _CHUNK_ENTRIES:
-        _, first, inverse = np.unique(_row_keys(sig), return_index=True, return_inverse=True)
-        # a key group is one signature only if every row equals the group's first row
-        owner = first[inverse]
-        if all(np.array_equal(sig[rows], sig[owner[rows]]) for rows in _chunks(sig)):
+        keys = _row_keys(sig)
+        # an unstable sort groups equal keys; each group's least row is its first
+        order = np.argsort(keys)
+        keys = keys[order]
+        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        del keys
+        first = np.minimum.reduceat(order, starts)
+        # a key group is one signature only if every row equals the group's first
+        # row; both are taken in sorted order, so no inverse map is built
+        owner = np.repeat(first, np.diff(starts, append=len(order)))
+        if all(np.array_equal(sig[order[rows]], sig[owner[rows]]) for rows in _chunks(sig)):
             return np.sort(first)
     # one opaque byte string per row: np.unique(sig, axis=0) forms the same groups
     # but compares rows field by field, several times slower

@@ -17,9 +17,11 @@ MEU.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, replace
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -191,44 +193,75 @@ def sum_out_set(k: PotentialSet, zs: set[str]) -> PotentialSet:
     return combine_sets([k], zs)
 
 
+def _blocks(sizes: Sequence[int], step: int) -> Iterator[list[tuple[int, int]]]:
+    """Contiguous runs of the lexicographic product of sets of ``sizes``
+    members (each at least one), in order, of at most ``step`` members each;
+    a block is given as one member range per set.
+
+    The split set is the earliest one whose later sets together fit in one
+    block.  A block takes one member of every earlier set, a run of members
+    of the split set and the whole of every later set.  The split set is cut
+    into as few runs as fit, all of one length but a shorter last one: a
+    split set just over one block gives two half blocks rather than a full
+    one and a tiny one, and no block is larger than the one before it under
+    the same prefix, so each fits in the memory its predecessor freed.
+    """
+    split = next(k for k in range(len(sizes)) if math.prod(sizes[k + 1:]) <= step)
+    count = sizes[split]
+    runs = -(-count // (step // math.prod(sizes[split + 1:])))
+    run = -(-count // runs)
+    cuts = list(range(0, count, run)) + [count]
+    later = [(0, size) for size in sizes[split + 1:]]
+    for prefix in itertools.product(*map(range, sizes[:split])):
+        head = [(i, i + 1) for i in prefix]
+        for lo, hi in zip(cuts, cuts[1:]):
+            yield head + [(lo, hi)] + later
+
+
 def node_message(parts: list[PotentialSet], gone: set[str], alpha: float | None
                  ) -> tuple[PotentialSet, float | None, int | None]:
     """The product of ``parts`` with ``gone`` summed out, pruned by
     :func:`covering` at ``alpha`` (``None``: exact, no pruning).
 
     The product members are walked in order in blocks of at most
-    ``BLOCK_BYTES`` of joint-scope tables, each contracted and pruned on its
-    own; when there are several blocks their survivors are pruned once
-    more, which keeps the first member of every signature over the whole
-    product, as one covering call on it would.  In exact mode the blocks
-    are written straight into the message, allocated once at the product
-    size.  Also returns the smallest positive entry of the unpruned message
-    and covering's survivor bound for it (``None`` when exact).
+    ``BLOCK_BYTES`` of joint-scope tables and policy rows (:func:`_blocks`).
+    Each block is combined from member slices of ``parts``, viewed without a
+    copy, then contracted and pruned on its own; when there are several
+    blocks their survivors are pruned once more, which keeps the first
+    member of every signature over the whole product, as one covering call
+    on it would.  In exact mode the blocks are written straight into the
+    message, allocated once at the product size.  Also returns the smallest
+    positive entry of the unpruned message and covering's survivor bound
+    for it (``None`` when exact).
     """
     cards = {v: c for p in parts for v, c in zip(p.scope, p.cards)}
     width = math.prod(cards.values()) + sum(len(p.decisions) for p in parts)
     step = max(1, BLOCK_BYTES // (8 * width))
-    total = math.prod(len(p) for p in parts)
-    # a product that fits in one block is built whole, by broadcasting
+    sizes = [len(p) for p in parts]
+    total = math.prod(sizes)
+    # a product that fits in one block is built whole
     if total <= step:
         if alpha is None:
             return combine_sets(parts, gone), None, None
         message, cstats = covering(combine_sets(parts, gone), alpha)
         return message, cstats.smallest_positive, cstats.size_bound
+    blocks = (combine_sets([p.members(lo, hi) for p, (lo, hi) in zip(parts, ranges)], gone)
+              for ranges in _blocks(sizes, step))
     if alpha is None:
-        for lo in range(0, total, step):
-            block = combine_sets(parts, gone, lo, min(lo + step, total))
+        lo = 0
+        for block in blocks:
             if lo == 0:
                 values = np.empty((total,) + block.values.shape[1:])
                 policies = np.empty((total, len(block.decisions)), dtype=np.int64)
             values[lo:lo + len(block)] = block.values
             policies[lo:lo + len(block)] = block.policies
+            lo += len(block)
         message = PotentialSet.adopt(block.scope, block.cards, values, block.decisions, policies)
         return message, None, None
     survivors = []
     found = []
-    for lo in range(0, total, step):
-        block, cstats = covering(combine_sets(parts, gone, lo, min(lo + step, total)), alpha)
+    for block in blocks:
+        block, cstats = covering(block, alpha)
         if cstats.smallest_positive is not None:
             found.append(cstats)
         survivors.append(block)

@@ -273,6 +273,16 @@ def test_usage_errors_exit_64(capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_solve_rejects_both_exact_and_epsilon(capsys, tmp_path):
+    path = write(tmp_path, "d.json", serialize(pick_diagram()))
+    for argv in (["--exact", "--epsilon", "0.5"], ["--epsilon", "0.5", "--exact"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", *argv, path])
+        assert exc.value.code == 64
+        out, err = capsys.readouterr()
+        assert out == "" and "--epsilon" in err and "--exact" in err
+
+
 def test_oracle_resource_cap_exits_2(capsys, tmp_path):
     doc = {
         "variables": [{"id": f"c{i}", "kind": "chance", "cardinality": 2}

@@ -16,7 +16,7 @@ from limid.potential import (
     floor_log,
     is_covering,
 )
-from limid.solver import node_message
+from limid.solver import _blocks, node_message
 
 
 def single(cards: dict, values, decisions=(), policies=None) -> PotentialSet:
@@ -170,13 +170,28 @@ def test_combine_member_ranges_rebuild_the_product(rng):
         pairwise = combine_sets([combine_sets([combine_sets([a, b]), c])], gone)
         assert whole.values.tobytes() == pairwise.values.tobytes()
         assert np.array_equal(whole.policies, pairwise.policies)
-        pieces = concat_sets([combine_sets([a, b, c], gone, lo, min(lo + 7, 60))
-                              for lo in range(0, 60, 7)])
-        assert pieces.values.tobytes() == whole.values.tobytes()
-        assert np.array_equal(pieces.policies, whole.policies)
-    assert len(combine_sets([a, b], (), 3, 3)) == 0
-    with pytest.raises(ValueError):
-        combine_sets([a, b], (), 5, 21)
+        # runs of the first set, then one member of it with runs of the second
+        by_first = [[a.members(0, 2), b, c], [a.members(2, 5), b, c]]
+        by_second = [[a.members(i, i + 1), b.members(lo, hi), c]
+                     for i in range(5) for lo, hi in ((0, 3), (3, 4))]
+        for slices in (by_first, by_second):
+            pieces = concat_sets([combine_sets(parts, gone) for parts in slices])
+            assert pieces.values.tobytes() == whole.values.tobytes()
+            assert np.array_equal(pieces.policies, whole.policies)
+
+
+def test_member_slices_view_the_set(rng):
+    a = random_set(rng, {"a": 2}, 5)
+    part = a.members(1, 4)
+    assert (part.scope, part.cards, part.decisions) == (a.scope, a.cards, a.decisions)
+    assert part.values.tobytes() == a.values[1:4].tobytes()
+    assert part.policies[:, 0].tolist() == [1, 2, 3]
+    assert np.shares_memory(part.values, a.values) and np.shares_memory(part.policies, a.policies)
+    assert not (part.values.flags.writeable or part.policies.flags.writeable)
+    assert len(a.members(3, 3)) == 0 and len(combine_sets([a.members(3, 3)], {"a"})) == 0
+    for start, stop in ((-1, 2), (3, 2), (4, 6)):
+        with pytest.raises(ValueError):
+            a.members(start, stop)
 
 
 # -- the blocked node kernel ---------------------------------------------------------
@@ -222,6 +237,85 @@ def test_blocked_kernel_keeps_the_first_signature_across_blocks(monkeypatch):
     assert_same_message(got, unblocked([k, unit], set(), 2.0))
     exact = node_message([k, unit], {"a"}, None)
     assert_same_message(exact, unblocked([k, unit], {"a"}, None))
+
+
+def block_indices(sizes, ranges):
+    """The lexicographic product indices of the members of one block."""
+    grid = np.meshgrid(*(np.arange(lo, hi) for lo, hi in ranges), indexing="ij")
+    return np.ravel_multi_index(grid, sizes).ravel()
+
+
+def split_runs(sizes, step, blocks):
+    """The split set's index and its run lengths under the first prefix, after
+    checking that a block takes one member of each set before the split set,
+    the whole of each set after it, and the same runs under every prefix."""
+    split = next(k for k in range(len(sizes)) if math.prod(sizes[k + 1:]) <= step)
+    runs = [hi - lo for lo, hi in (ranges[split] for ranges in blocks)]
+    per = len(runs) // math.prod(sizes[:split])
+    assert runs == runs[:per] * math.prod(sizes[:split])
+    for ranges in blocks:
+        assert all(hi - lo == 1 for lo, hi in ranges[:split])
+        assert ranges[split + 1:] == [(0, size) for size in sizes[split + 1:]]
+    return split, runs[:per]
+
+
+def check_tiling(sizes, step):
+    blocks = list(_blocks(sizes, step))
+    assert np.array_equal(np.concatenate([block_indices(sizes, r) for r in blocks]),
+                          np.arange(math.prod(sizes)))
+    assert max(math.prod(hi - lo for lo, hi in r) for r in blocks) <= step
+    split, runs = split_runs(sizes, step, blocks)
+    # as few runs as fit in a block, all of one length but a shorter last one
+    assert len(runs) == -(-sizes[split] // (step // math.prod(sizes[split + 1:])))
+    assert set(runs[:-1]) <= {runs[0]} and runs[-1] <= runs[0]
+    return split, runs
+
+
+@pytest.mark.parametrize("sizes,step", [((3, 4, 5), 7), ((2, 3, 4, 5), 9), ((7, 1, 6), 5),
+                                        ((5, 9), 10), ((11,), 10), ((4, 4), 16)])
+def test_blocks_tile_the_product(sizes, step):
+    check_tiling(sizes, step)
+
+
+def test_a_split_set_just_over_a_block_gives_two_halves():
+    # eleven members of the split set, ten to a block: runs of 6 and 5, not 10 and 1
+    assert check_tiling((3, 11), 10) == (1, [6, 5])
+    assert check_tiling((3, 11, 2), 20) == (1, [6, 5])
+
+
+def test_blocks_tile_random_products(rng):
+    prefixed = 0
+    for _ in range(300):
+        sizes = tuple(int(x) for x in rng.integers(1, 8, size=int(rng.integers(1, 5))))
+        step = int(rng.integers(1, math.prod(sizes) // 2 + 2))
+        split, _ = check_tiling(sizes, step)
+        prefixed += math.prod(sizes[:split]) > 1
+    # many of the splits fall on a later set with a multi-member prefix
+    assert prefixed > 50
+
+
+def three_parts(rng, sizes):
+    """Three sets sharing variables and coarse entries: many equal signatures."""
+    def part(scope, cards, n, dec):
+        values = np.round(rng.uniform(size=(n,) + cards), 1)
+        values[rng.uniform(size=values.shape) < 0.15] = 0.0
+        return PotentialSet(scope, cards, values, (dec,), np.arange(n).reshape(-1, 1))
+    return [part(("a", "b"), (2, 2), sizes[0], "f"), part(("b", "c"), (2, 3), sizes[1], "d"),
+            part(("c",), (3,), sizes[2], "e")]
+
+
+def test_node_message_is_independent_of_the_block_size(rng, monkeypatch):
+    member_bytes = 8 * (2 * 2 * 3 + 3)  # joint tables plus three policy columns
+    for trial in range(12):
+        sizes = tuple(int(x) for x in rng.integers(1, 8, size=3))
+        parts = three_parts(rng, sizes)
+        gone = [set(), {"a"}, {"b", "c"}, {"a", "b", "c"}][trial % 4]
+        want = {alpha: unblocked(parts, gone, alpha) for alpha in (None, 1.2, 3.0)}
+        # one member per block, splits on the last, middle and first set, one block
+        for members in (1, 2, 3, 5, 9, 20, 70, 400):
+            monkeypatch.setattr(limid.solver, "BLOCK_BYTES", members * member_bytes)
+            for alpha, message in want.items():
+                assert_same_message(node_message(parts, gone, alpha), message)
 
 
 def traced_peak(run):
@@ -324,6 +418,12 @@ def test_covering_bound_is_the_covering_stats(rng):
     assert covering_bound(members_set({"a": 2}, [[0.0, 0.0]]), 2.0) == (None, None)
 
 
+def reference_first_rows(sig):
+    """First rows of every distinct row by ``np.unique`` on opaque byte rows."""
+    rows = sig.view(np.dtype((np.void, 8 * sig.shape[1]))).ravel()
+    return np.sort(np.unique(rows, return_index=True)[1])
+
+
 def reference_survivors(values: np.ndarray, alpha: float) -> np.ndarray:
     """Covering's survivors by the direct formula: all signatures at once,
     rows grouped as raw bytes."""
@@ -333,8 +433,7 @@ def reference_survivors(values: np.ndarray, alpha: float) -> np.ndarray:
     q = np.log(flat[positive]) / math.log(alpha)
     r = np.rint(q)
     sig[positive] = np.where(np.abs(q - r) <= 1e-12, r, np.floor(q)).astype(np.int64)
-    rows = sig.view(np.dtype((np.void, 8 * flat.shape[1]))).ravel()
-    return np.sort(np.unique(rows, return_index=True)[1])
+    return reference_first_rows(sig)
 
 
 @pytest.mark.parametrize("collide", [False, True])
@@ -355,6 +454,26 @@ def test_covering_matches_the_direct_formula(rng, monkeypatch, collide):
             assert pruned.policies[:, 0].tolist() == want.tolist()
             assert pruned.values.tobytes() == k.values[want].tobytes()
             assert stats.had_zero == bool(np.any(k.values == 0.0))
+
+
+@pytest.mark.parametrize("multipliers", ["mixed", "first column only", "all colliding"])
+def test_first_rows_match_a_unique_reference(rng, monkeypatch, multipliers):
+    if multipliers == "first column only":
+        # rows differing only after their first column collide on the key
+        monkeypatch.setattr(limid.potential, "_key_multipliers",
+                            lambda width: np.eye(1, width, dtype=np.uint64)[0])
+    elif multipliers == "all colliding":
+        monkeypatch.setattr(limid.potential, "_key_multipliers",
+                            lambda width: np.zeros(width, dtype=np.uint64))
+    for trial in range(12):
+        width = int(rng.integers(1, 6))
+        pool = rng.integers(-4, 2, size=(int(rng.integers(1, 40)), width))
+        pool[rng.uniform(size=pool.shape) < 0.2] = np.iinfo(np.int64).min
+        # heavily duplicated rows, past one chunk so the key path runs
+        n = limid.potential._CHUNK_ENTRIES // width + int(rng.integers(1, 5000))
+        sig = pool[rng.integers(len(pool), size=n)]
+        got = limid.potential._first_rows(sig)
+        assert got.tolist() == reference_first_rows(sig).tolist()
 
 
 def test_rows_differing_only_in_their_zeros_get_distinct_keys():
