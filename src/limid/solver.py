@@ -1,14 +1,15 @@
 """Strategy selection by set-valued message passing over a rooted binary
 tree decomposition.
 
-Every node starts with the potentials assigned to it: conditional tables
-of chance variables, the full set of pure policies of decision variables,
-and the (normalized) utility table.  Messages flow from the leaves to the
-root; at each node the incoming sets are combined, the variables leaving
-the separator are summed out, and the resulting set is pruned to a
-covering within a pointwise factor alpha = 1 + epsilon / (2m).  The three
-steps run together over blocks of the combined members
-(:func:`node_message`), so a node's full product is never held at once.  Every
+Every node is assigned its own tables: conditional tables of chance
+variables, the full set of pure policies of decision variables, and the
+(normalized) utility table.  Messages flow from the leaves to the root; at
+each node its own tables and its children's messages form one product,
+the variables leaving the separator are summed out, and the resulting set
+is pruned to a covering within a pointwise factor
+alpha = 1 + epsilon / (2m).  The three steps run together over blocks of
+the product members (:func:`node_message`), so a node's full product is
+never held at once, and nothing is built per node ahead of time.  Every
 number surviving at the root is the exact expected utility of the strategy
 recorded in its policy row, and the maximum E among them satisfies
 MEU <= (1 + epsilon) * E.  With pruning disabled the maximum is the exact
@@ -30,6 +31,7 @@ from .model import (
     InstanceTooLargeError,
     Strategy,
     pure_policy,
+    pure_policy_count,
     pure_policy_tables,
     validate_diagram,
 )
@@ -154,10 +156,7 @@ def _cpt_potential_set(d: InfluenceDiagram, var: str) -> PotentialSet:
 
 def _policy_potential_set(d: InfluenceDiagram, dec: str,
                           cap: int | None) -> PotentialSet:
-    count = 1
-    for p in d.parents(dec):
-        count *= d.cardinality(p)
-    count = d.cardinality(dec) ** count
+    count = pure_policy_count(d, dec)
     if cap is not None and count > cap:
         raise InstanceTooLargeError(
             f"decision {dec!r} has {count} pure policies, over the set-size cap {cap}")
@@ -275,20 +274,6 @@ def node_message(parts: list[PotentialSet], gone: set[str], alpha: float | None
     return message, least.smallest_positive, least.size_bound
 
 
-def _postorder(t: TreeDecomposition) -> list[int]:
-    order: list[int] = []
-    stack: list[tuple[int, bool]] = [(t.root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-        else:
-            stack.append((node, True))
-            for c in reversed(t.children(node)):
-                stack.append((c, False))
-    return order
-
-
 def solve(d: InfluenceDiagram, t: TreeDecomposition, cfg: SolverConfig) -> SolverResult:
     """Run the propagation on a single-value diagram with utilities in [0, 1].
 
@@ -323,16 +308,17 @@ def solve(d: InfluenceDiagram, t: TreeDecomposition, cfg: SolverConfig) -> Solve
         hold[sigma[dec]].append(_policy_potential_set(d, dec, cap))
     hold[sigma[value_var]].append(_utility_potential_set(d, value_var))
 
-    initial: dict[int, PotentialSet] = {}
     for i in range(m):
         _check_cap(hold[i], cap, i, "initialization")
-        initial[i] = combine_sets(hold[i])
 
     cluster_sets = [set(c) for c in t.clusters]
     node_stats: list[NodeStats] = []
     messages: dict[int, PotentialSet] = {}
-    for i in _postorder(t):
-        parts = [initial[i]] + [messages.pop(c) for c in t.children(i)]
+    # a node's last visit on the Euler tour follows its whole subtree
+    last = {node: pos for pos, node in enumerate(t.euler_tour())}
+    for i in sorted(last, key=last.__getitem__):
+        own = hold.pop(i)
+        parts = own + [messages.pop(c) for c in t.children(i)]
         _check_cap(parts, cap, i, "combination")
         parent = t.parent(i)
         separator = cluster_sets[i] & cluster_sets[parent] if parent is not None else set()
@@ -341,17 +327,17 @@ def solve(d: InfluenceDiagram, t: TreeDecomposition, cfg: SolverConfig) -> Solve
         if not gone <= scope:
             raise RuntimeError(f"variables {sorted(gone - scope)} reach node {i} "
                                f"without their defining tables")
-        if not hold[i] and len(parts) == 2 and not gone:
+        if not own and len(parts) == 1 and not gone:
             # a pass-through node: its one child's message is already covered
             # at alpha, so covering it again would keep every member
-            message = parts[1]
+            message = parts[0]
             smallest, bound = (None, None) if cfg.exact_mode else covering_bound(message, alpha)
         else:
             message, smallest, bound = node_message(parts, gone,
                                                     None if cfg.exact_mode else alpha)
         size = math.prod(len(p) for p in parts)
-        node_stats.append(NodeStats(i, t.clusters[i], len(initial[i]), size, size,
-                                    len(message), smallest, bound))
+        node_stats.append(NodeStats(i, t.clusters[i], math.prod(len(p) for p in own),
+                                    size, size, len(message), smallest, bound))
         messages[i] = message
 
     final = messages[t.root]

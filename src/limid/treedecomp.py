@@ -117,16 +117,22 @@ class TreeDecomposition:
         return self._orientation[1][i]
 
     def euler_tour(self) -> tuple[int, ...]:
-        """Walk printing each node once more than its child count (2m - 1 symbols)."""
-        tour: list[int] = []
+        """Walk printing each node once more than its child count (2m - 1 symbols).
 
-        def walk(i: int) -> None:
-            tour.append(i)
-            for c in self.children(i):
-                walk(c)
-                tour.append(i)
-
-        walk(self.root)
+        The walk keeps its own stack, so a deep tree cannot exhaust Python's
+        recursion limit.
+        """
+        tour = [self.root]
+        stack = [(self.root, iter(self.children(self.root)))]
+        while stack:
+            child = next(stack[-1][1], None)
+            if child is None:
+                stack.pop()
+                if stack:
+                    tour.append(stack[-1][0])
+            else:
+                tour.append(child)
+                stack.append((child, iter(self.children(child))))
         return tuple(tour)
 
 
@@ -268,16 +274,9 @@ def ensure_value_leaves(d: InfluenceDiagram, t: TreeDecomposition) -> TreeDecomp
 
     # orient at a low-degree node so splits never push a degree past three
     orient = min(i for i in range(t.n) if t.degree(i) <= 2) if t.n > 1 else 0
-    parent: dict[int, int | None] = {orient: None}
-    children: dict[int, list[int]] = {}
-    stack = [orient]
-    while stack:
-        i = stack.pop()
-        kids = [j for j in t.neighbors(i) if j != parent[i]]
-        children[i] = kids
-        for j in kids:
-            parent[j] = i
-            stack.append(j)
+    oriented = dataclasses.replace(t, root=orient)
+    parent = {i: oriented.parent(i) for i in range(t.n)}
+    children = {i: list(oriented.children(i)) for i in range(t.n)}
 
     clusters = [set(c) for c in t.clusters]
     claimed: dict[int, str] = {}

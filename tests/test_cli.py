@@ -380,3 +380,39 @@ def test_integral_float_cardinality_is_accepted(capsys, tmp_path):
     path = write(tmp_path, "ok.json", json.dumps(one_reward_document(cardinality=2.0)))
     code, out, _ = run(capsys, "validate", path)
     assert code == 0 and json.loads(out) == {"violations": []}
+
+
+def chain_document(n: int) -> tuple[dict, float]:
+    """A chain of ``n`` binary chance variables, one decision and one reward
+    on the last link and the decision, with its path decomposition; and the
+    chain's MEU by the forward product."""
+    names = [f"x{k:04d}" for k in range(n)]
+    cpts = {names[0]: {"parents": [], "table": [0.3, 0.7]}}
+    p = 0.7  # P(x = 1) along the chain
+    for k in range(1, n):
+        on, off = (0.9, 0.2) if k % 2 else (0.6, 0.5)  # P(1 | parent 1), P(1 | parent 0)
+        # flat tables list the first axis fastest: child given parent 0, then given 1
+        cpts[names[k]] = {"parents": [names[k - 1]], "table": [1 - off, off, 1 - on, on]}
+        p = p * on + (1 - p) * off
+    doc = {"variables": [{"id": x, "kind": "chance", "cardinality": 2} for x in names]
+                        + [{"id": "d", "kind": "decision", "cardinality": 2},
+                           {"id": "v", "kind": "value"}],
+           "arcs": [[a, b] for a, b in zip(names, names[1:])] + [[names[-1], "v"], ["d", "v"]],
+           "cpts": cpts,
+           # 1 for guessing the last link "on", 0.5 for guessing "off"
+           "rewards": {"v": {"parents": [names[-1], "d"], "table": [0.5, 0.0, 0.0, 1.0]}},
+           # supplied, because min-fill alone takes seconds on a chain this long
+           "decomposition": {
+               "clusters": [[a, b] for a, b in zip(names, names[1:])] + [[names[-1], "d"]],
+               "edges": [[k, k + 1] for k in range(n - 1)]}}
+    return doc, max(p, 0.5 * (1 - p))
+
+
+def test_a_deep_chain_solves_and_reduces(capsys, tmp_path):
+    doc, meu = chain_document(1500)
+    path = write(tmp_path, "chain.json", json.dumps(doc))
+    code, out, _ = run(capsys, "solve", "--exact", path)
+    assert code == 0
+    assert json.loads(out)["value"] == pytest.approx(meu, abs=1e-9)
+    code, out, _ = run(capsys, "reduce", path)
+    assert code == 0 and json.loads(out)["reduction"]["value_count"] == 1

@@ -318,6 +318,25 @@ def test_node_message_is_independent_of_the_block_size(rng, monkeypatch):
                 assert_same_message(node_message(parts, gone, alpha), message)
 
 
+def test_own_sets_fold_into_the_node_product(rng, monkeypatch):
+    """A node's own sets and its children's messages, as one product, give
+    the message their combined own sets would give: the leading set split
+    into its factors keeps the member order and the multiplication order."""
+    for trial in range(12):
+        sizes = tuple(int(x) for x in rng.integers(1, 8, size=3))
+        table = single({"a": 2, "c": 3}, rng.uniform(size=(2, 3)))
+        parts = three_parts(rng, sizes)
+        own = [table, parts[0], parts[1]][:trial % 4]
+        children = parts[2:] if trial % 4 else parts[1:]
+        scope = sorted(set().union(*(p.scope for p in own + children)))
+        gone = set(scope[:trial % 3])
+        for block_bytes in (100, 300, 1000, 5000, 1 << 23):
+            monkeypatch.setattr(limid.solver, "BLOCK_BYTES", block_bytes)
+            for alpha in (None, 1.2, 3.0):
+                assert_same_message(node_message(own + children, gone, alpha),
+                                    node_message([combine_sets(own)] + children, gone, alpha))
+
+
 def traced_peak(run):
     """``run()`` and the peak bytes ``tracemalloc`` saw while it ran."""
     tracemalloc.start()

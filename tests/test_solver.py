@@ -129,6 +129,18 @@ def test_cap_fires_before_the_product_is_built():
     assert peak < 64 * 2**20
 
 
+def test_hard_solve_builds_no_per_node_initial_sets():
+    # a node's own tables wait unmultiplied until the node is reached
+    d = generate_diagram(12, 5, 3, 2, 3, 18, decision_max_parents=2)
+    tracemalloc.start()
+    try:
+        solve_full(d, SolverConfig(epsilon=0.5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+
+
 def test_ties_go_to_the_smallest_policy_indices():
     # "a" changes nothing; actions 1 and 2 of "b" are equally good
     p_good = np.array([0.2, 0.9, 0.9])

@@ -187,6 +187,13 @@ def test_tour_length_and_visit_counts():
             assert counts[i] <= 3
 
 
+def test_tour_of_a_deep_path_needs_no_recursion():
+    n = 5000
+    t = TreeDecomposition(tuple((f"x{i}",) for i in range(n)),
+                          tuple((i, i + 1) for i in range(n - 1)), root=0)
+    assert t.euler_tour() == tuple(range(n)) + tuple(range(n - 2, -1, -1))
+
+
 def test_default_root_prefers_unique_value_leaf():
     d = InfluenceDiagram(
         [Variable("d", "decision", 2), Variable("v", "value")],
