@@ -21,6 +21,7 @@ Canonical documents sort keys, ids and parent lists.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -391,7 +392,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK if not problems else EXIT_INVALID
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # parsing leaves the parser as it was, so one tree serves every call
     parser = _Parser(prog="limid",
                      description="Approximate and exact solving of limited-memory "
                                  "influence diagrams.")

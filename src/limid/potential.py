@@ -24,11 +24,13 @@ entries.  Any two members sharing a signature dominate each other within a
 pointwise factor alpha, so every pruned member stays alpha-covered by a
 survivor.
 
-Arrays handed to the :class:`PotentialSet` constructor are copied, so no
-caller can change a set afterwards; arrays this module allocates itself
-(products, sums, gathers, concatenations) are adopted as they are through
-:meth:`PotentialSet.adopt`, and member slices share their set's read-only
-arrays.
+Arrays handed to the :class:`PotentialSet` constructor are copied and
+checked, so no caller can change a set afterwards.  Every other set is
+derived from valid sets (member slices, products, sums, covering gathers,
+concatenations) and takes its arrays over as they are, read-only, with no
+second check.  Only a product or a sum can make a new number, so
+:func:`combine_sets` checks that its entries stay finite; slices, gathers
+and concatenations copy entries of valid sets.
 """
 
 from __future__ import annotations
@@ -46,15 +48,12 @@ _ZERO_SENTINEL = np.iinfo(np.int64).min
 #: signatures stable at bucket boundaries
 _LOG_SNAP = 1e-12
 
+#: the error for entries outside [0, inf)
+_BAD_ENTRIES = "potential set entries must be nonnegative and finite"
+
 #: entries per row chunk of covering's signature pass, which bounds its float
 #: temporaries; a set of at most this many entries skips the row key
 _CHUNK_ENTRIES = 1 << 14
-
-
-def _frozen(a: np.ndarray, dtype: type, shape: tuple[int, ...], copy: bool) -> np.ndarray:
-    a = (np.array if copy else np.asarray)(a, dtype=dtype, order="C").reshape(shape)
-    a.flags.writeable = False
-    return a
 
 
 def _check_ids(ids: tuple[str, ...], what: str) -> None:
@@ -68,8 +67,8 @@ class PotentialSet:
 
     ``values`` has shape ``(n, *cards)``; ``policies`` has shape
     ``(n, len(decisions))`` and defaults to no decisions at all.  The
-    constructor copies both arrays; :meth:`adopt` takes them over.  Either
-    way they are validated (shape, finite, nonnegative) and read-only.
+    constructor copies both arrays, validates them (shape, finite,
+    nonnegative) and makes them read-only.
     """
 
     scope: tuple[str, ...]
@@ -79,44 +78,21 @@ class PotentialSet:
     policies: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        self._settle(copy=True)
-
-    @classmethod
-    def adopt(cls, scope: Sequence[str], cards: Sequence[int], values: np.ndarray,
-              decisions: Sequence[str] = (), policies: np.ndarray | None = None
-              ) -> PotentialSet:
-        """A set that takes ``values`` and ``policies`` over without copying.
-
-        Only for arrays the caller has just allocated and keeps no other
-        reference to, such as product, sum, gather or concatenation results.
-        """
-        k = object.__new__(cls)
-        for name, field in (("scope", scope), ("cards", cards), ("values", values),
-                            ("decisions", decisions), ("policies", policies)):
-            object.__setattr__(k, name, field)
-        k._settle(copy=False)
-        return k
-
-    def _settle(self, copy: bool) -> None:
         scope = tuple(self.scope)
         cards = tuple(int(c) for c in self.cards)
         decisions = tuple(self.decisions)
         _check_ids(scope, "potential set scope")
         _check_ids(decisions, "potential set decisions")
         n = np.shape(self.values)[0]
-        values = _frozen(self.values, float, (n,) + cards, copy)
+        values = np.array(self.values, dtype=float, order="C").reshape((n,) + cards)
         # min and max propagate NaN, so two reductions check every entry
         if not (values.min(initial=0.0) >= 0.0 and math.isfinite(values.max(initial=0.0))):
-            raise ValueError("potential set entries must be nonnegative and finite")
+            raise ValueError(_BAD_ENTRIES)
         policies = np.zeros((n, 0)) if self.policies is None else self.policies
         if np.shape(policies) != (n, len(decisions)):
             raise ValueError("one policy index per member and decision required")
-        object.__setattr__(self, "scope", scope)
-        object.__setattr__(self, "cards", cards)
-        object.__setattr__(self, "decisions", decisions)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "policies",
-                           _frozen(policies, np.int64, (n, len(decisions)), copy))
+        policies = np.array(policies, dtype=np.int64, order="C").reshape(n, len(decisions))
+        _take(self, scope, cards, values, decisions, policies)
 
     def __len__(self) -> int:
         return self.values.shape[0]
@@ -125,13 +101,25 @@ class PotentialSet:
         """Members ``start`` to ``stop`` as a set viewing this set's arrays, without a copy."""
         if not 0 <= start <= stop <= len(self):
             raise ValueError(f"member range {start}..{stop} outside a set of {len(self)}")
-        k = object.__new__(PotentialSet)
-        for name in ("scope", "cards", "decisions"):
-            object.__setattr__(k, name, getattr(self, name))
-        # slices of read-only arrays are read-only views
-        object.__setattr__(k, "values", self.values[start:stop])
-        object.__setattr__(k, "policies", self.policies[start:stop])
-        return k
+        return _derived(self.scope, self.cards, self.values[start:stop], self.decisions,
+                        self.policies[start:stop])
+
+
+def _take(k: PotentialSet, scope: tuple[str, ...], cards: tuple[int, ...], values: np.ndarray,
+          decisions: tuple[str, ...], policies: np.ndarray) -> PotentialSet:
+    """``k`` with these fields, its arrays taken over as they are and made
+    read-only, with no check."""
+    values.flags.writeable = False
+    policies.flags.writeable = False
+    for name, field in zip(("scope", "cards", "values", "decisions", "policies"),
+                           (scope, cards, values, decisions, policies)):
+        object.__setattr__(k, name, field)
+    return k
+
+
+def _derived(*fields) -> PotentialSet:
+    """A set derived from valid sets, made by :func:`_take` with no second check."""
+    return _take(object.__new__(PotentialSet), *fields)
 
 
 def combine_sets(sets: Sequence[PotentialSet], sum_out: Iterable[str] = ()) -> PotentialSet:
@@ -145,8 +133,9 @@ def combine_sets(sets: Sequence[PotentialSet], sum_out: Iterable[str] = ()) -> P
     over the marginalized axes, so a member comes out with the same numbers
     whichever member slices of the sets it is built from.  Raises
     ``RuntimeError`` when two inputs carry policies of the same decision and
-    ``ValueError`` on inconsistent cardinalities or a variable to sum out
-    that no input has.
+    ``ValueError`` on inconsistent cardinalities, a variable to sum out that
+    no input has, or a product or sum that overflows to inf (or gives NaN
+    from inf * 0).
     """
     card_by_var: dict[str, int] = {}
     decisions: list[str] = []
@@ -162,7 +151,7 @@ def combine_sets(sets: Sequence[PotentialSet], sum_out: Iterable[str] = ()) -> P
     if not zs <= card_by_var.keys():
         raise ValueError(f"cannot sum out {sorted(zs - card_by_var.keys())}: not in scope")
     if not sets:
-        return PotentialSet.adopt((), (), np.ones((1,)))
+        return _derived((), (), np.ones((1,)), (), np.empty((1, 0), dtype=np.int64))
     scope = tuple(sorted(card_by_var))
     cards = tuple(card_by_var[v] for v in scope)
     sizes = tuple(len(s) for s in sets)
@@ -182,7 +171,10 @@ def combine_sets(sets: Sequence[PotentialSet], sum_out: Iterable[str] = ()) -> P
         values = values.sum(axis=tuple(1 + i for i, v in enumerate(scope) if v in zs))
         cards = tuple(c for v, c in zip(scope, cards) if v not in zs)
         scope = tuple(v for v in scope if v not in zs)
-    return PotentialSet.adopt(scope, cards, values, tuple(order), policies)
+    # entries are nonnegative, so one max (which propagates NaN) checks them all
+    if not math.isfinite(values.max(initial=0.0)):
+        raise ValueError(_BAD_ENTRIES)
+    return _derived(scope, cards, values, tuple(order), policies)
 
 
 def _joint_shape(s: PotentialSet, scope: tuple[str, ...],
@@ -191,11 +183,22 @@ def _joint_shape(s: PotentialSet, scope: tuple[str, ...],
     return tuple(c if v in s.scope else 1 for v, c in zip(scope, cards))
 
 
-def concat_sets(sets: Sequence[PotentialSet]) -> PotentialSet:
-    """The members of ``sets`` one after another; all share scope and decisions."""
-    first = sets[0]
-    return PotentialSet.adopt(first.scope, first.cards, np.concatenate([s.values for s in sets]),
-                              first.decisions, np.concatenate([s.policies for s in sets]))
+def concat_sets(sets: Iterable[PotentialSet], total: int) -> PotentialSet:
+    """The ``total`` members of ``sets`` one after another; all share scope
+    and decisions.  Each set is written into the result as it arrives, so an
+    iterator of sets is never held whole; a lone set is returned as it is."""
+    lo = 0
+    for s in sets:
+        if lo == 0:
+            if len(s) == total:
+                return s
+            first = s
+            values = np.empty((total,) + s.values.shape[1:])
+            policies = np.empty((total, len(s.decisions)), dtype=np.int64)
+        values[lo:lo + len(s)] = s.values
+        policies[lo:lo + len(s)] = s.policies
+        lo += len(s)
+    return _derived(first.scope, first.cards, values, first.decisions, policies)
 
 
 def floor_log(value: float, alpha: float) -> int:
@@ -207,15 +210,11 @@ def floor_log(value: float, alpha: float) -> int:
 
 @dataclass(frozen=True)
 class CoveringStats:
-    """Bookkeeping for a single covering call."""
+    """The smallest positive entry of a covering call's input and the cap it
+    gives on the survivors, as :func:`covering_bound` returns them."""
 
-    input_size: int
-    output_size: int
     smallest_positive: float | None
-    assignments: int
     size_bound: int | None
-    alpha: float
-    had_zero: bool
 
 
 def covering(k: PotentialSet, alpha: float) -> tuple[PotentialSet, CoveringStats]:
@@ -238,14 +237,13 @@ def covering(k: PotentialSet, alpha: float) -> tuple[PotentialSet, CoveringStats
     n = len(k)
     eta = math.prod(k.cards)
     if n == 0:
-        return k, CoveringStats(0, 0, None, eta, None, alpha, False)
-    sig, smallest, had_zero = _signatures(k.values.reshape(n, eta), alpha)
+        return k, CoveringStats(None, None)
+    sig, smallest = _signatures(k.values.reshape(n, eta), alpha)
     keep = _first_rows(sig)
     del sig  # freed before the survivors are gathered, to lower the peak
     if len(keep) < n:
-        k = PotentialSet.adopt(k.scope, k.cards, k.values[keep], k.decisions, k.policies[keep])
-    smallest, bound = _size_bound(smallest, alpha, eta)
-    return k, CoveringStats(n, len(keep), smallest, eta, bound, alpha, had_zero)
+        k = _derived(k.scope, k.cards, k.values[keep], k.decisions, k.policies[keep])
+    return k, CoveringStats(*_size_bound(smallest, alpha, eta))
 
 
 def covering_bound(k: PotentialSet, alpha: float) -> tuple[float | None, int | None]:
@@ -278,18 +276,16 @@ def _size_bound(smallest: float, alpha: float, eta: int) -> tuple[float | None, 
     return smallest, (1 - floor_log(smallest, alpha)) ** eta
 
 
-def _signatures(flat: np.ndarray, alpha: float) -> tuple[np.ndarray, float, bool]:
-    """The ``int64`` signature of every entry of ``flat``, its smallest
-    positive entry (``inf`` if none) and whether it has a zero entry."""
+def _signatures(flat: np.ndarray, alpha: float) -> tuple[np.ndarray, float]:
+    """The ``int64`` signature of every entry of ``flat`` and its smallest
+    positive entry (``inf`` if none)."""
     sig = np.empty(flat.shape, dtype=np.int64)
     log_alpha = math.log(alpha)
     smallest = math.inf
-    had_zero = False
     for rows in _chunks(flat):
         x = flat[rows]
         positive = x > 0.0
         smallest = min(smallest, _smallest_positive(x, positive))
-        had_zero = had_zero or not positive.all()
         # divide by log(alpha): multiplying by its reciprocal rounds differently
         q = np.log(x, out=np.zeros(x.shape), where=positive)
         q /= log_alpha
@@ -300,7 +296,7 @@ def _signatures(flat: np.ndarray, alpha: float) -> tuple[np.ndarray, float, bool
         # the sentinel -2**63 is exact in float64, so it survives the cast
         np.copyto(q, float(_ZERO_SENTINEL), where=~positive)
         np.copyto(sig[rows], q, casting="unsafe")
-    return sig, smallest, had_zero
+    return sig, smallest
 
 
 def _key_multipliers(width: int) -> np.ndarray:

@@ -68,7 +68,8 @@ class SolverConfig:
     """Solver knobs.
 
     ``epsilon`` is the approximation factor; ``epsilon == 0`` means exact
-    mode (no pruning).  ``max_set_size`` caps every potential set the solve
+    mode (no pruning), and so does an ``epsilon`` too small to move
+    ``alpha`` off 1.  ``max_set_size`` caps every potential set the solve
     would build (``None`` for no cap) and must be an integer of at least 1.
     """
 
@@ -204,7 +205,11 @@ def _blocks(sizes: Sequence[int], step: int) -> Iterator[list[tuple[int, int]]]:
     split set just over one block gives two half blocks rather than a full
     one and a tiny one, and no block is larger than the one before it under
     the same prefix, so each fits in the memory its predecessor freed.
+    The empty product is one block of no ranges.
     """
+    if not sizes:
+        yield []
+        return
     split = next(k for k in range(len(sizes)) if math.prod(sizes[k + 1:]) <= step)
     count = sizes[split]
     runs = -(-count // (step // math.prod(sizes[split + 1:])))
@@ -228,50 +233,33 @@ def node_message(parts: list[PotentialSet], gone: set[str], alpha: float | None
     copy, then contracted and pruned on its own; when there are several
     blocks their survivors are pruned once more, which keeps the first
     member of every signature over the whole product, as one covering call
-    on it would.  In exact mode the blocks are written straight into the
-    message, allocated once at the product size.  Also returns the smallest
-    positive entry of the unpruned message and covering's survivor bound
-    for it (``None`` when exact).
+    on it would; a lone block needs no merge.  In exact mode the blocks are
+    written straight into the message, allocated once at the product size.
+    Also returns the smallest positive entry of the unpruned message and
+    covering's survivor bound for it (``None`` when exact).
     """
     cards = {v: c for p in parts for v, c in zip(p.scope, p.cards)}
     width = math.prod(cards.values()) + sum(len(p.decisions) for p in parts)
     step = max(1, BLOCK_BYTES // (8 * width))
     sizes = [len(p) for p in parts]
-    total = math.prod(sizes)
-    # a product that fits in one block is built whole
-    if total <= step:
-        if alpha is None:
-            return combine_sets(parts, gone), None, None
-        message, cstats = covering(combine_sets(parts, gone), alpha)
-        return message, cstats.smallest_positive, cstats.size_bound
     blocks = (combine_sets([p.members(lo, hi) for p, (lo, hi) in zip(parts, ranges)], gone)
               for ranges in _blocks(sizes, step))
     if alpha is None:
-        lo = 0
-        for block in blocks:
-            if lo == 0:
-                values = np.empty((total,) + block.values.shape[1:])
-                policies = np.empty((total, len(block.decisions)), dtype=np.int64)
-            values[lo:lo + len(block)] = block.values
-            policies[lo:lo + len(block)] = block.policies
-            lo += len(block)
-        message = PotentialSet.adopt(block.scope, block.cards, values, block.decisions, policies)
-        return message, None, None
+        return concat_sets(blocks, math.prod(sizes)), None, None
     survivors = []
     found = []
     for block in blocks:
         block, cstats = covering(block, alpha)
-        if cstats.smallest_positive is not None:
-            found.append(cstats)
         survivors.append(block)
-    merged = concat_sets(survivors)
+        found.append(cstats)
+    merged = concat_sets(survivors, sum(map(len, survivors)))
+    lone = len(survivors) == 1
     del survivors, block  # only the concatenation stays live through the merge
-    message, _ = covering(merged, alpha)
+    message = merged if lone else covering(merged, alpha)[0]
     # the bound belongs to the smallest entry over all blocks, pruned or not
-    least = min(found, key=lambda c: c.smallest_positive, default=None)
-    if least is None:
-        return message, None, None
-    return message, least.smallest_positive, least.size_bound
+    smallest, bound = min(((c.smallest_positive, c.size_bound) for c in found
+                           if c.smallest_positive is not None), default=(None, None))
+    return message, smallest, bound
 
 
 def solve(d: InfluenceDiagram, t: TreeDecomposition, cfg: SolverConfig) -> SolverResult:
@@ -298,6 +286,9 @@ def solve(d: InfluenceDiagram, t: TreeDecomposition, cfg: SolverConfig) -> Solve
 
     m = t.n
     alpha = 1.0 + cfg.epsilon / (2 * m)
+    # an epsilon too small to move alpha off 1 prunes nothing: the solve is
+    # exact, which meets any (1 + epsilon) bound
+    prune = alpha > 1.0
     cap = cfg.max_set_size
     sigma = assign_factors(d, t)
 
@@ -331,10 +322,9 @@ def solve(d: InfluenceDiagram, t: TreeDecomposition, cfg: SolverConfig) -> Solve
             # a pass-through node: its one child's message is already covered
             # at alpha, so covering it again would keep every member
             message = parts[0]
-            smallest, bound = (None, None) if cfg.exact_mode else covering_bound(message, alpha)
+            smallest, bound = covering_bound(message, alpha) if prune else (None, None)
         else:
-            message, smallest, bound = node_message(parts, gone,
-                                                    None if cfg.exact_mode else alpha)
+            message, smallest, bound = node_message(parts, gone, alpha if prune else None)
         size = math.prod(len(p) for p in parts)
         node_stats.append(NodeStats(i, t.clusters[i], math.prod(len(p) for p in own),
                                     size, size, len(message), smallest, bound))
@@ -351,7 +341,7 @@ def solve(d: InfluenceDiagram, t: TreeDecomposition, cfg: SolverConfig) -> Solve
     chosen = dict(zip(final.decisions, final.policies[winner].tolist()))
     strategy = Strategy(pure_policy(d, dec, chosen[dec]) for dec in d.decision_ids)
 
-    stats = SolveStats(m, alpha, cfg.exact_mode, time.perf_counter() - started,
+    stats = SolveStats(m, alpha, not prune, time.perf_counter() - started,
                        tuple(node_stats))
     return SolverResult(best_value, strategy, stats)
 

@@ -14,6 +14,7 @@ one, so no exact ordering search is made.
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -211,17 +212,12 @@ def validate_decomposition(d: InfluenceDiagram, t: TreeDecomposition) -> list[st
             what = "parent set of value variable" if v.kind == VALUE else "family of"
             report.append(f"{what} {v.id!r} not covered by any cluster")
     if t.is_tree():
-        for var in sorted(set().union(*cluster_sets) if cluster_sets else set()):
-            holders = [i for i, c in enumerate(cluster_sets) if var in c]
-            seen = {holders[0]}
-            stack = [holders[0]]
-            holder_set = set(holders)
-            while stack:
-                for j in t.neighbors(stack.pop()):
-                    if j in holder_set and j not in seen:
-                        seen.add(j)
-                        stack.append(j)
-            if len(seen) != len(holders):
+        # the nodes holding a variable induce a forest of the tree, which is
+        # connected exactly when it has one edge fewer than nodes
+        holders = Counter(v for c in cluster_sets for v in c)
+        joins = Counter(v for i, j in t.edges for v in cluster_sets[i] & cluster_sets[j])
+        for var in sorted(holders):
+            if joins[var] != holders[var] - 1:
                 report.append(f"running intersection violated for {var!r}")
     return report
 

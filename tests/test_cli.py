@@ -146,6 +146,17 @@ def test_solve_exact_matches_oracle(capsys, tmp_path):
     assert solve_doc["value"] == pytest.approx(oracle_doc["value"], abs=1e-9)
 
 
+def test_solve_with_an_epsilon_too_small_for_alpha_is_exact(capsys, tmp_path):
+    # 1 + 1e-17 / (2m) rounds to 1.0: nothing can be pruned, and the exact
+    # solve meets the (1 + epsilon) bound
+    path = write(tmp_path, "d.json", serialize(generate_diagram(4, 2, 3, 2, 2, 99,
+                                                                decision_max_parents=1)))
+    code, tiny, err = run(capsys, "solve", "--epsilon", "1e-17", path)
+    assert (code, err) == (0, "")
+    code, exact, _ = run(capsys, "solve", "--exact", path)
+    assert code == 0 and json.loads(tiny) == json.loads(exact)
+
+
 def test_solve_epsilon_guarantee_and_pure_strategy(capsys, tmp_path):
     d = generate_diagram(4, 2, 3, 2, 2, 99, decision_max_parents=1)
     path = write(tmp_path, "d.json", serialize(d))

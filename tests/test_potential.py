@@ -138,6 +138,15 @@ def test_combine_rejects_shared_decisions():
         combine_sets([a, b])
 
 
+def test_combine_rejects_a_product_that_overflows():
+    big = single({"a": 2}, [1e200, 1.0])
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="finite"):
+            combine_sets([big, single({"a": 2}, [1e200, 1.0], ("e",), [[0]])])
+        with pytest.raises(ValueError, match="finite"):
+            combine_sets([big, single({"b": 2}, [1e200, 0.0], ("e",), [[0]])], {"a"})
+
+
 def test_combine_empty_list_gives_scalar_unit():
     got = combine_sets([])
     assert got.scope == () and len(got) == 1 and float(got.values[0]) == 1.0
@@ -175,7 +184,7 @@ def test_combine_member_ranges_rebuild_the_product(rng):
         by_second = [[a.members(i, i + 1), b.members(lo, hi), c]
                      for i in range(5) for lo, hi in ((0, 3), (3, 4))]
         for slices in (by_first, by_second):
-            pieces = concat_sets([combine_sets(parts, gone) for parts in slices])
+            pieces = concat_sets([combine_sets(parts, gone) for parts in slices], len(whole))
             assert pieces.values.tobytes() == whole.values.tobytes()
             assert np.array_equal(pieces.policies, whole.policies)
 
@@ -275,6 +284,19 @@ def check_tiling(sizes, step):
                                         ((5, 9), 10), ((11,), 10), ((4, 4), 16)])
 def test_blocks_tile_the_product(sizes, step):
     check_tiling(sizes, step)
+
+
+def test_the_empty_product_is_one_empty_block():
+    for step in (1, 10):
+        assert list(_blocks([], step)) == [[]]
+
+
+@pytest.mark.parametrize("alpha", [None, 2.0])
+def test_a_node_without_parts_gives_the_scalar_unit(alpha):
+    message, smallest, bound = node_message([], set(), alpha)
+    assert message.scope == () and message.decisions == ()
+    assert message.values.tolist() == [1.0] and message.policies.shape == (1, 0)
+    assert (smallest, bound) == ((None, None) if alpha is None else (1.0, 1))
 
 
 def test_a_split_set_just_over_a_block_gives_two_halves():
@@ -388,7 +410,7 @@ def test_covering_frozen_example():
     assert np.array_equal(pruned.values[1], [0.6, 0.3])
     assert is_covering(k, pruned, 2.0)
     assert 0.7 <= 2.0 * 0.6 and 0.35 <= 2.0 * 0.3
-    assert stats == CoveringStats(3, 2, 0.3, 2, (1 - floor_log(0.3, 2.0)) ** 2, 2.0, False)
+    assert stats == CoveringStats(0.3, (1 - floor_log(0.3, 2.0)) ** 2)
 
 
 def test_covering_singleton_and_zero_sentinel():
@@ -397,9 +419,8 @@ def test_covering_singleton_and_zero_sentinel():
     assert len(pruned) == 1
     disjoint = members_set({"a": 2}, [[0.0, 1.0], [1.0, 0.0]])
     for alpha in (1.5, 2.0, 100.0):
-        pruned, stats = covering(disjoint, alpha)
+        pruned, _ = covering(disjoint, alpha)
         assert len(pruned) == 2
-        assert stats.had_zero
 
 
 def test_covering_rejects_bad_alpha():
@@ -423,10 +444,9 @@ def test_covering_property_and_bounds(rng):
             assert (pruned.values[i].tobytes(), pruned.policies[i].tobytes()) in originals
         if stats.smallest_positive is not None:
             base = 1 - floor_log(stats.smallest_positive, alpha)
-            if stats.had_zero:
-                assert len(pruned) <= (base + 1) ** stats.assignments
-            else:
-                assert len(pruned) <= base ** stats.assignments
+            # a zero entry takes one more signature, the zero sentinel
+            had_zero = bool(np.any(k.values == 0.0))
+            assert len(pruned) <= (base + had_zero) ** math.prod(k.cards)
 
 
 def test_covering_bound_is_the_covering_stats(rng):
@@ -468,11 +488,10 @@ def test_covering_matches_the_direct_formula(rng, monkeypatch, collide):
         k = random_set(rng, {"a": 2, "b": 3}, n=int(rng.integers(8, 300)), zeros=True)
         k = PotentialSet(k.scope, k.cards, np.round(k.values, 1), k.decisions, k.policies)
         for alpha in (1.01, 1.3, 2.0, 10.0):
-            pruned, stats = covering(k, alpha)
+            pruned, _ = covering(k, alpha)
             want = reference_survivors(k.values, alpha)
             assert pruned.policies[:, 0].tolist() == want.tolist()
             assert pruned.values.tobytes() == k.values[want].tobytes()
-            assert stats.had_zero == bool(np.any(k.values == 0.0))
 
 
 @pytest.mark.parametrize("multipliers", ["mixed", "first column only", "all colliding"])
@@ -522,14 +541,11 @@ def test_sets_never_alias_a_callers_arrays(rng):
     values[:] = 7.0
     policies[:] = 3
     assert np.array_equal(k.values, before[0]) and np.array_equal(k.policies, before[1])
-    built = [k, combine_sets([k], {"a"}), concat_sets([k, k]), covering(k, 1.5)[0],
-             PotentialSet.adopt(("a",), (2,), np.ones((1, 2)))]
+    built = [k, combine_sets([k], {"a"}), concat_sets([k, k], 8), covering(k, 1.5)[0]]
     for s in built:
         assert not (s.values.flags.writeable or s.policies.flags.writeable)
         assert not np.shares_memory(s.values, values)
         assert not np.shares_memory(s.policies, policies)
-    with pytest.raises(ValueError):
-        PotentialSet.adopt(("a",), (2,), np.array([[0.5, -1.0]]))
 
 
 def test_covering_all_zero_members():

@@ -40,6 +40,15 @@ def test_config_zero_epsilon_forces_exact():
         SolverConfig(epsilon=-0.1)
 
 
+def test_an_epsilon_too_small_to_move_alpha_solves_exactly():
+    d = two_agent_diagram()
+    exact = solve_full(d, SolverConfig(epsilon=0.0))
+    tiny = solve_full(d, SolverConfig(epsilon=1e-15))
+    assert tiny.stats.alpha == 1.0 and tiny.stats.exact
+    assert tiny.value == exact.value
+    assert not solve_full(d, SolverConfig(epsilon=0.5)).stats.exact
+
+
 @pytest.mark.parametrize("epsilon", [float("nan"), float("inf")])
 def test_config_rejects_non_finite_epsilon(epsilon):
     with pytest.raises(ValueError, match="epsilon"):

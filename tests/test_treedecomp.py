@@ -86,6 +86,42 @@ def test_validate_flags_non_tree():
     assert any("tree" in line for line in validate_decomposition(d, t))
 
 
+def bfs_running_intersection(t):
+    """Variables whose holding nodes are not connected, by a search from
+    the first holder over holders only."""
+    clusters = [set(c) for c in t.clusters]
+    broken = []
+    for var in sorted(set().union(*clusters)):
+        holders = {i for i, c in enumerate(clusters) if var in c}
+        seen, stack = {min(holders)}, [min(holders)]
+        while stack:
+            for j in t.neighbors(stack.pop()):
+                if j in holders and j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        if seen != holders:
+            broken.append(var)
+    return broken
+
+
+def test_running_intersection_matches_a_search_on_random_trees():
+    rng = np.random.default_rng(5)
+    d = chain_diagram(6)
+    names = [f"c{i}" for i in range(6)]
+    violated = 0
+    for _ in range(300):
+        n = int(rng.integers(1, 9))
+        edges = [(int(rng.integers(i)), i) for i in range(1, n)]
+        clusters = [[v for v in names if rng.uniform() < 0.4] for _ in range(n)]
+        t = TreeDecomposition(clusters, edges)
+        want = bfs_running_intersection(t)
+        got = [line for line in validate_decomposition(d, t) if "running intersection" in line]
+        assert got == [f"running intersection violated for {v!r}" for v in want]
+        violated += bool(want)
+    # both outcomes are well represented
+    assert 50 < violated < 250
+
+
 # -- binarize ----------------------------------------------------------------------
 
 def test_binarize_star():
