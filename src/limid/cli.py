@@ -21,6 +21,7 @@ Canonical documents sort keys, ids and parent lists.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -69,6 +70,13 @@ def _expect(value: Any, kind: type, what: str) -> Any:
     return value
 
 
+def _integer(value: Any, what: str) -> int:
+    """``value`` as an int: ``2.0`` reads as 2; ``2.7``, ``true`` and ``"2"`` are rejected."""
+    if not (type(value) is int or type(value) is float and value.is_integer()):
+        raise DocumentError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 # -- table layout -------------------------------------------------------------
 
 def _parse_table(d_vars: dict[str, Variable], owner: str, spec: Any,
@@ -86,13 +94,14 @@ def _parse_table(d_vars: dict[str, Variable], owner: str, spec: Any,
     cards = [d_vars[p].cardinality for p in listed]
     lead = () if lead_card is None else (lead_card,)
     shape = lead + tuple(cards)
-    try:
-        flat = np.asarray(spec["table"], dtype=float)
-    except (TypeError, ValueError):
+    table = spec["table"]
+    # numpy would also read nested arrays, booleans and numeric strings
+    if not isinstance(table, list) or any(type(x) not in (int, float) for x in table):
         kind = "reward" if lead_card is None else "cpt"
-        raise DocumentError(f"{kind} table of {owner!r} must hold only numbers") from None
+        raise DocumentError(f"{kind} table of {owner!r} must be a flat array of numbers")
+    flat = np.asarray(table, dtype=float)
     expected = math.prod(shape)
-    if flat.ndim != 1 or flat.size != expected:
+    if flat.size != expected:
         raise DocumentError(f"table for {owner!r} has {flat.size} entries, "
                             f"expected {expected}")
     arr = flat.reshape(shape, order="F")
@@ -119,16 +128,13 @@ def document_to_diagram(doc: Any) -> tuple[InfluenceDiagram, TreeDecomposition |
             raise DocumentError("every variable needs 'id' and 'kind'")
         vid = str(entry["id"])
         card = entry.get("cardinality")
-        # bool is an int subclass; 2.0 is accepted, 2.7 and "2" are not
-        if card is not None and (isinstance(card, bool) or not isinstance(card, (int, float))
-                                 or not float(card).is_integer()):
-            raise DocumentError(f"'cardinality' of {vid!r} must be an integer, got {card!r}")
+        if card is not None:
+            card = _integer(card, f"'cardinality' of {vid!r}")
         states = entry.get("states")
         if states is not None:
             states = tuple(_expect(states, list, f"'states' of {vid!r}"))
         try:
-            variables.append(Variable(vid, str(entry["kind"]),
-                                      None if card is None else int(card), states))
+            variables.append(Variable(vid, str(entry["kind"]), card, states))
         except ValueError as exc:
             raise DocumentError(str(exc)) from None
     by_id = {v.id: v for v in variables}
@@ -177,12 +183,17 @@ def document_to_diagram(doc: Any) -> tuple[InfluenceDiagram, TreeDecomposition |
         spec = doc["decomposition"]
         if not isinstance(spec, dict) or "clusters" not in spec:
             raise DocumentError("decomposition needs a 'clusters' key")
+        clusters = [[str(v) for v in _expect(c, list, "each of 'clusters'")]
+                    for c in _expect(spec["clusters"], list, "'clusters'")]
+        edges = []
+        for edge in _expect(spec.get("edges", []), list, "'edges'"):
+            if not isinstance(edge, list) or len(edge) != 2:
+                raise DocumentError(f"'edges' must hold [i, j] pairs, got {edge!r}")
+            edges.append([_integer(i, "a node id in 'edges'") for i in edge])
+        root = None if spec.get("root") is None else _integer(spec["root"], "'root'")
         try:
-            decomposition = TreeDecomposition(
-                tuple(tuple(str(v) for v in c) for c in spec["clusters"]),
-                tuple((int(i), int(j)) for i, j in spec.get("edges", [])),
-                root=None if spec.get("root") is None else int(spec["root"]))
-        except (TypeError, ValueError) as exc:
+            decomposition = TreeDecomposition(clusters, edges, root=root)
+        except ValueError as exc:
             raise DocumentError(f"bad decomposition: {exc}") from None
     return diagram, decomposition
 
@@ -329,12 +340,7 @@ def _result_document(result: SolverResult, with_stats: bool) -> dict[str, Any]:
         "strategy": _strategy_document(result.strategy),
     }
     if with_stats:
-        doc["stats"] = [
-            {"node": s.node, "cluster": list(s.cluster), "k_size": s.k_size,
-             "a_size": s.a_size, "b_size": s.b_size, "c_size": s.c_size,
-             "smallest_positive": s.smallest_positive, "size_bound": s.size_bound}
-            for s in result.stats.nodes
-        ]
+        doc["stats"] = [dataclasses.asdict(s) for s in result.stats.nodes]
     return doc
 
 

@@ -152,6 +152,9 @@ class InfluenceDiagram:
         object.__setattr__(self, "_parents", {x: tuple(sorted(ps)) for x, ps in parents.items()})
         object.__setattr__(self, "_children", {x: tuple(sorted(cs)) for x, cs in children.items()})
         object.__setattr__(self, "_table_parents", table_parents)
+        object.__setattr__(self, "_families", {
+            x: tuple(sorted(ps + (x,))) if by_id[x].kind != VALUE else ps
+            for x, ps in table_parents.items()})
 
     # -- lookups -----------------------------------------------------------
 
@@ -173,6 +176,10 @@ class InfluenceDiagram:
     def parents(self, var: str) -> tuple[str, ...]:
         """Sorted chance/decision parents of ``var`` (table scope)."""
         return self._table_parents[var]
+
+    def family(self, var: str) -> tuple[str, ...]:
+        """Sorted scope of ``var``'s table: its parents, plus ``var`` unless it is a value."""
+        return self._families[var]
 
     def all_parents(self, var: str) -> tuple[str, ...]:
         """Sorted arc parents, including any (invalid) value parents."""
@@ -233,7 +240,8 @@ def validate_diagram(d: InfluenceDiagram) -> list[str]:
         for var, table in sorted(d.cpts.items()):
             if d.kind(var) != CHANCE:
                 continue
-            if np.any(table < 0.0) or np.any(table > 1.0):
+            # NaN fails both comparisons, so it is reported here too
+            if not np.all((table >= 0.0) & (table <= 1.0)):
                 report.append(f"cpt of {var!r} has entries outside [0, 1]")
             sums = table.sum(axis=0)
             if np.any(np.abs(sums - 1.0) > PROB_TOL):

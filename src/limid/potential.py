@@ -210,11 +210,10 @@ def floor_log(value: float, alpha: float) -> int:
 
 @dataclass(frozen=True)
 class CoveringStats:
-    """The smallest positive entry of a covering call's input and the cap it
-    gives on the survivors, as :func:`covering_bound` returns them."""
+    """A covering input's smallest positive entry and the survivor cap it gives, or ``None``s."""
 
-    smallest_positive: float | None
-    size_bound: int | None
+    smallest_positive: float | None = None
+    size_bound: int | None = None
 
 
 def covering(k: PotentialSet, alpha: float) -> tuple[PotentialSet, CoveringStats]:
@@ -237,19 +236,17 @@ def covering(k: PotentialSet, alpha: float) -> tuple[PotentialSet, CoveringStats
     n = len(k)
     eta = math.prod(k.cards)
     if n == 0:
-        return k, CoveringStats(None, None)
+        return k, CoveringStats()
     sig, smallest = _signatures(k.values.reshape(n, eta), alpha)
     keep = _first_rows(sig)
     del sig  # freed before the survivors are gathered, to lower the peak
     if len(keep) < n:
         k = _derived(k.scope, k.cards, k.values[keep], k.decisions, k.policies[keep])
-    return k, CoveringStats(*_size_bound(smallest, alpha, eta))
+    return k, _size_bound(smallest, alpha, eta)
 
 
-def covering_bound(k: PotentialSet, alpha: float) -> tuple[float | None, int | None]:
-    """The smallest positive entry t of ``k`` (``None`` if there is none) and
-    the cap ``(1 - floor_log(t, alpha)) ** assignments`` on the survivors of
-    :func:`covering`, valid whenever all entries are positive and at most one."""
+def covering_bound(k: PotentialSet, alpha: float) -> CoveringStats:
+    """The :class:`CoveringStats` that :func:`covering` returns for ``k``, without pruning it."""
     eta = math.prod(k.cards)
     flat = k.values.reshape(len(k), eta)
     smallest = math.inf
@@ -270,10 +267,10 @@ def _smallest_positive(x: np.ndarray, positive: np.ndarray) -> float:
     return float(np.where(positive, x, math.inf).min())
 
 
-def _size_bound(smallest: float, alpha: float, eta: int) -> tuple[float | None, int | None]:
+def _size_bound(smallest: float, alpha: float, eta: int) -> CoveringStats:
     if smallest == math.inf:
-        return None, None
-    return smallest, (1 - floor_log(smallest, alpha)) ** eta
+        return CoveringStats()
+    return CoveringStats(smallest, (1 - floor_log(smallest, alpha)) ** eta)
 
 
 def _signatures(flat: np.ndarray, alpha: float) -> tuple[np.ndarray, float]:

@@ -36,6 +36,7 @@ from .model import (
     validate_diagram,
 )
 from .potential import (
+    CoveringStats,
     PotentialSet,
     combine_sets,
     concat_sets,
@@ -49,6 +50,7 @@ from .treedecomp import (
     build_decomposition,
     default_root,
     ensure_value_leaves,
+    homes,
     root_and_order,
     validate_decomposition,
 )
@@ -86,10 +88,6 @@ class SolverConfig:
             raise ValueError(f"max_set_size must be None or an integer of at least 1, "
                              f"got {cap!r}")
 
-    @property
-    def exact_mode(self) -> bool:
-        return self.epsilon == 0
-
 
 @dataclass(frozen=True)
 class NodeStats:
@@ -107,9 +105,12 @@ class NodeStats:
 class SolveStats:
     m: int
     alpha: float
-    exact: bool
     wall_time: float
     nodes: tuple[NodeStats, ...] = ()
+
+    @property
+    def exact(self) -> bool:
+        return self.alpha == 1.0  # alpha 1 prunes nothing
 
     @property
     def total_pruned_size(self) -> int:
@@ -124,35 +125,19 @@ class SolverResult:
 
 
 def assign_factors(d: InfluenceDiagram, t: TreeDecomposition) -> dict[str, int]:
-    """Node assignment for every variable's table.
-
-    Chance and decision variables go to the smallest node covering their
-    family; a value variable goes to its value leaf when the decomposition
-    has one, else to the smallest node covering its parents.
-    """
-    clusters = [set(c) for c in t.clusters]
-    leaf_map = t.value_leaf_map
-    sigma: dict[str, int] = {}
-    for v in d.variables:
-        if v.kind == "value" and v.id in leaf_map:
-            sigma[v.id] = leaf_map[v.id]
-            continue
-        need = set(d.parents(v.id))
-        if v.kind != "value":
-            need.add(v.id)
-        nodes = [i for i, c in enumerate(clusters) if need <= c]
-        if not nodes:
-            raise ValueError(f"no cluster covers the factor of {v.id!r}")
-        sigma[v.id] = min(nodes)
+    """The node of every variable's table: its value leaf when the
+    decomposition has one, else its home (:func:`~limid.treedecomp.homes`)."""
+    sigma = homes(d, t) | t.value_leaf_map
+    for var, node in sigma.items():
+        if node is None:
+            raise ValueError(f"no cluster covers the factor of {var!r}")
     return sigma
 
 
-def _cpt_potential_set(d: InfluenceDiagram, var: str) -> PotentialSet:
-    parents = d.parents(var)
-    scope = tuple(sorted(parents + (var,)))
-    table = np.moveaxis(d.cpt(var), 0, scope.index(var))
-    cards = tuple(d.cardinality(x) for x in scope)
-    return PotentialSet(scope, cards, table[np.newaxis])
+def _table_set(d: InfluenceDiagram, var: str) -> PotentialSet:
+    scope = d.family(var)
+    table = d.reward(var) if var in d.rewards else np.moveaxis(d.cpt(var), 0, scope.index(var))
+    return PotentialSet(scope, tuple(d.cardinality(x) for x in scope), table[np.newaxis])
 
 
 def _policy_potential_set(d: InfluenceDiagram, dec: str,
@@ -162,17 +147,10 @@ def _policy_potential_set(d: InfluenceDiagram, dec: str,
         raise InstanceTooLargeError(
             f"decision {dec!r} has {count} pure policies, over the set-size cap {cap}")
     tables = pure_policy_tables(d, dec)
-    scope = tuple(sorted(d.parents(dec) + (dec,)))
+    scope = d.family(dec)
     stacked = np.moveaxis(tables, 1, 1 + scope.index(dec))
-    cards = tuple(d.cardinality(x) for x in scope)
     indices = np.arange(tables.shape[0]).reshape(-1, 1)
-    return PotentialSet(scope, cards, stacked, (dec,), indices)
-
-
-def _utility_potential_set(d: InfluenceDiagram, var: str) -> PotentialSet:
-    parents = d.parents(var)
-    cards = tuple(d.cardinality(p) for p in parents)
-    return PotentialSet(parents, cards, d.reward(var)[np.newaxis])
+    return PotentialSet(scope, tuple(d.cardinality(x) for x in scope), stacked, (dec,), indices)
 
 
 def _check_cap(parts: list[PotentialSet], cap: int | None, node: int, stage: str) -> None:
@@ -223,7 +201,7 @@ def _blocks(sizes: Sequence[int], step: int) -> Iterator[list[tuple[int, int]]]:
 
 
 def node_message(parts: list[PotentialSet], gone: set[str], alpha: float | None
-                 ) -> tuple[PotentialSet, float | None, int | None]:
+                 ) -> tuple[PotentialSet, CoveringStats]:
     """The product of ``parts`` with ``gone`` summed out, pruned by
     :func:`covering` at ``alpha`` (``None``: exact, no pruning).
 
@@ -235,8 +213,8 @@ def node_message(parts: list[PotentialSet], gone: set[str], alpha: float | None
     member of every signature over the whole product, as one covering call
     on it would; a lone block needs no merge.  In exact mode the blocks are
     written straight into the message, allocated once at the product size.
-    Also returns the smallest positive entry of the unpruned message and
-    covering's survivor bound for it (``None`` when exact).
+    Also returns the :class:`CoveringStats` of the unpruned message, empty
+    when exact.
     """
     cards = {v: c for p in parts for v, c in zip(p.scope, p.cards)}
     width = math.prod(cards.values()) + sum(len(p.decisions) for p in parts)
@@ -245,9 +223,8 @@ def node_message(parts: list[PotentialSet], gone: set[str], alpha: float | None
     blocks = (combine_sets([p.members(lo, hi) for p, (lo, hi) in zip(parts, ranges)], gone)
               for ranges in _blocks(sizes, step))
     if alpha is None:
-        return concat_sets(blocks, math.prod(sizes)), None, None
-    survivors = []
-    found = []
+        return concat_sets(blocks, math.prod(sizes)), CoveringStats()
+    survivors, found = [], []
     for block in blocks:
         block, cstats = covering(block, alpha)
         survivors.append(block)
@@ -257,9 +234,8 @@ def node_message(parts: list[PotentialSet], gone: set[str], alpha: float | None
     del survivors, block  # only the concatenation stays live through the merge
     message = merged if lone else covering(merged, alpha)[0]
     # the bound belongs to the smallest entry over all blocks, pruned or not
-    smallest, bound = min(((c.smallest_positive, c.size_bound) for c in found
-                           if c.smallest_positive is not None), default=(None, None))
-    return message, smallest, bound
+    return message, min((c for c in found if c.smallest_positive is not None),
+                        key=lambda c: c.smallest_positive, default=CoveringStats())
 
 
 def solve(d: InfluenceDiagram, t: TreeDecomposition, cfg: SolverConfig) -> SolverResult:
@@ -294,10 +270,10 @@ def solve(d: InfluenceDiagram, t: TreeDecomposition, cfg: SolverConfig) -> Solve
 
     hold: dict[int, list[PotentialSet]] = {i: [] for i in range(m)}
     for var in d.chance_ids:
-        hold[sigma[var]].append(_cpt_potential_set(d, var))
+        hold[sigma[var]].append(_table_set(d, var))
     for dec in d.decision_ids:
         hold[sigma[dec]].append(_policy_potential_set(d, dec, cap))
-    hold[sigma[value_var]].append(_utility_potential_set(d, value_var))
+    hold[sigma[value_var]].append(_table_set(d, value_var))
 
     for i in range(m):
         _check_cap(hold[i], cap, i, "initialization")
@@ -312,22 +288,17 @@ def solve(d: InfluenceDiagram, t: TreeDecomposition, cfg: SolverConfig) -> Solve
         parts = own + [messages.pop(c) for c in t.children(i)]
         _check_cap(parts, cap, i, "combination")
         parent = t.parent(i)
-        separator = cluster_sets[i] & cluster_sets[parent] if parent is not None else set()
-        gone = cluster_sets[i] - separator
-        scope = set().union(*(p.scope for p in parts))
-        if not gone <= scope:
-            raise RuntimeError(f"variables {sorted(gone - scope)} reach node {i} "
-                               f"without their defining tables")
+        gone = cluster_sets[i] - (cluster_sets[parent] if parent is not None else set())
         if not own and len(parts) == 1 and not gone:
             # a pass-through node: its one child's message is already covered
             # at alpha, so covering it again would keep every member
             message = parts[0]
-            smallest, bound = covering_bound(message, alpha) if prune else (None, None)
+            found = covering_bound(message, alpha) if prune else CoveringStats()
         else:
-            message, smallest, bound = node_message(parts, gone, alpha if prune else None)
+            message, found = node_message(parts, gone, alpha if prune else None)
         size = math.prod(len(p) for p in parts)
-        node_stats.append(NodeStats(i, t.clusters[i], math.prod(len(p) for p in own),
-                                    size, size, len(message), smallest, bound))
+        node_stats.append(NodeStats(i, t.clusters[i], math.prod(map(len, own)), size, size,
+                                    len(message), found.smallest_positive, found.size_bound))
         messages[i] = message
 
     final = messages[t.root]
@@ -341,8 +312,7 @@ def solve(d: InfluenceDiagram, t: TreeDecomposition, cfg: SolverConfig) -> Solve
     chosen = dict(zip(final.decisions, final.policies[winner].tolist()))
     strategy = Strategy(pure_policy(d, dec, chosen[dec]) for dec in d.decision_ids)
 
-    stats = SolveStats(m, alpha, not prune, time.perf_counter() - started,
-                       tuple(node_stats))
+    stats = SolveStats(m, alpha, time.perf_counter() - started, tuple(node_stats))
     return SolverResult(best_value, strategy, stats)
 
 
@@ -385,7 +355,7 @@ def solve_full(d: InfluenceDiagram, cfg: SolverConfig,
     if not d.value_ids:
         # no rewards anywhere: every strategy has expected utility zero
         strategy = Strategy(pure_policy(d, dec, 0) for dec in d.decision_ids)
-        stats = SolveStats(0, 1.0, cfg.exact_mode, time.perf_counter() - started)
+        stats = SolveStats(0, 1.0, time.perf_counter() - started)
         return SolverResult(0.0, strategy, stats)
 
     reduced = shape_and_reduce(d, decomposition)

@@ -87,6 +87,14 @@ class TreeDecomposition:
                     stack.append(j)
         return len(seen) == self.n
 
+    @cached_property
+    def _holders(self) -> dict[str, set[int]]:
+        holders: dict[str, set[int]] = {}
+        for i, c in enumerate(self.clusters):
+            for v in c:
+                holders.setdefault(v, set()).add(i)
+        return holders
+
     @property
     def value_leaf_map(self) -> dict[str, int]:
         return dict(self.value_leaves)
@@ -144,9 +152,7 @@ def moral_graph(d: InfluenceDiagram) -> dict[str, set[str]]:
     and every reward parent set completed into a clique."""
     adj: dict[str, set[str]] = {v: set() for v in sorted(d.chance_ids + d.decision_ids)}
     for v in d.variables:
-        group = set(d.parents(v.id))
-        if v.kind != VALUE:
-            group.add(v.id)
+        group = d.family(v.id)
         for a in group:
             for b in group:
                 if a != b:
@@ -191,6 +197,20 @@ def build_decomposition(d: InfluenceDiagram) -> TreeDecomposition:
 
 # -- validation ---------------------------------------------------------------
 
+def homes(d: InfluenceDiagram, t: TreeDecomposition) -> dict[str, int | None]:
+    """Each variable's home: the smallest node whose cluster holds its whole
+    family (:meth:`~limid.model.InfluenceDiagram.family`), else ``None``."""
+    holders, none = t._holders, set()
+    every = set(range(t.n))
+    out: dict[str, int | None] = {}
+    for v in d.variables:
+        common = every
+        for x in d.family(v.id):
+            common = common & holders.get(x, none)  # walks the smaller set
+        out[v.id] = min(common, default=None)
+    return out
+
+
 def validate_decomposition(d: InfluenceDiagram, t: TreeDecomposition) -> list[str]:
     """All violations of tree-ness, family preservation and running intersection."""
     report: list[str] = []
@@ -199,25 +219,22 @@ def validate_decomposition(d: InfluenceDiagram, t: TreeDecomposition) -> list[st
     if not t.is_tree():
         report.append("decomposition edges do not form a tree")
     cluster_sets = [set(c) for c in t.clusters]
+    home = homes(d, t)
     allowed = set(d.chance_ids) | set(d.decision_ids)
     for i, c in enumerate(cluster_sets):
         for v in sorted(c - allowed):
             report.append(f"cluster {i} contains {v!r}, which is not a chance or "
                           f"decision variable of the diagram")
     for v in d.variables:
-        need = set(d.parents(v.id))
-        if v.kind != VALUE:
-            need.add(v.id)
-        if not any(need <= c for c in cluster_sets):
+        if home[v.id] is None:
             what = "parent set of value variable" if v.kind == VALUE else "family of"
             report.append(f"{what} {v.id!r} not covered by any cluster")
     if t.is_tree():
         # the nodes holding a variable induce a forest of the tree, which is
         # connected exactly when it has one edge fewer than nodes
-        holders = Counter(v for c in cluster_sets for v in c)
         joins = Counter(v for i, j in t.edges for v in cluster_sets[i] & cluster_sets[j])
-        for var in sorted(holders):
-            if joins[var] != holders[var] - 1:
+        for var, nodes in sorted(t._holders.items()):
+            if joins[var] != len(nodes) - 1:
                 report.append(f"running intersection violated for {var!r}")
     return report
 
@@ -277,17 +294,18 @@ def ensure_value_leaves(d: InfluenceDiagram, t: TreeDecomposition) -> TreeDecomp
     clusters = [set(c) for c in t.clusters]
     claimed: dict[int, str] = {}
     leaf_of: dict[str, int] = {}
+    # splits only copy clusters to higher ids, so input homes stay the smallest
+    home = homes(d, t)
     for v in sorted(d.value_ids):
-        pa = set(d.parents(v))
+        pa = set(d.family(v))
         free = [i for i in children
                 if not children[i] and clusters[i] == pa and i not in claimed]
         if free:
             leaf = min(free)
         else:
-            covering = [i for i in range(len(clusters)) if pa <= clusters[i]]
-            if not covering:
+            i = home[v]
+            if i is None:
                 raise ValueError(f"no cluster covers the parents of value variable {v!r}")
-            i = min(covering)
             twin = len(clusters)
             clusters.append(set(clusters[i]))
             leaf = len(clusters)

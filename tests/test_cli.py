@@ -387,6 +387,52 @@ def test_bad_numbers_name_the_variable_and_field(capsys, tmp_path, doc, where):
     assert err.startswith(f"limid: {where} ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", [["validate"], ["oracle"], ["solve", "--exact"]])
+def test_a_nan_cpt_entry_is_a_violation_naming_the_variable(capsys, tmp_path, command):
+    doc = json.loads(serialize(pick_diagram()))
+    doc["cpts"]["c"]["table"] = [float("nan"), 0.2, 0.3, 0.7]
+    path = write(tmp_path, "bad.json", json.dumps(doc))
+    code, out, err = run(capsys, *command, path)
+    assert code == 1
+    assert "cpt of 'c' has entries outside [0, 1]" in (out if command == ["validate"] else err)
+
+
+def decomposed_document(**changes) -> dict:
+    """``pick_diagram`` with a two-node decomposition, ``changes`` applied to its block."""
+    doc = json.loads(serialize(pick_diagram()))
+    doc["decomposition"] = {"clusters": [["c", "d"], ["c"]], "edges": [[0, 1]], "root": 0}
+    doc["decomposition"].update(changes)
+    return doc
+
+
+def nested_table_document() -> dict:
+    doc = decomposed_document()
+    doc["cpts"]["c"]["table"] = [[0.8, 0.2], [0.3, 0.7]]
+    return doc
+
+
+@pytest.mark.parametrize("doc, where", [
+    (decomposed_document(clusters=["cd"]), "each of 'clusters'"),
+    (decomposed_document(root=0.7), "'root'"),
+    (decomposed_document(root=True), "'root'"),
+    (decomposed_document(edges=[[0.9, 1]]), "a node id in 'edges'"),
+    (nested_table_document(), "cpt table of 'c'"),
+], ids=["cluster-string", "fractional-root", "boolean-root", "fractional-edge", "nested-table"])
+def test_loose_document_values_are_rejected_naming_the_field(capsys, tmp_path, doc, where):
+    path = write(tmp_path, "bad.json", json.dumps(doc))
+    code, out, err = run(capsys, "solve", "--exact", path)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"limid: {where} ") and err.count("\n") == 1
+
+
+def test_integral_float_node_ids_are_accepted(capsys, tmp_path):
+    doc = decomposed_document(edges=[[0.0, 1.0]], root=1.0)
+    path = write(tmp_path, "ok.json", json.dumps(doc))
+    code, out, _ = run(capsys, "solve", "--exact", path)
+    assert code == 0 and json.loads(out)["value"] == pytest.approx(0.8, abs=1e-9)
+
+
 def test_integral_float_cardinality_is_accepted(capsys, tmp_path):
     path = write(tmp_path, "ok.json", json.dumps(one_reward_document(cardinality=2.0)))
     code, out, _ = run(capsys, "validate", path)

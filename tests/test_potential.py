@@ -208,10 +208,7 @@ def test_member_slices_view_the_set(rng):
 def unblocked(parts, gone, alpha):
     """The node message built whole: product, sum-out, then one covering call."""
     whole = combine_sets(parts, gone)
-    if alpha is None:
-        return whole, None, None
-    pruned, stats = covering(whole, alpha)
-    return pruned, stats.smallest_positive, stats.size_bound
+    return (whole, CoveringStats()) if alpha is None else covering(whole, alpha)
 
 
 def assert_same_message(got, want):
@@ -293,10 +290,10 @@ def test_the_empty_product_is_one_empty_block():
 
 @pytest.mark.parametrize("alpha", [None, 2.0])
 def test_a_node_without_parts_gives_the_scalar_unit(alpha):
-    message, smallest, bound = node_message([], set(), alpha)
+    message, stats = node_message([], set(), alpha)
     assert message.scope == () and message.decisions == ()
     assert message.values.tolist() == [1.0] and message.policies.shape == (1, 0)
-    assert (smallest, bound) == ((None, None) if alpha is None else (1.0, 1))
+    assert stats == (CoveringStats() if alpha is None else CoveringStats(1.0, 1))
 
 
 def test_a_split_set_just_over_a_block_gives_two_halves():
@@ -379,7 +376,7 @@ def contraction_parts(rng):
 
 
 def test_blocked_contraction_never_holds_the_product(rng):
-    (message, _, _), peak = traced_peak(
+    (message, _), peak = traced_peak(
         lambda: node_message(contraction_parts(rng), {"y", "z"}, 2.0))
     assert message.scope == ("x",) and 0 < len(message) < 729 * 1269
     assert peak < 40e6
@@ -387,7 +384,7 @@ def test_blocked_contraction_never_holds_the_product(rng):
 
 def test_exact_contraction_holds_one_message_and_one_block(rng):
     parts = contraction_parts(rng)
-    (message, _, _), peak = traced_peak(lambda: node_message(parts, {"y", "z"}, None))
+    (message, _), peak = traced_peak(lambda: node_message(parts, {"y", "z"}, None))
     assert message.scope == ("x",) and len(message) == 729 * 1269
     assert message.policies[1270].tolist() == [1, 1]
     # the message is written block by block into one array, never copied whole
@@ -453,8 +450,8 @@ def test_covering_bound_is_the_covering_stats(rng):
     for trial in range(10):
         k = random_set(rng, {"a": 2, "b": 3}, n=int(rng.integers(1, 30)), zeros=trial % 2 == 0)
         _, stats = covering(k, 1.3)
-        assert covering_bound(k, 1.3) == (stats.smallest_positive, stats.size_bound)
-    assert covering_bound(members_set({"a": 2}, [[0.0, 0.0]]), 2.0) == (None, None)
+        assert covering_bound(k, 1.3) == stats
+    assert covering_bound(members_set({"a": 2}, [[0.0, 0.0]]), 2.0) == CoveringStats()
 
 
 def reference_first_rows(sig):

@@ -34,8 +34,9 @@ def rooted_decomposition(d):
 # -- configuration ------------------------------------------------------------------
 
 def test_config_zero_epsilon_forces_exact():
-    assert SolverConfig(epsilon=0.0).exact_mode
-    assert not SolverConfig(epsilon=0.5).exact_mode
+    d = two_agent_diagram()
+    assert solve_full(d, SolverConfig(epsilon=0.0)).stats.exact
+    assert not solve_full(d, SolverConfig(epsilon=0.5)).stats.exact
     with pytest.raises(ValueError):
         SolverConfig(epsilon=-0.1)
 
@@ -47,6 +48,17 @@ def test_an_epsilon_too_small_to_move_alpha_solves_exactly():
     assert tiny.stats.alpha == 1.0 and tiny.stats.exact
     assert tiny.value == exact.value
     assert not solve_full(d, SolverConfig(epsilon=0.5)).stats.exact
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 1e-17, 0.5])
+def test_a_solve_is_exact_when_alpha_is_one(epsilon):
+    # a diagram without value variables is solved exactly at every epsilon
+    none = solve_full(generate_diagram(3, 2, 3, 2, 0, 5), SolverConfig(epsilon=epsilon)).stats
+    assert none.alpha == 1.0 and none.exact
+    one = solve_full(pick_diagram(), SolverConfig(epsilon=epsilon)).stats
+    assert one.exact == (one.alpha == 1.0) == (epsilon < 0.5)
+    if one.exact:
+        assert all(s.c_size == s.b_size for s in one.nodes)
 
 
 @pytest.mark.parametrize("epsilon", [float("nan"), float("inf")])
@@ -314,7 +326,7 @@ def test_pass_through_nodes_are_not_covered_again(monkeypatch):
         again, stats = real_covering(k, alpha)
         assert again.values.tobytes() == k.values.tobytes()
         assert np.array_equal(again.policies, k.policies)
-        assert real_bound(k, alpha) == (stats.smallest_positive, stats.size_bound)
+        assert real_bound(k, alpha) == stats
 
 
 def test_determinism():

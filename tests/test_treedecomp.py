@@ -8,6 +8,7 @@ from limid.treedecomp import (
     build_decomposition,
     default_root,
     ensure_value_leaves,
+    homes,
     root_and_order,
     validate_decomposition,
 )
@@ -120,6 +121,30 @@ def test_running_intersection_matches_a_search_on_random_trees():
         violated += bool(want)
     # both outcomes are well represented
     assert 50 < violated < 250
+
+
+def test_homes_match_the_smallest_covering_cluster_on_random_trees():
+    rng = np.random.default_rng(11)
+    names = [f"c{i}" for i in range(6)]
+    values = [f"v{k}" for k in range(3)]
+    uncovered = parentless = 0
+    for _ in range(300):
+        arcs = [(a, b) for j, b in enumerate(names) for a in names[:j] if rng.uniform() < 0.3]
+        arcs += [(a, v) for v in values for a in names if rng.uniform() < 0.2]
+        d = InfluenceDiagram([Variable(x, "chance", 2) for x in names]
+                             + [Variable(v, "value") for v in values], arcs)
+        n = int(rng.integers(1, 9))
+        edges = [(int(rng.integers(i)), i) for i in range(1, n)]
+        t = TreeDecomposition([[x for x in names if rng.uniform() < 0.5] for _ in range(n)], edges)
+        got = homes(d, t)
+        for v in d.variables:
+            family = {a for a, b in arcs if b == v.id} | ({v.id} if v.kind != "value" else set())
+            want = min((i for i, c in enumerate(t.clusters) if family <= set(c)), default=None)
+            assert got[v.id] == want
+            uncovered += want is None
+            parentless += not family
+    # both corner cases are well represented
+    assert uncovered > 100 and parentless > 100
 
 
 # -- binarize ----------------------------------------------------------------------
