@@ -95,11 +95,14 @@ def _parse_table(d_vars: dict[str, Variable], owner: str, spec: Any,
     lead = () if lead_card is None else (lead_card,)
     shape = lead + tuple(cards)
     table = spec["table"]
+    kind = "reward" if lead_card is None else "cpt"
     # numpy would also read nested arrays, booleans and numeric strings
     if not isinstance(table, list) or any(type(x) not in (int, float) for x in table):
-        kind = "reward" if lead_card is None else "cpt"
         raise DocumentError(f"{kind} table of {owner!r} must be a flat array of numbers")
-    flat = np.asarray(table, dtype=float)
+    try:
+        flat = np.asarray(table, dtype=float)
+    except OverflowError:
+        raise DocumentError(f"{kind} table of {owner!r} holds a number too large") from None
     expected = math.prod(shape)
     if flat.size != expected:
         raise DocumentError(f"table for {owner!r} has {flat.size} entries, "

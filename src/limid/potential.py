@@ -22,7 +22,8 @@ once per combination.
 signature y -> floor(log_alpha P(y)), with a distinct sentinel for zero
 entries.  Any two members sharing a signature dominate each other within a
 pointwise factor alpha, so every pruned member stays alpha-covered by a
-survivor.
+survivor.  Members are grouped on an exact key that packs their signatures
+into ``int64`` words.
 
 Arrays handed to the :class:`PotentialSet` constructor are copied and
 checked, so no caller can change a set afterwards.  Every other set is
@@ -51,8 +52,8 @@ _LOG_SNAP = 1e-12
 #: the error for entries outside [0, inf)
 _BAD_ENTRIES = "potential set entries must be nonnegative and finite"
 
-#: entries per row chunk of covering's signature pass, which bounds its float
-#: temporaries; a set of at most this many entries skips the row key
+#: entries per row chunk of covering's passes (signatures, then their packed
+#: keys), which bounds their temporaries
 _CHUNK_ENTRIES = 1 << 14
 
 
@@ -223,10 +224,9 @@ def covering(k: PotentialSet, alpha: float) -> tuple[PotentialSet, CoveringStats
     per assignment (zero entries get their own sentinel); the first member
     of each bucket survives, in input order.  Signatures are computed in row
     chunks of ``_CHUNK_ENTRIES`` entries into one ``int64`` matrix, so the
-    float temporaries stay bounded.  A set larger than one chunk is grouped
-    on a 64-bit key per signature row, and the groups are checked exactly
-    against the rows; on any collision, and for sets within one chunk, rows
-    are grouped as raw bytes.  When every member survives, ``k`` itself is
+    float temporaries stay bounded.  Rows are grouped on an exact key that
+    packs each row's signatures into ``int64`` words (:func:`_first_rows`),
+    whatever the set's size.  When every member survives, ``k`` itself is
     returned.  The returned stats carry the guaranteed cap
     ``(1 - floor(log_alpha t)) ** assignments`` on the number of survivors,
     valid whenever all entries are positive and at most one.
@@ -235,8 +235,8 @@ def covering(k: PotentialSet, alpha: float) -> tuple[PotentialSet, CoveringStats
         raise ValueError("alpha must be greater than 1")
     n = len(k)
     eta = math.prod(k.cards)
-    if n == 0:
-        return k, CoveringStats()
+    if n < 2:  # nothing to prune
+        return k, covering_bound(k, alpha)
     sig, smallest = _signatures(k.values.reshape(n, eta), alpha)
     keep = _first_rows(sig)
     del sig  # freed before the survivors are gathered, to lower the peak
@@ -296,49 +296,35 @@ def _signatures(flat: np.ndarray, alpha: float) -> tuple[np.ndarray, float]:
     return sig, smallest
 
 
-def _key_multipliers(width: int) -> np.ndarray:
-    """Fixed odd 64-bit multipliers, one per signature column."""
-    return np.random.default_rng(width).integers(2**64, size=width, dtype=np.uint64) | np.uint64(1)
-
-
-def _row_keys(sig: np.ndarray) -> np.ndarray:
-    """One ``uint64`` key per row of ``sig``.
-
-    Every entry is mixed before the columns are summed: with a plain
-    multiply-add key the zero sentinel -2**63 maps to 2**63 under any odd
-    multiplier, so rows differing only in where their zeros sit would collide.
-    """
-    u = sig.view(np.uint64)
-    key = np.zeros(len(u), dtype=np.uint64)
-    for j, mult in enumerate(_key_multipliers(u.shape[1])):
-        h = u[:, j] ^ (u[:, j] >> np.uint64(31))
-        h *= mult
-        h ^= h >> np.uint64(29)
-        h *= np.uint64(0xBF58476D1CE4E5B9)
-        h ^= h >> np.uint64(32)
-        key += h
-    return key
-
-
 def _first_rows(sig: np.ndarray) -> np.ndarray:
-    """Ascending indices of the first occurrence of every distinct row of ``sig``."""
-    if sig.size > _CHUNK_ENTRIES:
-        keys = _row_keys(sig)
-        # an unstable sort groups equal keys; each group's least row is its first
-        order = np.argsort(keys)
-        keys = keys[order]
-        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-        del keys
-        first = np.minimum.reduceat(order, starts)
-        # a key group is one signature only if every row equals the group's first
-        # row; both are taken in sorted order, so no inverse map is built
-        owner = np.repeat(first, np.diff(starts, append=len(order)))
-        if all(np.array_equal(sig[order[rows]], sig[owner[rows]]) for rows in _chunks(sig)):
-            return np.sort(first)
-    # one opaque byte string per row: np.unique(sig, axis=0) forms the same groups
-    # but compares rows field by field, several times slower
-    rows = sig.view(np.dtype((np.void, sig.itemsize * sig.shape[1]))).ravel()
-    return np.sort(np.unique(rows, return_index=True)[1])
+    """Ascending indices of the first occurrence of every distinct row of ``sig``.
+
+    An entry's code is 0 for the zero sentinel and ``s - lo + 1`` for a
+    signature ``s``, with ``lo`` and ``hi`` the least and greatest of the
+    others; ``63 // bits`` codes of ``bits = (hi - lo + 1).bit_length()`` pack
+    into each ``int64`` word (finite entries keep ``hi - lo`` below 2**63), so
+    rows are equal exactly when their words are.  Codes are made a row chunk
+    at a time, so their temporaries stay bounded.
+    """
+    hi = int(sig.max())
+    # the sentinel is the least int64 and never sets hi; read as hi, it never sets lo
+    lo = min(int(np.where(sig[rows] == _ZERO_SENTINEL, hi, sig[rows]).min())
+             for rows in _chunks(sig))
+    bits = (hi - lo + 1).bit_length()
+    per = 63 // bits
+    column = np.arange(sig.shape[1])
+    words = np.empty((len(sig), -(-sig.shape[1] // per)), dtype=np.int64)
+    for rows in _chunks(sig):
+        code = sig[rows] - lo  # wraps on the sentinel, whose code is then set to 0
+        code += 1
+        code[sig[rows] == _ZERO_SENTINEL] = 0
+        code <<= bits * (column % per)
+        np.bitwise_or.reduceat(code, column[::per], axis=1, out=words[rows])
+    order = np.argsort(words[:, 0]) if words.shape[1] == 1 else np.lexsort(words.T)
+    words = words[order]
+    starts = np.flatnonzero(np.concatenate(([True], (words[1:] != words[:-1]).any(axis=1))))
+    # an unstable sort leaves a group in any order; its least index is its first row
+    return np.sort(np.minimum.reduceat(order, starts))
 
 
 def is_covering(k: PotentialSet, kprime: PotentialSet, alpha: float,

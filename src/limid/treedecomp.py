@@ -14,7 +14,7 @@ one, so no exact ordering search is made.
 from __future__ import annotations
 
 import dataclasses
-from collections import Counter
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -294,14 +294,21 @@ def ensure_value_leaves(d: InfluenceDiagram, t: TreeDecomposition) -> TreeDecomp
     clusters = [set(c) for c in t.clusters]
     claimed: dict[int, str] = {}
     leaf_of: dict[str, int] = {}
+    # childless, unclaimed nodes by cluster in ascending id order; a node is claimed
+    # only when taken from its queue, and one that gained children is dropped there
+    free: defaultdict[frozenset[str], deque[int]] = defaultdict(deque)
+    for i in range(t.n):
+        if not children[i]:
+            free[frozenset(clusters[i])].append(i)
     # splits only copy clusters to higher ids, so input homes stay the smallest
     home = homes(d, t)
     for v in sorted(d.value_ids):
-        pa = set(d.family(v))
-        free = [i for i in children
-                if not children[i] and clusters[i] == pa and i not in claimed]
-        if free:
-            leaf = min(free)
+        pa = frozenset(d.family(v))
+        queue = free[pa]
+        while queue and children[queue[0]]:
+            queue.popleft()
+        if queue:
+            leaf = queue.popleft()
         else:
             i = home[v]
             if i is None:
@@ -321,6 +328,9 @@ def ensure_value_leaves(d: InfluenceDiagram, t: TreeDecomposition) -> TreeDecomp
                 moved = claimed.pop(i)
                 claimed[twin] = moved
                 leaf_of[moved] = twin
+            elif not children[twin]:
+                # the largest id yet, so its queue stays in ascending order
+                free[frozenset(clusters[twin])].append(twin)
         claimed[leaf] = v
         leaf_of[v] = leaf
 

@@ -387,6 +387,19 @@ def test_bad_numbers_name_the_variable_and_field(capsys, tmp_path, doc, where):
     assert err.startswith(f"limid: {where} ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", [["validate"], ["solve", "--exact"], ["reduce"], ["oracle"]])
+@pytest.mark.parametrize("doc, where", [
+    (one_reward_document(reward=(0, 10**400)), "reward table of 'v'"),
+    (one_reward_document(cpt=(10**400, 0)), "cpt table of 'c'"),
+], ids=["reward", "cpt"])
+def test_an_integer_too_large_for_a_float_names_the_table(capsys, tmp_path, command, doc, where):
+    path = write(tmp_path, "big.json", json.dumps(doc))
+    code, out, err = run(capsys, *command, path)
+    assert code == 1
+    assert out == ""
+    assert err == f"limid: {where} holds a number too large\n"
+
+
 @pytest.mark.parametrize("command", [["validate"], ["oracle"], ["solve", "--exact"]])
 def test_a_nan_cpt_entry_is_a_violation_naming_the_variable(capsys, tmp_path, command):
     doc = json.loads(serialize(pick_diagram()))

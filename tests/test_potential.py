@@ -472,14 +472,11 @@ def reference_survivors(values: np.ndarray, alpha: float) -> np.ndarray:
     return reference_first_rows(sig)
 
 
-@pytest.mark.parametrize("collide", [False, True])
-def test_covering_matches_the_direct_formula(rng, monkeypatch, collide):
-    # small chunks put these sets on the chunked, keyed path
-    monkeypatch.setattr(limid.potential, "_CHUNK_ENTRIES", 40)
-    if collide:
-        # every row gets the same key, so every set must fall back to byte rows
-        monkeypatch.setattr(limid.potential, "_key_multipliers",
-                            lambda width: np.zeros(width, dtype=np.uint64))
+@pytest.mark.parametrize("chunked", [False, True])
+def test_covering_matches_the_direct_formula(rng, monkeypatch, chunked):
+    if chunked:
+        # small chunks spread the signature pass over many row chunks
+        monkeypatch.setattr(limid.potential, "_CHUNK_ENTRIES", 40)
     for trial in range(24):
         # coarse entries and zeros: many rows share a signature
         k = random_set(rng, {"a": 2, "b": 3}, n=int(rng.integers(8, 300)), zeros=True)
@@ -491,34 +488,73 @@ def test_covering_matches_the_direct_formula(rng, monkeypatch, collide):
             assert pruned.values.tobytes() == k.values[want].tobytes()
 
 
-@pytest.mark.parametrize("multipliers", ["mixed", "first column only", "all colliding"])
-def test_first_rows_match_a_unique_reference(rng, monkeypatch, multipliers):
-    if multipliers == "first column only":
-        # rows differing only after their first column collide on the key
-        monkeypatch.setattr(limid.potential, "_key_multipliers",
-                            lambda width: np.eye(1, width, dtype=np.uint64)[0])
-    elif multipliers == "all colliding":
-        monkeypatch.setattr(limid.potential, "_key_multipliers",
-                            lambda width: np.zeros(width, dtype=np.uint64))
+@pytest.mark.parametrize("rows", ["mixed", "first column only", "all colliding"])
+def test_first_rows_match_a_unique_reference(rng, rows):
     for trial in range(12):
         width = int(rng.integers(1, 6))
         pool = rng.integers(-4, 2, size=(int(rng.integers(1, 40)), width))
+        if rows == "first column only":
+            # rows that agree after their first column
+            pool[:, 1:] = pool[0, 1:]
+        elif rows == "all colliding":
+            # one signature in every column, rows told apart by their zeros only
+            pool[:] = pool[0, 0]
         pool[rng.uniform(size=pool.shape) < 0.2] = np.iinfo(np.int64).min
-        # heavily duplicated rows, past one chunk so the key path runs
-        n = limid.potential._CHUNK_ENTRIES // width + int(rng.integers(1, 5000))
-        sig = pool[rng.integers(len(pool), size=n)]
+        # heavily duplicated rows
+        sig = pool[rng.integers(len(pool), size=int(rng.integers(1, 20_000)))]
         got = limid.potential._first_rows(sig)
         assert got.tolist() == reference_first_rows(sig).tolist()
 
 
+def codes_per_word(sig: np.ndarray) -> int:
+    """How many signature codes the packed key fits into one 64-bit word."""
+    signatures = sig[sig != np.iinfo(np.int64).min]
+    return 63 // (int(signatures.max()) - int(signatures.min()) + 1).bit_length()
+
+
+def duplicated_rows(rng, pool: np.ndarray, n: int) -> np.ndarray:
+    """``n`` rows drawn from ``pool``, some zeroed, followed by copies of its
+    first row with one entry changed in each column."""
+    rows = pool[rng.integers(len(pool), size=n)]
+    rows[rng.uniform(size=rows.shape) < 0.1] = 0.0
+    variants = np.repeat(pool[:1], pool.shape[1], axis=0)
+    variants[np.diag_indices(pool.shape[1])] = pool[1, 0]
+    return np.concatenate([rows, variants])
+
+
+@pytest.mark.parametrize("case", ["single member", "all zero", "above one",
+                                  "extreme alpha", "several words"])
+def test_packed_keys_match_the_reference(rng, case):
+    alpha = 1.3
+    if case == "single member":
+        values = rng.uniform(size=(1, 4))
+    elif case == "all zero":
+        values = np.zeros((5, 3))
+    elif case == "above one":
+        values = duplicated_rows(rng, rng.uniform(1.0, 1e6, size=(20, 6)), 300)
+    elif case == "extreme alpha":
+        alpha = 1 + 1e-15
+        values = duplicated_rows(rng, 10.0 ** rng.uniform(-300, 300, size=(20, 4)), 300)
+    else:
+        alpha = 1.01
+        values = duplicated_rows(rng, rng.uniform(1e-6, 1.0, size=(30, 40)), 500)
+    sig = limid.potential._signatures(values, alpha)[0]
+    if case == "extreme alpha":
+        assert codes_per_word(sig) == 1
+    elif case == "several words":
+        assert 2 * codes_per_word(sig) < 40  # three words or more
+    assert limid.potential._first_rows(sig).tolist() == reference_first_rows(sig).tolist()
+    k = PotentialSet(("a",), values.shape[1:], values, ("d",), np.arange(len(values))[:, None])
+    assert covering(k, alpha)[0].policies[:, 0].tolist() == \
+        reference_survivors(values, alpha).tolist()
+
+
 def test_rows_differing_only_in_their_zeros_get_distinct_keys():
-    # every zero pattern over nine entries of one signature: a plain multiply-add
-    # key maps the zero sentinel to 2**63 in every column, and these would collide
+    # every zero pattern over nine entries of one signature: only a code of its
+    # own for the zero sentinel keeps all 512 rows apart
     patterns = (np.arange(512)[:, None] >> np.arange(9)) & 1
     for filler in (1.0, 0.5, 1e-9):
         k = PotentialSet(("a",), (9,), patterns * filler)
-        sig = limid.potential._signatures(k.values, 2.0)[0]
-        assert len(np.unique(limid.potential._row_keys(sig))) == 512
         assert len(covering(k, 2.0)[0]) == 512
 
 

@@ -196,6 +196,21 @@ def test_two_value_nodes_sharing_a_covering_node():
     assert validate_decomposition(d, got) == []
 
 
+def test_a_twin_left_by_a_split_becomes_a_later_free_leaf():
+    # v1's split copies the lone leaf {a, b} into a childless twin, which is
+    # then exactly the parent set of v2
+    d = InfluenceDiagram(
+        [Variable("a", "chance", 2), Variable("b", "chance", 2),
+         Variable("v1", "value"), Variable("v2", "value")],
+        [("a", "v1"), ("a", "v2"), ("b", "v2")],
+        {"a": [0.5, 0.5], "b": [0.5, 0.5]}, {"v1": [0.0, 1.0], "v2": np.eye(2)})
+    t = TreeDecomposition((("a", "b"),), ())
+    got = ensure_value_leaves(d, t)
+    assert got.clusters == (("a", "b"), ("a", "b"), ("a",))
+    assert got.value_leaf_map == {"v1": 2, "v2": 1}
+    assert validate_decomposition(d, got) == []
+
+
 def test_no_value_variables_is_identity():
     d = chain_diagram()
     t = build_decomposition(d)
