@@ -40,6 +40,7 @@ from .treedecomp import (
 )
 from .reduction import (
     ReductionResult,
+    minimal_diagram,
     normalize_utilities,
     reduce_to_single_value,
     utility_bounds,
@@ -85,6 +86,7 @@ __all__ = [
     "enumerate_pure_policies",
     "expected_utility",
     "is_covering",
+    "minimal_diagram",
     "normalize_utilities",
     "pure_policy",
     "pure_policy_count",

@@ -20,21 +20,32 @@ The accompanying decomposition transform inserts W_i, O_i, O_{i-1} into
 the leaf assigned to V_i and threads O_{i-1} through every node the Euler
 tour visits between consecutive value leaves, restoring running
 intersection while growing no cluster by more than three variables.
+
+Before any of that, :func:`minimal_diagram` strips what cannot change the
+maximum expected utility: decision parents that are d-separated from the
+decision's value descendants given the rest of its family, and variables
+with no value descendant (Lauritzen & Nilsson, "Representing and Solving
+Decision Problems with Limited Information", 2001).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .model import (
     CHANCE,
+    DECISION,
     VALUE,
     InfluenceDiagram,
     InstanceTooLargeError,
+    Policy,
+    Strategy,
     Variable,
     _joint_states,
+    pure_policy,
 )
 from .treedecomp import TreeDecomposition
 
@@ -211,3 +222,106 @@ def normalize_utilities(d: InfluenceDiagram) -> tuple[InfluenceDiagram, float, f
     normalized = InfluenceDiagram(d.variables, d.arcs, d.cpts,
                                   {v: (table - offset) / scale})
     return normalized, offset, scale
+
+
+# -- minimal diagram ------------------------------------------------------------
+
+def _ancestors(parents: dict[str, set[str]], targets: set[str]) -> set[str]:
+    """``targets`` and every variable with a directed path into one of them."""
+    found, stack = set(targets), list(targets)
+    while stack:
+        for p in parents[stack.pop()]:
+            if p not in found:
+                found.add(p)
+                stack.append(p)
+    return found
+
+
+def _requisite_parents(parents: dict[str, set[str]], children: dict[str, set[str]],
+                       values: set[str], dec: str) -> set[str]:
+    """Parents of ``dec`` not d-separated from its value descendants given the
+    rest of its family.
+
+    The test runs on the moral graph of the value descendants' ancestors,
+    which hold the whole family.  A parent is requisite when some path there
+    joins it to a value descendant without meeting another member of the
+    family, so one search from the value descendants, stopped at the family,
+    finds every requisite parent at once.
+    """
+    below, stack = set(), [dec]
+    while stack:
+        for c in children[stack.pop()]:
+            if c not in below:
+                below.add(c)
+                stack.append(c)
+    targets = below & values
+    ancestral = _ancestors(parents, targets)
+    family = parents[dec] | {dec}
+    reached, seen, stack = set(), set(targets), list(targets)
+    while stack:
+        x = stack.pop()
+        kids = children[x] & ancestral
+        for y in parents[x].union(kids, *(parents[k] for k in kids)):
+            if y in family:
+                reached.add(y)
+            elif y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return reached & parents[dec]
+
+
+def minimal_diagram(d: InfluenceDiagram
+                    ) -> tuple[InfluenceDiagram, Callable[[Strategy], Strategy]]:
+    """The minimal diagram of a valid ``d``, and the lift of its strategies to ``d``.
+
+    Two rules run until neither changes anything: every arc n -> D into a
+    decision goes whose n is d-separated from the value variables below D
+    given D and its other parents, then every chance or decision variable
+    with no value descendant goes.  Neither rule changes the maximum
+    expected utility.  ``lift`` widens each kept policy over the parents its
+    decision lost, constant along them, and gives each dropped decision its
+    first pure policy: the lifted strategy is worth on ``d`` exactly what
+    the strategy is worth on the minimal diagram.  A diagram with nothing
+    to drop comes back as is, with a lift that returns its argument.
+    """
+    parents = {v.id: set(d.parents(v.id)) for v in d.variables}
+    values = set(d.value_ids)
+    changed = False
+    while True:
+        children: dict[str, set[str]] = {x: set() for x in parents}
+        for x, ps in parents.items():
+            for p in ps:
+                children[p].add(x)
+        requisite = {x: _requisite_parents(parents, children, values, x)
+                     for x in parents if parents[x] and d.kind(x) == DECISION}
+        dropped = {x: keep for x, keep in requisite.items() if keep != parents[x]}
+        parents.update(dropped)
+        useful = _ancestors(parents, values)
+        if not dropped and len(useful) == len(parents):
+            break
+        changed = True
+        parents = {x: ps for x, ps in parents.items() if x in useful}
+    if not changed:
+        return d, lambda s: s
+
+    minimal = InfluenceDiagram(
+        [v for v in d.variables if v.id in parents],
+        [(p, x) for x, ps in parents.items() for p in ps],
+        {x: d.cpt(x) for x in d.chance_ids if x in parents}, d.rewards)
+
+    def lift(s: Strategy) -> Strategy:
+        policies = []
+        for dec in d.decision_ids:
+            if dec not in parents:
+                policies.append(pure_policy(d, dec, 0))
+                continue
+            policy = s.policy_for(dec)
+            full = d.parents(dec)
+            cards = (d.cardinality(dec),) + tuple(d.cardinality(q) for q in full)
+            kept = (cards[0],) + tuple(c if q in parents[dec] else 1
+                                       for q, c in zip(full, cards[1:]))
+            table = np.broadcast_to(policy.table.reshape(kept), cards)
+            policies.append(Policy(dec, full, table))
+        return Strategy(policies)
+
+    return minimal, lift

@@ -43,7 +43,12 @@ from .potential import (
     covering,
     covering_bound,
 )
-from .reduction import ReductionResult, normalize_utilities, reduce_to_single_value
+from .reduction import (
+    ReductionResult,
+    minimal_diagram,
+    normalize_utilities,
+    reduce_to_single_value,
+)
 from .treedecomp import (
     TreeDecomposition,
     binarize,
@@ -342,25 +347,35 @@ def solve_full(d: InfluenceDiagram, cfg: SolverConfig,
                decomposition: TreeDecomposition | None = None) -> SolverResult:
     """Full pipeline on an arbitrary diagram.
 
-    Validates the diagram, shapes a decomposition and merges the value
-    variables (:func:`shape_and_reduce`), normalizes the utilities, solves,
-    and maps the value back to the original utility scale.  The returned
-    strategy covers exactly the original decision variables.
+    Validates the diagram, reduces it to its minimal diagram
+    (:func:`~limid.reduction.minimal_diagram`) with a supplied decomposition
+    checked against ``d`` and restricted to the kept variables, shapes a
+    decomposition and merges the value variables (:func:`shape_and_reduce`),
+    normalizes the utilities, solves, and maps the value back to the
+    original utility scale.  The strategy is lifted back to ``d``: it covers
+    exactly the original decision variables, with their original parents.
+    ``stats`` describe the solve of the minimal diagram.
     """
     started = time.perf_counter()
     problems = validate_diagram(d)
     if problems:
         raise ValueError("invalid diagram: " + "; ".join(problems))
 
-    if not d.value_ids:
+    minimal, lift = minimal_diagram(d)
+    if not minimal.value_ids:
         # no rewards anywhere: every strategy has expected utility zero
-        strategy = Strategy(pure_policy(d, dec, 0) for dec in d.decision_ids)
         stats = SolveStats(0, 1.0, time.perf_counter() - started)
-        return SolverResult(0.0, strategy, stats)
-
-    reduced = shape_and_reduce(d, decomposition)
+        return SolverResult(0.0, lift(Strategy(())), stats)
+    if decomposition is not None and minimal is not d:
+        problems = validate_decomposition(d, decomposition)
+        if problems:
+            raise ValueError("invalid decomposition: " + "; ".join(problems))
+        # families only shrink, so the restriction stays a valid decomposition
+        decomposition = replace(decomposition, clusters=tuple(
+            tuple(v for v in c if minimal.has_variable(v)) for c in decomposition.clusters))
+    reduced = shape_and_reduce(minimal, decomposition)
     normalized, offset, scale = normalize_utilities(reduced.diagram)
     result = solve(normalized, reduced.decomposition, cfg)
     value = offset + scale * result.value
     stats = replace(result.stats, wall_time=time.perf_counter() - started)
-    return SolverResult(value, result.strategy, stats)
+    return SolverResult(value, lift(result.strategy), stats)

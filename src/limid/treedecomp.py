@@ -14,6 +14,7 @@ one, so no exact ordering search is made.
 from __future__ import annotations
 
 import dataclasses
+import heapq
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -165,20 +166,30 @@ def build_decomposition(d: InfluenceDiagram) -> TreeDecomposition:
 
     The vertex needing the fewest fill edges goes next (ties to the smallest
     id).  It leaves the bag of itself and its remaining neighbors, and that
-    bag hangs off the bag of the neighbor eliminated next.
+    bag hangs off the bag of the neighbor eliminated next.  Fill counts sit
+    in a heap keyed on (fill, id); an elimination changes only the counts of
+    its neighbors and of their neighbors, which are pushed again, and an
+    entry whose count is no longer current is skipped when it comes up.
     """
     work = moral_graph(d)
     if not work:
         return TreeDecomposition(((),), ())
 
     def fill(v: str) -> int:
-        nb = sorted(work[v])
-        return sum(1 for i, a in enumerate(nb) for b in nb[i + 1:] if b not in work[a])
+        nb = work[v]
+        # a neighbor misses itself and each neighbor it has no edge to, so
+        # every missing edge is counted from both of its ends
+        return (sum(len(nb - work[a]) for a in nb) - len(nb)) // 2
 
+    fills = {v: fill(v) for v in work}
+    heap = [(f, v) for v, f in fills.items()]
+    heapq.heapify(heap)
     order: list[str] = []
     neighbors: list[list[str]] = []
     while work:
-        v = min(work, key=lambda u: (fill(u), u))
+        f, v = heapq.heappop(heap)
+        if v not in work or fills[v] != f:
+            continue
         nb = sorted(work.pop(v))
         for a in nb:
             work[a].update(nb)
@@ -186,6 +197,11 @@ def build_decomposition(d: InfluenceDiagram) -> TreeDecomposition:
             work[a].discard(v)
         order.append(v)
         neighbors.append(nb)
+        for u in set(nb).union(*(work[a] for a in nb)):
+            f = fill(u)
+            if f != fills[u]:
+                fills[u] = f
+                heapq.heappush(heap, (f, u))
     position = {v: i for i, v in enumerate(order)}
     edges = [(i, min(position[u] for u in nb)) for i, nb in enumerate(neighbors) if nb]
     # a disconnected moral graph yields one subtree per component: chain them

@@ -486,3 +486,41 @@ def test_a_deep_chain_solves_and_reduces(capsys, tmp_path):
     assert json.loads(out)["value"] == pytest.approx(meu, abs=1e-9)
     code, out, _ = run(capsys, "reduce", path)
     assert code == 0 and json.loads(out)["reduction"]["value_count"] == 1
+
+
+def sighted_document(clusters, edges) -> dict:
+    """``d`` sees ``n`` and ``x`` but only ``x`` bears on its reward, and ``b``
+    bears on nothing, so solving drops ``n`` and ``b``; with a decomposition."""
+    return {"variables": [{"id": x, "kind": "chance", "cardinality": 2} for x in "bnx"]
+                         + [{"id": "d", "kind": "decision", "cardinality": 2},
+                            {"id": "v", "kind": "value"}],
+            "arcs": [["n", "d"], ["x", "d"], ["d", "v"], ["x", "v"]],
+            "cpts": {"b": {"parents": [], "table": [0.5, 0.5]},
+                     "n": {"parents": [], "table": [0.5, 0.5]},
+                     "x": {"parents": [], "table": [0.25, 0.75]}},
+            # 1 for d = x = 0, 0.5 for d = x = 1
+            "rewards": {"v": {"parents": ["d", "x"], "table": [1.0, 0.0, 0.0, 0.5]}},
+            "decomposition": {"clusters": clusters, "edges": edges}}
+
+
+def test_a_supplied_decomposition_naming_dropped_variables_solves(capsys, tmp_path):
+    # restricted to the kept variables, the clusters ["n"] and ["b"] are empty
+    doc = sighted_document([["d", "n", "x"], ["n"], ["b"]], [[0, 1], [1, 2]])
+    path = write(tmp_path, "sighted.json", json.dumps(doc))
+    for argv in (["--exact"], ["--epsilon", "0.5"]):
+        code, out, _ = run(capsys, "solve", *argv, path)
+        assert code == 0
+        got = json.loads(out)
+        assert got["value"] == pytest.approx(0.625, abs=1e-12)
+        # over the original parents, constant along n: d follows x
+        assert got["strategy"] == {"d": {"parents": ["n", "x"],
+                                         "table": [1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0]}}
+
+
+def test_a_supplied_decomposition_is_checked_against_the_original_diagram(capsys, tmp_path):
+    # no cluster holds b, which solving drops: the document is still refused
+    doc = sighted_document([["d", "n", "x"]], [])
+    path = write(tmp_path, "sighted.json", json.dumps(doc))
+    code, out, err = run(capsys, "solve", "--exact", path)
+    assert code == 1 and out == ""
+    assert err == "limid: invalid decomposition: family of 'b' not covered by any cluster\n"

@@ -1,18 +1,25 @@
 import numpy as np
 import pytest
 
+import limid.reduction
+import limid.solver
 from limid import (
     InfluenceDiagram,
     Variable,
+    brute_force_meu,
     expected_utility,
+    pure_policy,
     validate_diagram,
 )
+from limid.cli import generate_diagram
 from limid.reduction import (
+    minimal_diagram,
     normalize_utilities,
     reduce_to_single_value,
     utility_bounds,
     verify_chain_identity,
 )
+from limid.solver import SolverConfig, solve_full
 from limid.treedecomp import (
     binarize,
     build_decomposition,
@@ -192,3 +199,151 @@ def test_normalize_commutes_with_expectation(rng):
 def test_normalize_rejects_multiple_values():
     with pytest.raises(ValueError):
         normalize_utilities(two_agent_diagram())
+
+
+# -- minimal diagram ---------------------------------------------------------------------
+
+def informed_diagram():
+    """``d`` sees ``x`` and ``n``, but only ``x`` bears on the reward ``v`` below
+    ``d``; ``n`` pays out through ``v2`` beside it.  Nothing below the chain
+    ``b -> e -> f`` is rewarded.  Every number is a dyadic fraction, so every
+    evaluation is exact."""
+    return InfluenceDiagram(
+        [Variable("b", "chance", 2), Variable("d", "decision", 2),
+         Variable("e", "decision", 2), Variable("f", "chance", 2),
+         Variable("n", "chance", 2), Variable("x", "chance", 2),
+         Variable("v", "value"), Variable("v2", "value")],
+        [("x", "d"), ("n", "d"), ("d", "v"), ("x", "v"), ("n", "v2"),
+         ("b", "e"), ("e", "f")],
+        {"b": [0.5, 0.5], "f": [[0.75, 0.25], [0.25, 0.75]],
+         "n": [0.5, 0.5], "x": [0.25, 0.75]},
+        # v over (d, x): guess x to earn 1 or 0.5
+        {"v": [[1.0, 0.0], [0.25, 0.5]], "v2": [0.5, 0.75]})
+
+
+def test_minimal_diagram_drops_a_non_requisite_parent_and_a_barren_chain():
+    d = informed_diagram()
+    minimal, _ = minimal_diagram(d)
+    assert [v.id for v in minimal.variables] == ["d", "n", "v", "v2", "x"]
+    assert minimal.parents("d") == ("x",)
+    assert minimal.arcs == (("d", "v"), ("n", "v2"), ("x", "d"), ("x", "v"))
+    assert np.array_equal(minimal.cpt("x"), d.cpt("x"))
+
+
+def test_the_lifted_strategy_is_worth_the_returned_value():
+    d = informed_diagram()
+    got = solve_full(d, SolverConfig(epsilon=0.0))
+    # x = 0 (1/4): d = 0 earns 1; x = 1 (3/4): d = 1 earns 1/2; v2 adds 5/8
+    assert got.value == 1.25
+    assert expected_utility(d, got.strategy) == got.value
+    assert brute_force_meu(d)[0] == got.value
+    assert [(p.decision, p.parents) for p in got.strategy.policies] == \
+           [("d", ("n", "x")), ("e", ("b",))]
+    # constant along the dropped n: the action follows x alone
+    assert got.strategy.policy_for("d").table[1].tolist() == [[0.0, 1.0], [0.0, 1.0]]
+    assert np.array_equal(got.strategy.policy_for("e").table, pure_policy(d, "e", 0).table)
+
+
+def test_a_parent_seen_through_an_observed_collider_stays():
+    # n -> c <- h -> v: observing c opens the path from n to the reward
+    d = InfluenceDiagram(
+        [Variable("c", "chance", 2), Variable("d", "decision", 2),
+         Variable("h", "chance", 2), Variable("n", "chance", 2), Variable("v", "value")],
+        [("n", "c"), ("h", "c"), ("c", "d"), ("n", "d"), ("h", "v"), ("d", "v")],
+        {"c": np.full((2, 2, 2), 0.5), "h": [0.5, 0.5], "n": [0.5, 0.5]},
+        {"v": [[1.0, 0.0], [0.0, 1.0]]})
+    minimal, lift = minimal_diagram(d)
+    assert minimal is d
+    assert minimal.parents("d") == ("c", "n")
+
+
+def _reference_minimal(d):
+    """Parents per variable of the minimal diagram by the textbook route: one
+    arc at a time, each tested on the moral graph of its own ancestral set."""
+    parents = {v.id: set(d.parents(v.id)) for v in d.variables}
+    values = set(d.value_ids)
+
+    def ancestors(nodes):
+        found, stack = set(nodes), list(nodes)
+        while stack:
+            for p in parents[stack.pop()] - found:
+                found.add(p)
+                stack.append(p)
+        return found
+
+    def separated(n, targets, given):
+        adj = {x: set() for x in ancestors({n} | targets | given)}
+        for x in adj:
+            for p in parents[x]:
+                adj[x].add(p)
+                adj[p] |= parents[x] - {p} | {x}
+        seen, stack = {n}, [n]
+        while stack:
+            for y in adj[stack.pop()] - given - seen:
+                if y in targets:
+                    return False
+                seen.add(y)
+                stack.append(y)
+        return True
+
+    def below(x):
+        kids = {c for c in parents if x in parents[c]}
+        return kids.union(*map(below, kids))
+
+    while True:
+        arc = next(((n, dec) for dec in sorted(x for x in parents if x in d.decision_ids)
+                    for n in sorted(parents[dec])
+                    if separated(n, below(dec) & values, parents[dec] - {n} | {dec})), None)
+        if arc is not None:
+            parents[arc[1]].discard(arc[0])
+            continue
+        useful = ancestors(values)
+        if len(useful) == len(parents):
+            return parents
+        parents = {x: ps for x, ps in parents.items() if x in useful}
+
+
+@pytest.mark.parametrize("pool", [
+    lambda s: small_random_diagram(s, max_values=3),
+    lambda s: generate_diagram(12, 5, 3, 2, 3, s, decision_max_parents=2),
+    lambda s: generate_diagram(10, 6, 3, 3, 3, s),
+], ids=["corpus", "hard", "dense"])
+def test_minimal_diagram_matches_the_arc_by_arc_reference(pool):
+    for seed in range(40):
+        d = pool(seed)
+        minimal, _ = minimal_diagram(d)
+        assert {v.id: set(minimal.parents(v.id)) for v in minimal.variables} == \
+               _reference_minimal(d), seed
+
+
+def test_lift_keeps_every_strategy_value(rng):
+    changed = 0
+    for seed in range(40):
+        d = small_random_diagram(seed, max_values=3)
+        minimal, lift = minimal_diagram(d)
+        changed += minimal is not d
+        for _ in range(4):
+            s = random_strategy(minimal, rng)
+            assert expected_utility(d, lift(s)) == pytest.approx(
+                expected_utility(minimal, s), abs=1e-12)
+    assert changed
+
+
+def test_a_diagram_with_nothing_to_drop_comes_back_as_is():
+    d = two_agent_diagram()
+    minimal, lift = minimal_diagram(d)
+    s = random_strategy(d, np.random.default_rng(1))
+    assert minimal is d and lift(s) is s
+
+
+def test_the_oracles_never_call_the_reduction(monkeypatch):
+    def refuse(d):
+        raise AssertionError("the reduction ran")
+
+    monkeypatch.setattr(limid.reduction, "minimal_diagram", refuse)
+    monkeypatch.setattr(limid.solver, "minimal_diagram", refuse)
+    d = informed_diagram()
+    value, strategy = brute_force_meu(d)
+    assert expected_utility(d, strategy) == value == 1.25
+    with pytest.raises(AssertionError, match="the reduction ran"):
+        solve_full(d, SolverConfig(epsilon=0.0))

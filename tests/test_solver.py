@@ -13,7 +13,8 @@ from limid import (
     pure_policy,
 )
 from limid.cli import generate_diagram
-from limid.solver import SolverConfig, assign_factors, solve, solve_full
+from limid.reduction import normalize_utilities
+from limid.solver import SolverConfig, assign_factors, shape_and_reduce, solve, solve_full
 from limid.treedecomp import (
     TreeDecomposition,
     binarize,
@@ -137,17 +138,42 @@ def test_max_set_size_reports_node():
 
 
 def test_cap_fires_before_the_product_is_built():
+    # the unreduced diagram: solve_full would strip it down to a few small sets
     d = generate_diagram(12, 5, 3, 2, 3, 0, decision_max_parents=2)
     tracemalloc.start()
     try:
+        reduced = shape_and_reduce(d)
         with pytest.raises(InstanceTooLargeError) as err:
-            solve_full(d, SolverConfig(epsilon=0.0, max_set_size=20000))
+            solve(normalize_utilities(reduced.diagram)[0], reduced.decomposition,
+                  SolverConfig(epsilon=0.0, max_set_size=20000))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert str(err.value) == \
         "set size 4782969 at node 7 (combination) exceeds the cap 20000"
     assert peak < 64 * 2**20
+
+
+def einsum_value(d, strategy):
+    """Expected utility of ``strategy`` on ``d`` by one ``np.einsum`` contraction
+    of every table per reward, apart from the library's evaluators."""
+    ids = {v: i for i, v in enumerate(sorted(d.chance_ids + d.decision_ids))}
+    factors = []
+    for var in d.chance_ids:
+        factors += [d.cpt(var), [ids[var]] + [ids[p] for p in d.parents(var)]]
+    for p in strategy.policies:
+        factors += [p.table, [ids[p.decision]] + [ids[q] for q in p.parents]]
+    return sum(float(np.einsum(*factors, d.reward(v), [ids[p] for p in d.parents(v)], [],
+                               optimize="greedy"))
+               for v in d.value_ids)
+
+
+def test_the_capped_hard_instance_solves_exactly_once_minimal():
+    d = generate_diagram(12, 5, 3, 2, 3, 0, decision_max_parents=2)
+    got = solve_full(d, SolverConfig(epsilon=0.0, max_set_size=20000))
+    assert [p.decision for p in got.strategy.policies] == list(d.decision_ids)
+    assert all(p.parents == d.parents(p.decision) for p in got.strategy.policies)
+    assert got.value == pytest.approx(einsum_value(d, got.strategy), abs=1e-9)
 
 
 def test_hard_solve_builds_no_per_node_initial_sets():

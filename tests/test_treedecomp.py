@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from limid import InfluenceDiagram, Variable
+from limid.cli import generate_diagram
 from limid.treedecomp import (
     TreeDecomposition,
     binarize,
@@ -9,6 +10,7 @@ from limid.treedecomp import (
     default_root,
     ensure_value_leaves,
     homes,
+    moral_graph,
     root_and_order,
     validate_decomposition,
 )
@@ -55,6 +57,40 @@ def test_two_agent_width_two_certified():
 
 def test_clique_width():
     assert build_decomposition(clique_diagram(4)).width() == 3
+
+
+def reference_min_fill(d):
+    """Min-fill by recounting every remaining vertex's fill at each step."""
+    work = moral_graph(d)
+
+    def fill(v):
+        nb = sorted(work[v])
+        return sum(1 for i, a in enumerate(nb) for b in nb[i + 1:] if b not in work[a])
+
+    order, neighbors = [], []
+    while work:
+        v = min(work, key=lambda u: (fill(u), u))
+        nb = sorted(work.pop(v))
+        for a in nb:
+            work[a].update(nb)
+            work[a].discard(a)
+            work[a].discard(v)
+        order.append(v)
+        neighbors.append(nb)
+    return order, neighbors
+
+
+@pytest.mark.parametrize("pool", [
+    small_random_diagram,
+    lambda s: generate_diagram(12, 5, 3, 2, 3, s, decision_max_parents=2),
+    lambda s: generate_diagram(30, 8, 3, 4, 5, s),
+], ids=["corpus", "hard", "dense"])
+def test_min_fill_eliminates_in_the_reference_order(pool):
+    for seed in range(30):
+        d = pool(seed)
+        order, neighbors = reference_min_fill(d)
+        bags = tuple(tuple(sorted([v] + nb)) for v, nb in zip(order, neighbors))
+        assert build_decomposition(d).clusters == bags, seed
 
 
 def test_empty_diagram_single_empty_cluster():
