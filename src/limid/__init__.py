@@ -51,7 +51,6 @@ from .solver import (
     SolveStats,
     SolverConfig,
     SolverResult,
-    assign_factors,
     solve,
     solve_full,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "Strategy",
     "TreeDecomposition",
     "Variable",
-    "assign_factors",
     "binarize",
     "brute_force_meu",
     "build_decomposition",

@@ -158,9 +158,6 @@ class InfluenceDiagram:
 
     # -- lookups -----------------------------------------------------------
 
-    def variable(self, var: str) -> Variable:
-        return self._by_id[var]
-
     def has_variable(self, var: str) -> bool:
         return var in self._by_id
 
@@ -387,18 +384,11 @@ def expected_utility(d: InfluenceDiagram, s: Strategy) -> float:
     """Expected utility of strategy ``s``, by full enumeration of joint assignments."""
     _check_strategy(d, s)
     _, states, total = _joint_states(d)
-    prob = np.ones(total)
-    for var in d.chance_ids:
-        idx = (states[var],) + tuple(states[p] for p in d.parents(var))
-        prob *= _gather(d.cpt(var), idx, total)
+    weights = _base_weights(d, states, total)
     for p in s.policies:
         idx = (states[p.decision],) + tuple(states[q] for q in p.parents)
-        prob *= _gather(p.table, idx, total)
-    util = np.zeros(total)
-    for var in d.value_ids:
-        idx = tuple(states[p] for p in d.parents(var))
-        util += _gather(d.reward(var), idx, total)
-    return float(np.sum(prob * util))
+        weights *= _gather(p.table, idx, total)
+    return float(np.sum(weights))
 
 
 def _base_weights(d: InfluenceDiagram, states: dict[str, np.ndarray], total: int) -> np.ndarray:

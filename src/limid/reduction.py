@@ -16,9 +16,9 @@ every joint assignment x of the original chance and decision variables.
 A single value variable on O_q with rewards (q * hi, q * lo) then yields
 exactly the original expected utility.
 
-The accompanying decomposition transform inserts W_i, O_i, O_{i-1} into
-the leaf assigned to V_i and threads O_{i-1} through every node the Euler
-tour visits between consecutive value leaves, restoring running
+The accompanying decomposition transform inserts W_i and O_i into the leaf
+assigned to V_i and threads O_{i-1} through every node the Euler tour
+visits from the leaf of V_{i-1} through the leaf of V_i, restoring running
 intersection while growing no cluster by more than three variables.
 
 Before any of that, :func:`minimal_diagram` strips what cannot change the
@@ -153,11 +153,9 @@ def reduce_to_single_value(d: InfluenceDiagram, t: TreeDecomposition) -> Reducti
     reduced = InfluenceDiagram(variables, arcs, cpts, rewards)
 
     clusters = [set(c) for c in t.clusters]
-    for i, (orig, w, o) in enumerate(zip(value_order, w_names, o_names), start=1):
-        leaf = leaf_map[orig]
-        clusters[leaf].update({w, o})
-        if i > 1:
-            clusters[leaf].add(o_names[i - 2])
+    for orig, w, o in zip(value_order, w_names, o_names):
+        clusters[leaf_map[orig]].update({w, o})
+    # the tour from leaf i - 1 through leaf i carries O_{i-1} to both leaves
     for i in range(2, q + 1):
         a = first_pos[leaf_map[value_order[i - 2]]]
         b = first_pos[leaf_map[value_order[i - 1]]]

@@ -1,19 +1,19 @@
 """Strategy selection by set-valued message passing over a rooted binary
 tree decomposition.
 
-Every node is assigned its own tables: conditional tables of chance
-variables, the full set of pure policies of decision variables, and the
-(normalized) utility table.  Messages flow from the leaves to the root; at
-each node its own tables and its children's messages form one product,
-the variables leaving the separator are summed out, and the resulting set
-is pruned to a covering within a pointwise factor
-alpha = 1 + epsilon / (2m).  The three steps run together over blocks of
-the product members (:func:`node_message`), so a node's full product is
-never held at once, and nothing is built per node ahead of time.  Every
-number surviving at the root is the exact expected utility of the strategy
-recorded in its policy row, and the maximum E among them satisfies
-MEU <= (1 + epsilon) * E.  With pruning disabled the maximum is the exact
-MEU.
+Every table sits at its home, the smallest node whose cluster holds its
+scope: conditional tables of chance variables, the full set of pure
+policies of decision variables, and the (normalized) utility table.
+Messages flow from the leaves to the root; at each node its own tables
+and its children's messages form one product, the variables leaving the
+separator are summed out, and the resulting set is pruned to a covering
+within a pointwise factor alpha = 1 + epsilon / (2m).  The three steps
+run together over blocks of the product members (:func:`node_message`),
+so a node's full product is never held at once, and nothing is built per
+node ahead of time.  Every number surviving at the root is the exact
+expected utility of the strategy recorded in its policy row, and the
+maximum E among them satisfies MEU <= (1 + epsilon) * E.  With pruning
+disabled the maximum is the exact MEU.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .model import (
+    DECISION,
     InfluenceDiagram,
     InstanceTooLargeError,
     Strategy,
@@ -76,8 +77,11 @@ class SolverConfig:
 
     ``epsilon`` is the approximation factor; ``epsilon == 0`` means exact
     mode (no pruning), and so does an ``epsilon`` too small to move
-    ``alpha`` off 1.  ``max_set_size`` caps every potential set the solve
-    would build (``None`` for no cap) and must be an integer of at least 1.
+    ``alpha`` off 1.  ``max_set_size`` (``None`` for no cap, else an integer
+    of at least 1) caps each decision's pure-policy count and the member
+    count of each node's product, first of its own tables and then with its
+    children's messages; in approximate mode that product is walked in
+    blocks and never held whole.
     """
 
     epsilon: float = 0.0
@@ -99,8 +103,7 @@ class NodeStats:
     node: int
     cluster: tuple[str, ...]
     k_size: int
-    a_size: int
-    b_size: int
+    product_size: int
     c_size: int
     smallest_positive: float | None
     size_bound: int | None
@@ -129,14 +132,11 @@ class SolverResult:
     stats: SolveStats
 
 
-def assign_factors(d: InfluenceDiagram, t: TreeDecomposition) -> dict[str, int]:
-    """The node of every variable's table: its value leaf when the
-    decomposition has one, else its home (:func:`~limid.treedecomp.homes`)."""
-    sigma = homes(d, t) | t.value_leaf_map
-    for var, node in sigma.items():
-        if node is None:
-            raise ValueError(f"no cluster covers the factor of {var!r}")
-    return sigma
+def _check_decomposition(d: InfluenceDiagram, t: TreeDecomposition) -> None:
+    # looks validate_decomposition up in this module, so tracers can rebind it
+    problems = validate_decomposition(d, t)
+    if problems:
+        raise ValueError("invalid decomposition: " + "; ".join(problems))
 
 
 def _table_set(d: InfluenceDiagram, var: str) -> PotentialSet:
@@ -261,9 +261,7 @@ def solve(d: InfluenceDiagram, t: TreeDecomposition, cfg: SolverConfig) -> Solve
         raise ValueError("decomposition must be rooted")
     if any(t.degree(i) > 3 for i in range(t.n)):
         raise ValueError("decomposition must be binary")
-    problems = validate_decomposition(d, t)
-    if problems:
-        raise ValueError("invalid decomposition: " + "; ".join(problems))
+    _check_decomposition(d, t)
 
     m = t.n
     alpha = 1.0 + cfg.epsilon / (2 * m)
@@ -271,14 +269,12 @@ def solve(d: InfluenceDiagram, t: TreeDecomposition, cfg: SolverConfig) -> Solve
     # exact, which meets any (1 + epsilon) bound
     prune = alpha > 1.0
     cap = cfg.max_set_size
-    sigma = assign_factors(d, t)
-
+    # every table sits at its home, which validation guarantees exists
+    home = homes(d, t)
     hold: dict[int, list[PotentialSet]] = {i: [] for i in range(m)}
-    for var in d.chance_ids:
-        hold[sigma[var]].append(_table_set(d, var))
-    for dec in d.decision_ids:
-        hold[sigma[dec]].append(_policy_potential_set(d, dec, cap))
-    hold[sigma[value_var]].append(_table_set(d, value_var))
+    for var in d.chance_ids + d.decision_ids + d.value_ids:
+        hold[home[var]].append(_policy_potential_set(d, var, cap) if d.kind(var) == DECISION
+                               else _table_set(d, var))
 
     for i in range(m):
         _check_cap(hold[i], cap, i, "initialization")
@@ -301,9 +297,9 @@ def solve(d: InfluenceDiagram, t: TreeDecomposition, cfg: SolverConfig) -> Solve
             found = covering_bound(message, alpha) if prune else CoveringStats()
         else:
             message, found = node_message(parts, gone, alpha if prune else None)
-        size = math.prod(len(p) for p in parts)
-        node_stats.append(NodeStats(i, t.clusters[i], math.prod(map(len, own)), size, size,
-                                    len(message), found.smallest_positive, found.size_bound))
+        node_stats.append(NodeStats(i, t.clusters[i], math.prod(map(len, own)),
+                                    math.prod(map(len, parts)), len(message),
+                                    found.smallest_positive, found.size_bound))
         messages[i] = message
 
     final = messages[t.root]
@@ -334,13 +330,31 @@ def shape_and_reduce(d: InfluenceDiagram,
     if decomposition is None:
         base = build_decomposition(d)
     else:
-        problems = validate_decomposition(d, decomposition)
-        if problems:
-            raise ValueError("invalid decomposition: " + "; ".join(problems))
+        _check_decomposition(d, decomposition)
         base = decomposition
     shaped = ensure_value_leaves(d, binarize(base))
     rooted = root_and_order(shaped, default_root(shaped))
     return reduce_to_single_value(d, rooted)
+
+
+def _restrict(t: TreeDecomposition, d: InfluenceDiagram) -> TreeDecomposition:
+    """``t`` cut to the variables of ``d``, whose families only shrink, less its
+    empty nodes: each one's other neighbours join its smallest neighbour.  An
+    empty node separates no variable, so the result stays valid; one empty
+    node stays when every cluster is empty."""
+    clusters = [tuple(v for v in c if d.has_variable(v)) for c in t.clusters]
+    adj = [set(t.neighbors(i)) for i in range(t.n)]
+    kept = []
+    for i, cluster in enumerate(clusters):
+        if cluster or not adj[i]:
+            kept.append(i)
+            continue
+        hub = min(adj[i])
+        for j in adj[i]:
+            adj[j] = (adj[j] | adj[i] if j == hub else adj[j] | {hub}) - {i, j}
+    new = {old: pos for pos, old in enumerate(kept)}
+    return TreeDecomposition(tuple(clusters[i] for i in kept),
+                             tuple((new[i], new[j]) for i in kept for j in adj[i]))
 
 
 def solve_full(d: InfluenceDiagram, cfg: SolverConfig,
@@ -367,12 +381,8 @@ def solve_full(d: InfluenceDiagram, cfg: SolverConfig,
         stats = SolveStats(0, 1.0, time.perf_counter() - started)
         return SolverResult(0.0, lift(Strategy(())), stats)
     if decomposition is not None and minimal is not d:
-        problems = validate_decomposition(d, decomposition)
-        if problems:
-            raise ValueError("invalid decomposition: " + "; ".join(problems))
-        # families only shrink, so the restriction stays a valid decomposition
-        decomposition = replace(decomposition, clusters=tuple(
-            tuple(v for v in c if minimal.has_variable(v)) for c in decomposition.clusters))
+        _check_decomposition(d, decomposition)
+        decomposition = _restrict(decomposition, minimal)
     reduced = shape_and_reduce(minimal, decomposition)
     normalized, offset, scale = normalize_utilities(reduced.diagram)
     result = solve(normalized, reduced.decomposition, cfg)

@@ -232,7 +232,8 @@ def validate_decomposition(d: InfluenceDiagram, t: TreeDecomposition) -> list[st
     report: list[str] = []
     if t.n == 0:
         return ["decomposition has no nodes"]
-    if not t.is_tree():
+    tree = t.is_tree()
+    if not tree:
         report.append("decomposition edges do not form a tree")
     cluster_sets = [set(c) for c in t.clusters]
     home = homes(d, t)
@@ -245,7 +246,7 @@ def validate_decomposition(d: InfluenceDiagram, t: TreeDecomposition) -> list[st
         if home[v.id] is None:
             what = "parent set of value variable" if v.kind == VALUE else "family of"
             report.append(f"{what} {v.id!r} not covered by any cluster")
-    if t.is_tree():
+    if tree:
         # the nodes holding a variable induce a forest of the tree, which is
         # connected exactly when it has one edge fewer than nodes
         joins = Counter(v for i, j in t.edges for v in cluster_sets[i] & cluster_sets[j])

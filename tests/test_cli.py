@@ -517,6 +517,20 @@ def test_a_supplied_decomposition_naming_dropped_variables_solves(capsys, tmp_pa
                                          "table": [1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0]}}
 
 
+def test_a_supplied_decomposition_loses_the_nodes_it_leaves_empty(capsys, tmp_path):
+    # ["n"] and ["b"] hold no kept variable: only ["d", "x"] stays, and as the
+    # value leaf it takes the reduction's _w1 and _o1; m is 1, alpha 1 + 0.5 / 2
+    doc = sighted_document([["d", "n", "x"], ["n"], ["b"]], [[0, 1], [1, 2]])
+    path = write(tmp_path, "sighted.json", json.dumps(doc))
+    code, out, _ = run(capsys, "solve", "--epsilon", "0.5", "--stats", path)
+    assert code == 0
+    got = json.loads(out)
+    assert (got["m"], got["alpha"]) == (1, 1.25)
+    assert [s["cluster"] for s in got["stats"]] == [["_o1", "_w1", "d", "x"]]
+    assert got["value"] == pytest.approx(0.625, abs=1e-12)
+    assert got["strategy"]["d"]["table"] == [1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0]
+
+
 def test_a_supplied_decomposition_is_checked_against_the_original_diagram(capsys, tmp_path):
     # no cluster holds b, which solving drops: the document is still refused
     doc = sighted_document([["d", "n", "x"]], [])

@@ -13,8 +13,8 @@ from limid import (
     pure_policy,
 )
 from limid.cli import generate_diagram
-from limid.reduction import normalize_utilities
-from limid.solver import SolverConfig, assign_factors, shape_and_reduce, solve, solve_full
+from limid.reduction import minimal_diagram, normalize_utilities
+from limid.solver import SolverConfig, shape_and_reduce, solve, solve_full
 from limid.treedecomp import (
     TreeDecomposition,
     binarize,
@@ -22,6 +22,7 @@ from limid.treedecomp import (
     default_root,
     ensure_value_leaves,
     root_and_order,
+    validate_decomposition,
 )
 
 from conftest import pick_diagram, small_random_diagram, two_agent_diagram
@@ -59,7 +60,7 @@ def test_a_solve_is_exact_when_alpha_is_one(epsilon):
     one = solve_full(pick_diagram(), SolverConfig(epsilon=epsilon)).stats
     assert one.exact == (one.alpha == 1.0) == (epsilon < 0.5)
     if one.exact:
-        assert all(s.c_size == s.b_size for s in one.nodes)
+        assert all(s.c_size == s.product_size for s in one.nodes)
 
 
 @pytest.mark.parametrize("epsilon", [float("nan"), float("inf")])
@@ -205,29 +206,20 @@ def test_ties_go_to_the_smallest_policy_indices():
                [p.table.tolist() for p in want]
 
 
-# -- factor assignment -------------------------------------------------------------------
+# -- table placement -----------------------------------------------------------------
 
-def test_assign_factors_single_node():
+def test_solve_places_every_table_at_its_home():
     d = pick_diagram()
-    t = TreeDecomposition((("c", "d"),), (), root=0)
-    assert assign_factors(d, t) == {"c": 0, "d": 0, "v": 0}
-
-
-def test_assign_factors_prefers_value_leaf_and_smallest_node():
-    d = pick_diagram()
-    t = rooted_decomposition(d)
-    sigma = assign_factors(d, t)
-    assert sigma["v"] == t.value_leaf_map["v"]
-    plain = TreeDecomposition((("c", "d"), ("c",)), ((0, 1),), root=0)
-    sigma = assign_factors(d, plain)
-    assert sigma == {"c": 0, "d": 0, "v": 0}
-
-
-def test_assign_factors_rejects_uncovered_family():
-    d = two_agent_diagram()
-    t = TreeDecomposition((("c1", "d1"),), (), root=0)
-    with pytest.raises(ValueError):
-        assign_factors(d, t)
+    # a value leaf that does not hold v's parent c: the reward table still
+    # goes to its home, node 1, and the root message carries no variable
+    wrong_leaf = TreeDecomposition((("d",), ("c", "d")), ((0, 1),), root=0,
+                                   value_leaves=(("v", 0),))
+    got = solve(d, wrong_leaf, SolverConfig(epsilon=0.0))
+    assert got.value == pytest.approx(brute_force_meu(d)[0], abs=1e-12)
+    assert got.value == pytest.approx(0.8, abs=1e-12)
+    uncovered = TreeDecomposition((("c",), ("d",)), ((0, 1),), root=0)
+    with pytest.raises(ValueError, match="invalid decomposition: family of 'c' not covered"):
+        solve(d, uncovered, SolverConfig(epsilon=0.0))
 
 
 # -- the full pipeline ----------------------------------------------------------------------
@@ -295,6 +287,45 @@ def test_solve_full_accepts_supplied_decomposition():
         solve_full(d, SolverConfig(epsilon=0.0), decomposition=broken)
 
 
+def test_a_restricted_decomposition_drops_exactly_its_empty_nodes():
+    # built for the original diagram, a decomposition is cut to the minimal
+    # diagram's variables; the nodes left empty go and the rest stays valid
+    dropped = 0
+    for seed in range(60):
+        d = small_random_diagram(seed)
+        minimal, _ = minimal_diagram(d)
+        if minimal is d or not minimal.value_ids:
+            continue
+        supplied = build_decomposition(d)
+        cut = limid.solver._restrict(supplied, minimal)
+        assert validate_decomposition(minimal, cut) == [] and all(cut.clusters)
+        kept = [c for c in supplied.clusters if any(map(minimal.has_variable, c))]
+        assert [tuple(filter(minimal.has_variable, c)) for c in kept] == list(cut.clusters)
+        dropped += supplied.n - cut.n
+        got = solve_full(d, SolverConfig(epsilon=0.0), decomposition=supplied)
+        assert got.value == pytest.approx(brute_force_meu(d)[0], abs=1e-9)
+    assert dropped
+    # empty node 0's smallest neighbour is empty node 1, which must take over
+    # 0's other neighbours before it goes in turn
+    d = InfluenceDiagram([Variable(x, "chance", 2) for x in "abcxy"]
+                         + [Variable("v1", "value"), Variable("v2", "value")],
+                         [("a", "v1"), ("b", "v1"), ("c", "v2")],
+                         {x: [0.25, 0.75] for x in "abcxy"},
+                         {"v1": [[1.0, 0.0], [0.0, 2.0]], "v2": [1.0, 3.0]})
+    star = TreeDecomposition((("x",), ("y",), ("a", "b", "x"), ("c", "x")),
+                             ((0, 1), (0, 2), (0, 3)))
+    assert limid.solver._restrict(star, minimal_diagram(d)[0]) == \
+           TreeDecomposition((("a", "b"), ("c",)), ((0, 1),))
+    got = solve_full(d, SolverConfig(epsilon=0.0), decomposition=star)
+    assert got.value == pytest.approx(brute_force_meu(d)[0], abs=1e-12)
+    # a reward with no parents keeps no variable at all: one empty node stays
+    d = InfluenceDiagram([Variable("a", "chance", 2), Variable("b", "decision", 2),
+                          Variable("v", "value")], [("a", "b")], {"a": [0.5, 0.5]}, {"v": [3.0]})
+    chain = TreeDecomposition((("a",), ("a", "b"), ("b",)), ((0, 1), (1, 2)))
+    assert limid.solver._restrict(chain, minimal_diagram(d)[0]) == TreeDecomposition(((),), ())
+    assert solve_full(d, SolverConfig(epsilon=0.5), decomposition=chain).value == 3.0
+
+
 def test_solve_full_rejects_invalid_diagram():
     bad = InfluenceDiagram(
         [Variable("c", "chance", 2), Variable("v", "value")],
@@ -330,7 +361,7 @@ def test_stats_shape():
     got = solve_full(d, SolverConfig(epsilon=0.5))
     assert len(got.stats.nodes) == got.stats.m
     for s in got.stats.nodes:
-        assert s.c_size <= s.b_size <= s.a_size
+        assert s.c_size <= s.product_size
         assert s.k_size >= 1
 
 
@@ -363,5 +394,5 @@ def test_determinism():
         assert a.value == b.value
         for pa, pb in zip(a.strategy.policies, b.strategy.policies):
             assert pa.table.tobytes() == pb.table.tobytes()
-        assert [(s.b_size, s.c_size) for s in a.stats.nodes] == \
-               [(s.b_size, s.c_size) for s in b.stats.nodes]
+        assert [(s.product_size, s.c_size) for s in a.stats.nodes] == \
+               [(s.product_size, s.c_size) for s in b.stats.nodes]
