@@ -372,7 +372,6 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         "utility_lower": reduced.bounds[0],
         "utility_upper": reduced.bounds[1],
         "value_count": reduced.q,
-        "w_vars": list(reduced.w_vars),
         "o_vars": list(reduced.o_vars),
     }
     sys.stdout.write(_dump(doc))

@@ -1,25 +1,22 @@
 """Reduction of a diagram with many value variables to one with a single
 value variable of identical expected utility under every strategy.
 
-Each reward table U_i over Pa(V_i) becomes a binary chance variable W_i
-with P(W_i = state0 | Pa(V_i)) = (U_i - lo) / (hi - lo), where lo and hi
-bound all rewards.  The W_i feed a chain of binary variables O_i that
-track the running average of the W probabilities:
+Each reward table U_i over Pa(V_i) is rescaled to u_i = (U_i - lo) / (hi - lo),
+where lo and hi bound all rewards, and feeds a chain of binary variables O_i
+that track the running average of the rescaled rewards:
 
-    P(O_i = state0 | O_{i-1}, W_i)  =  1            for states (0, 0)
-                                    =  (i - 1) / i  for states (0, 1)
-                                    =  1 / i        for states (1, 0)
-                                    =  0            for states (1, 1)
+    P(O_1 = state0 | Pa(V_1))           =  u_1
+    P(O_i = state0 | O_{i-1}, Pa(V_i))  =  ((i - 1) [O_{i-1} = state0] + u_i) / i
 
-so that P(O_i = state0 | x) = (1/i) * sum_{j <= i} P(W_j = state0 | x) for
-every joint assignment x of the original chance and decision variables.
-A single value variable on O_q with rewards (q * hi, q * lo) then yields
-exactly the original expected utility.
+so that P(O_i = state0 | x) = (1/i) * sum_{j <= i} u_j(x) for every joint
+assignment x of the original chance and decision variables.  A single value
+variable on O_q with rewards (q * hi, q * lo) then yields exactly the
+original expected utility.
 
-The accompanying decomposition transform inserts W_i and O_i into the leaf
-assigned to V_i and threads O_{i-1} through every node the Euler tour
-visits from the leaf of V_{i-1} through the leaf of V_i, restoring running
-intersection while growing no cluster by more than three variables.
+The accompanying decomposition transform inserts O_i into the leaf assigned
+to V_i and threads O_{i-1} through every node the Euler tour visits from the
+leaf of V_{i-1} through the leaf of V_i, restoring running intersection: a
+value leaf grows by at most two variables and no cluster by more than three.
 
 Before any of that, :func:`minimal_diagram` strips what cannot change the
 maximum expected utility: decision parents that are d-separated from the
@@ -57,15 +54,15 @@ CHAIN_CHECK_CAP = 1_000_000
 class ReductionResult:
     """Outcome of :func:`reduce_to_single_value`.
 
-    ``w_vars`` and ``o_vars`` list the introduced binary variables in chain
-    order; ``value_order`` lists the original value variables in the same
-    order (the order of their leaves along the tree walk).
+    ``o_vars`` lists the introduced binary chain variables in chain order;
+    ``value_order`` lists the original value variables in the same order
+    (the order of their leaves along the tree walk), so ``o_vars[i - 1]``
+    averages the rescaled rewards of ``value_order[:i]``.
     """
 
     diagram: InfluenceDiagram
     decomposition: TreeDecomposition
     bounds: tuple[float, float]
-    w_vars: tuple[str, ...]
     o_vars: tuple[str, ...]
     q: int
     value_order: tuple[str, ...]
@@ -83,22 +80,14 @@ def utility_bounds(d: InfluenceDiagram) -> tuple[float, float]:
     return lo, hi
 
 
-def _fresh_names(d: InfluenceDiagram, q: int) -> tuple[list[str], list[str], str]:
+def _fresh_names(d: InfluenceDiagram, q: int) -> tuple[list[str], str]:
     prefix = "_"
     while True:
-        ws = [f"{prefix}w{i}" for i in range(1, q + 1)]
         os_ = [f"{prefix}o{i}" for i in range(1, q + 1)]
         val = f"{prefix}v"
-        if not any(d.has_variable(name) for name in ws + os_ + [val]):
-            return ws, os_, val
+        if not any(d.has_variable(name) for name in os_ + [val]):
+            return os_, val
         prefix += "_"
-
-
-def _chain_cpt(i: int) -> np.ndarray:
-    """P(O_i | O_{i-1}, W_i) for i >= 2, axes (O_i, O_{i-1}, W_i)."""
-    row0 = np.array([[1.0, (i - 1) / i],
-                     [1.0 / i, 0.0]])
-    return np.stack([row0, 1.0 - row0])
 
 
 def reduce_to_single_value(d: InfluenceDiagram, t: TreeDecomposition) -> ReductionResult:
@@ -117,8 +106,6 @@ def reduce_to_single_value(d: InfluenceDiagram, t: TreeDecomposition) -> Reducti
             raise ValueError(f"decomposition has no value leaf for {v!r}")
         if set(t.clusters[leaf_map[v]]) != set(d.parents(v)):
             raise ValueError(f"value leaf cluster for {v!r} does not equal its parent set")
-    if not d.value_ids:
-        raise ValueError("diagram has no value variables")
 
     tour = t.euler_tour()
     first_pos: dict[int, int] = {}
@@ -127,34 +114,32 @@ def reduce_to_single_value(d: InfluenceDiagram, t: TreeDecomposition) -> Reducti
     value_order = tuple(sorted(d.value_ids, key=lambda v: (first_pos[leaf_map[v]], v)))
     q = len(value_order)
     lo, hi = utility_bounds(d)
-    w_names, o_names, v_name = _fresh_names(d, q)
+    o_names, v_name = _fresh_names(d, q)
 
     variables = [v for v in d.variables if v.kind != VALUE]
     arcs = [(a, b) for a, b in d.arcs if d.kind(a) != VALUE and d.kind(b) != VALUE]
     cpts: dict[str, np.ndarray] = dict(d.cpts)
-    for i, (orig, w, o) in enumerate(zip(value_order, w_names, o_names), start=1):
-        variables.append(Variable(w, CHANCE, 2))
+    for i, (orig, o) in enumerate(zip(value_order, o_names), start=1):
         variables.append(Variable(o, CHANCE, 2))
-        for p in d.parents(orig):
-            arcs.append((p, w))
-        arcs.append((w, o))
+        parents = d.parents(orig)
+        arcs.extend((p, o) for p in parents)
         row0 = (d.reward(orig) - lo) / (hi - lo)
-        cpts[w] = np.stack([row0, 1.0 - row0])
-        if i == 1:
-            cpts[o] = np.array([[1.0, 0.0], [0.0, 1.0]])
-        else:
-            arcs.append((o_names[i - 2], o))
-            # canonical parent order (_o{i-1}, _w{i}) is already sorted:
-            # the o-prefix precedes the w-prefix
-            cpts[o] = _chain_cpt(i)
+        if i > 1:
+            prev = o_names[i - 2]
+            arcs.append((prev, o))
+            # O_{i-1}'s axis goes to its id-sorted place: ids such as "A" or "9"
+            # sort before "_"
+            row0 = np.moveaxis(np.stack([(i - 1 + row0) / i, row0 / i]), 0,
+                               sorted(parents + (prev,)).index(prev))
+        cpts[o] = np.stack([row0, 1.0 - row0])
     variables.append(Variable(v_name, VALUE))
     arcs.append((o_names[-1], v_name))
     rewards = {v_name: np.array([q * hi, q * lo])}
     reduced = InfluenceDiagram(variables, arcs, cpts, rewards)
 
     clusters = [set(c) for c in t.clusters]
-    for orig, w, o in zip(value_order, w_names, o_names):
-        clusters[leaf_map[orig]].update({w, o})
+    for orig, o in zip(value_order, o_names):
+        clusters[leaf_map[orig]].add(o)
     # the tour from leaf i - 1 through leaf i carries O_{i-1} to both leaves
     for i in range(2, q + 1):
         a = first_pos[leaf_map[value_order[i - 2]]]
@@ -164,43 +149,33 @@ def reduce_to_single_value(d: InfluenceDiagram, t: TreeDecomposition) -> Reducti
     widened = TreeDecomposition(tuple(tuple(sorted(c)) for c in clusters), t.edges,
                                 root=t.root)
 
-    return ReductionResult(reduced, widened, (lo, hi), tuple(w_names), tuple(o_names),
-                           q, value_order)
+    return ReductionResult(reduced, widened, (lo, hi), tuple(o_names), q, value_order)
 
 
 def verify_chain_identity(r: ReductionResult, d: InfluenceDiagram) -> float:
     """Max deviation of P(O_i = state0 | x) from the running average of the
-    W probabilities, over all joint assignments x and chain positions i.
+    rescaled rewards u_j(x), j <= i, over all joint assignments x and chain
+    positions i.
 
-    Both sides are obtained by marginalizing the chain: the left by the
-    forward recurrence over the chain tables, the right from the W tables
-    directly.
+    The left side comes from the forward recurrence over the chain tables of
+    ``r``, the right from ``d``'s own reward tables.
     """
     _, states, total = _joint_states(d)
     if total > CHAIN_CHECK_CAP:
         raise InstanceTooLargeError(f"{total} joint assignments exceed the chain check cap")
-    red = r.diagram
-    w_probs = []
-    for orig, w in zip(r.value_order, r.w_vars):
-        idx = tuple(states[p] for p in d.parents(orig))
-        table = red.cpt(w)[0]
-        w_probs.append(table[idx] if idx else np.full(total, float(table)))
-
+    lo, hi = utility_bounds(d)
     deviation = 0.0
     running = np.zeros(total)
-    prev = None
-    for i, (w, o) in enumerate(zip(w_probs, r.o_vars), start=1):
-        table = red.cpt(o)[0]
-        if i == 1:
-            prob = table[0] * w + table[1] * (1.0 - w)
-        else:
-            prob = (table[0, 0] * prev * w
-                    + table[0, 1] * prev * (1.0 - w)
-                    + table[1, 0] * (1.0 - prev) * w
-                    + table[1, 1] * (1.0 - prev) * (1.0 - w))
-        running += w
+    prob = None
+    for i, (orig, o) in enumerate(zip(r.value_order, r.o_vars), start=1):
+        running += (d.reward(orig)[tuple(states[p] for p in d.parents(orig))] - lo) / (hi - lo)
+        # P(O_i = state0 | O_{i-1} = s, x) for s = 0, 1; the only parent
+        # outside ``states`` is O_{i-1}
+        table = r.diagram.cpt(o)[0]
+        zero, one = (table[tuple(states.get(p, s) for p in r.diagram.parents(o))]
+                     for s in (0, 1))
+        prob = zero if i == 1 else zero * prob + one * (1.0 - prob)
         deviation = max(deviation, float(np.max(np.abs(prob - running / i))))
-        prev = prob
     return deviation
 
 

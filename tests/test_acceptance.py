@@ -168,7 +168,7 @@ def test_4_single_value_merge_equivalence(merge_runs):
 def test_5_chain_identity(merge_runs):
     worst = max(verify_chain_identity(r["reduced"], r["diagram"]) for r in merge_runs)
     ok = worst <= CHAIN_TOL
-    report(5, "chain marginals equal the running W averages", ok,
+    report(5, "chain marginals equal the running averages of the rescaled rewards", ok,
            f"max deviation {worst:.2e}")
     assert worst <= CHAIN_TOL
 

@@ -196,8 +196,15 @@ def test_reduce_subcommand(capsys, tmp_path):
     assert doc["reduction"]["value_count"] == 2
     assert doc["reduction"]["utility_lower"] == 0.0
     assert doc["reduction"]["utility_upper"] == 1.0
+    assert set(doc["reduction"]) == {"o_vars", "utility_lower", "utility_upper",
+                                     "value_count"}
     reduced, decomposition = parse(json.dumps(doc))
     assert len(reduced.value_ids) == 1
+    # the rewrite adds the chain and one value variable, nothing else
+    original = two_agent_diagram()
+    assert reduced.decision_ids == original.decision_ids
+    assert set(reduced.chance_ids) == set(original.chance_ids) | set(doc["reduction"]["o_vars"])
+    assert len(doc["reduction"]["o_vars"]) == 2
     assert decomposition is not None
     # the merged diagram has the same brute-force optimum
     code, oracle_out, _ = run(capsys, "oracle", path)
@@ -519,14 +526,14 @@ def test_a_supplied_decomposition_naming_dropped_variables_solves(capsys, tmp_pa
 
 def test_a_supplied_decomposition_loses_the_nodes_it_leaves_empty(capsys, tmp_path):
     # ["n"] and ["b"] hold no kept variable: only ["d", "x"] stays, and as the
-    # value leaf it takes the reduction's _w1 and _o1; m is 1, alpha 1 + 0.5 / 2
+    # value leaf it takes the reduction's _o1; m is 1, alpha 1 + 0.5 / 2
     doc = sighted_document([["d", "n", "x"], ["n"], ["b"]], [[0, 1], [1, 2]])
     path = write(tmp_path, "sighted.json", json.dumps(doc))
     code, out, _ = run(capsys, "solve", "--epsilon", "0.5", "--stats", path)
     assert code == 0
     got = json.loads(out)
     assert (got["m"], got["alpha"]) == (1, 1.25)
-    assert [s["cluster"] for s in got["stats"]] == [["_o1", "_w1", "d", "x"]]
+    assert [s["cluster"] for s in got["stats"]] == [["_o1", "d", "x"]]
     assert got["value"] == pytest.approx(0.625, abs=1e-12)
     assert got["strategy"]["d"]["table"] == [1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0]
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -87,9 +89,14 @@ def test_chain_conditionals_at_position_two():
     d = two_agent_diagram()
     red = reduce_diagram(d)
     assert red.q == 2
-    second = red.diagram.cpt(red.o_vars[1])
-    assert np.array_equal(second[0], [[1.0, 0.5], [0.5, 0.0]])
-    assert np.array_equal(second.sum(axis=0), np.ones((2, 2)))
+    first, second = red.o_vars
+    orig = red.value_order[1]
+    assert red.diagram.parents(second) == (first,) + d.parents(orig)
+    # rewards span [0, 1], so u_2 is the reward itself
+    u = d.reward(orig)
+    table = red.diagram.cpt(second)
+    assert np.array_equal(table[0], [(1 + u) / 2, u / 2])
+    assert np.array_equal(table.sum(axis=0), np.ones((2, 2)))
 
 
 def test_reduced_tables_are_proper(rng):
@@ -97,7 +104,7 @@ def test_reduced_tables_are_proper(rng):
         d = small_random_diagram(seed, max_values=3)
         red = reduce_diagram(d)
         assert validate_diagram(red.diagram) == []
-        for var in list(red.w_vars) + list(red.o_vars):
+        for var in red.o_vars:
             table = red.diagram.cpt(var)
             assert np.all(table >= 0.0) and np.all(table <= 1.0)
             assert np.max(np.abs(table.sum(axis=0) - 1.0)) <= 1e-15
@@ -133,6 +140,51 @@ def test_reduction_preconditions():
         reduce_to_single_value(d, no_leaves)
 
 
+def renamed(d, names):
+    """``d`` with variables renamed by ``names``, table axes re-sorted by new id."""
+    def new(x):
+        return names.get(x, x)
+
+    def resorted(table, parents, lead):
+        order = sorted(range(len(parents)), key=lambda k: new(parents[k]))
+        return np.transpose(table, tuple(range(lead)) + tuple(lead + k for k in order))
+
+    return InfluenceDiagram(
+        [dataclasses.replace(v, id=new(v.id)) for v in d.variables],
+        [(new(a), new(b)) for a, b in d.arcs],
+        {new(x): resorted(d.cpt(x), d.parents(x), 1) for x in d.chance_ids},
+        {new(v): resorted(d.reward(v), d.parents(v), 0) for v in d.value_ids})
+
+
+def test_chain_tables_follow_the_mixture_and_leaves_hold_the_chain():
+    moved = 0
+    for seed in range(10):
+        base = generate_diagram(4, 2, card=3, max_parents=2, n_values=3, seed=seed,
+                                decision_max_parents=1)
+        # "A" and "9" sort before "_", so O_{i-1} is not always the first axis
+        d = renamed(base, {"c0": "A", "c1": "9"})
+        assert validate_diagram(d) == []
+        rooted = shaped_decomposition(d)
+        red = reduce_to_single_value(d, rooted)
+        lo, hi = utility_bounds(d)
+        for i, (orig, o) in enumerate(zip(red.value_order, red.o_vars), start=1):
+            prev = red.o_vars[i - 2] if i > 1 else None
+            parents = red.diagram.parents(o)
+            assert set(parents) == set(d.parents(orig)) | ({prev} if prev else set())
+            if prev and parents[0] != prev:
+                moved += 1
+            table = red.diagram.cpt(o)
+            for idx in np.ndindex(table.shape[1:]):
+                at = dict(zip(parents, idx))
+                u = (d.reward(orig)[tuple(at[p] for p in d.parents(orig))] - lo) / (hi - lo)
+                want = ((i - 1) * (at.get(prev) == 0) + u) / i
+                assert table[(0,) + idx] == pytest.approx(want, abs=1e-15)
+                assert table[(1,) + idx] == pytest.approx(1.0 - want, abs=1e-15)
+            leaf = red.decomposition.clusters[rooted.value_leaf_map[orig]]
+            assert set(leaf) == set(d.parents(orig)) | {o} | ({prev} if prev else set())
+    assert moved > 0
+
+
 # -- chain identity --------------------------------------------------------------------
 
 def test_chain_identity_single_value_is_exact():
@@ -148,14 +200,35 @@ def test_chain_identity_three_values():
         assert verify_chain_identity(red, d) <= 1e-12
 
 
+def test_a_chain_table_off_the_mixture_fails_the_identity():
+    d = two_agent_diagram()
+    red = reduce_diagram(d)
+    first, second = red.o_vars
+    assert red.diagram.parents(second)[0] == first
+    # move 1e-3 of mass between the rows at c2 = 0, for
+    # both states of O_1: the columns still sum to one
+    table = red.diagram.cpt(second).copy()
+    table[0, :, 0] += 1e-3
+    table[1, :, 0] -= 1e-3
+    mutated = InfluenceDiagram(red.diagram.variables, red.diagram.arcs,
+                               {**red.diagram.cpts, second: table}, red.diagram.rewards)
+    assert validate_diagram(mutated) == []
+    assert verify_chain_identity(red, d) <= 1e-12
+    assert verify_chain_identity(dataclasses.replace(red, diagram=mutated), d) > 1e-6
+
+
 def test_constant_rewards_make_the_chain_deterministic():
     d = InfluenceDiagram(
         [Variable("c", "chance", 2), Variable("v1", "value"), Variable("v2", "value")],
         [("c", "v1"), ("c", "v2")],
         {"c": [0.5, 0.5]}, {"v1": [3.0, 3.0], "v2": [3.0, 3.0]})
     red = reduce_diagram(d)
-    for w in red.w_vars:
-        assert np.all(red.diagram.cpt(w)[0] == 0.0)
+    # every u_i is 0: O_1 is state1 for sure, and so is each later O_i given
+    # O_{i-1} = state1, the only state it can take
+    assert np.array_equal(red.diagram.cpt(red.o_vars[0]), [[0.0, 0.0], [1.0, 1.0]])
+    for o in red.o_vars[1:]:
+        assert red.diagram.parents(o)[0] in red.o_vars
+        assert np.array_equal(red.diagram.cpt(o)[:, 1], [[0.0, 0.0], [1.0, 1.0]])
     assert verify_chain_identity(red, d) == 0.0
     # constant total utility is preserved
     s = random_strategy(d, np.random.default_rng(0))
