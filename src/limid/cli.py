@@ -371,7 +371,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     doc["reduction"] = {
         "utility_lower": reduced.bounds[0],
         "utility_upper": reduced.bounds[1],
-        "value_count": reduced.q,
+        "value_count": len(reduced.o_vars),
         "o_vars": list(reduced.o_vars),
     }
     sys.stdout.write(_dump(doc))

@@ -344,7 +344,7 @@ def pure_policy_tables(d: InfluenceDiagram, decision: str) -> np.ndarray:
 
 # -- exact evaluation ---------------------------------------------------------
 
-def _joint_states(d: InfluenceDiagram) -> tuple[tuple[str, ...], dict[str, np.ndarray], int]:
+def _joint_states(d: InfluenceDiagram) -> tuple[dict[str, np.ndarray], int]:
     """Grid of all joint assignments over the chance and decision variables."""
     ids = tuple(sorted(d.chance_ids + d.decision_ids))
     cards = tuple(d.cardinality(x) for x in ids)
@@ -356,7 +356,7 @@ def _joint_states(d: InfluenceDiagram) -> tuple[tuple[str, ...], dict[str, np.nd
         states = {x: g for x, g in zip(ids, grids)}
     else:
         states = {}
-    return ids, states, total
+    return states, total
 
 
 def _gather(table: np.ndarray, idx: tuple[np.ndarray, ...], total: int) -> np.ndarray:
@@ -383,7 +383,7 @@ def _check_strategy(d: InfluenceDiagram, s: Strategy) -> None:
 def expected_utility(d: InfluenceDiagram, s: Strategy) -> float:
     """Expected utility of strategy ``s``, by full enumeration of joint assignments."""
     _check_strategy(d, s)
-    _, states, total = _joint_states(d)
+    states, total = _joint_states(d)
     weights = _base_weights(d, states, total)
     for p in s.policies:
         idx = (states[p.decision],) + tuple(states[q] for q in p.parents)
@@ -421,7 +421,7 @@ def brute_force_meu(d: InfluenceDiagram,
         raise InstanceTooLargeError(
             f"instance too large: {total_strategies} pure strategies exceed the cap {cap}")
 
-    _, states, total = _joint_states(d)
+    states, total = _joint_states(d)
     base = _base_weights(d, states, total)
     if not decisions:
         return float(np.sum(base)), Strategy(())

@@ -27,6 +27,7 @@ Decision Problems with Limited Information", 2001).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -64,19 +65,25 @@ class ReductionResult:
     decomposition: TreeDecomposition
     bounds: tuple[float, float]
     o_vars: tuple[str, ...]
-    q: int
     value_order: tuple[str, ...]
 
 
+def _check_range(lo: float, hi: float, q: int) -> None:
+    # q rewards in [lo, hi] rescale through hi - lo, q * hi and q * lo
+    if not all(map(math.isfinite, (hi - lo, q * hi, q * lo))):
+        raise ValueError(f"rewards span [{lo!r}, {hi!r}]: rescaling them overflows a float")
+
+
 def utility_bounds(d: InfluenceDiagram) -> tuple[float, float]:
-    """(lo, hi) over all reward entries; a constant reward widens hi by one
-    so the ratio (U - lo) / (hi - lo) stays defined."""
+    """(lo, hi) over all reward entries; a constant reward widens hi by one,
+    or by one ulp where lo + 1 == lo, so (U - lo) / (hi - lo) stays defined."""
     if not d.value_ids:
         raise ValueError("diagram has no value variables")
     lo = min(float(d.reward(v).min()) for v in d.value_ids)
     hi = max(float(d.reward(v).max()) for v in d.value_ids)
     if hi == lo:
-        hi = lo + 1.0
+        hi = lo + 1.0 if lo + 1.0 != lo else math.nextafter(lo, math.inf)
+    _check_range(lo, hi, len(d.value_ids))
     return lo, hi
 
 
@@ -149,7 +156,7 @@ def reduce_to_single_value(d: InfluenceDiagram, t: TreeDecomposition) -> Reducti
     widened = TreeDecomposition(tuple(tuple(sorted(c)) for c in clusters), t.edges,
                                 root=t.root)
 
-    return ReductionResult(reduced, widened, (lo, hi), tuple(o_names), q, value_order)
+    return ReductionResult(reduced, widened, (lo, hi), tuple(o_names), value_order)
 
 
 def verify_chain_identity(r: ReductionResult, d: InfluenceDiagram) -> float:
@@ -160,7 +167,7 @@ def verify_chain_identity(r: ReductionResult, d: InfluenceDiagram) -> float:
     The left side comes from the forward recurrence over the chain tables of
     ``r``, the right from ``d``'s own reward tables.
     """
-    _, states, total = _joint_states(d)
+    states, total = _joint_states(d)
     if total > CHAIN_CHECK_CAP:
         raise InstanceTooLargeError(f"{total} joint assignments exceed the chain check cap")
     lo, hi = utility_bounds(d)
@@ -180,18 +187,19 @@ def verify_chain_identity(r: ReductionResult, d: InfluenceDiagram) -> float:
 
 
 def normalize_utilities(d: InfluenceDiagram) -> tuple[InfluenceDiagram, float, float]:
-    """Affinely map the single reward table into [0, 1].
+    """Affinely map the single reward table onto [0, 1].
 
     Returns (diagram, offset, scale) with original utilities recovered as
-    offset + scale * normalized; maximizing strategies are unaffected.
+    offset + scale * normalized; maximizing strategies are unaffected.  A
+    reward spanning [0, 1] maps to itself, with offset 0.0 and scale 1.0.
     """
     if len(d.value_ids) != 1:
-        raise ValueError("normalization needs exactly one value variable")
+        raise ValueError(f"expected one value variable, got {len(d.value_ids)}")
     v = d.value_ids[0]
     table = d.reward(v)
-    offset = float(table.min()) if table.size else 0.0
-    spread = float(table.max() - table.min()) if table.size else 0.0
-    scale = spread if spread > 0.0 else 1.0
+    offset, top = float(table.min()), float(table.max())
+    _check_range(offset, top, 1)
+    scale = top - offset if top > offset else 1.0
     normalized = InfluenceDiagram(d.variables, d.arcs, d.cpts,
                                   {v: (table - offset) / scale})
     return normalized, offset, scale

@@ -3,7 +3,8 @@ tree decomposition.
 
 Every table sits at its home, the smallest node whose cluster holds its
 scope: conditional tables of chance variables, the full set of pure
-policies of decision variables, and the (normalized) utility table.
+policies of decision variables, and the one utility table, which
+:func:`solve` first maps affinely onto [0, 1], whatever its finite range.
 Messages flow from the leaves to the root; at each node its own tables
 and its children's messages form one product, the variables leaving the
 separator are summed out, and the resulting set is pruned to a covering
@@ -66,9 +67,6 @@ DEFAULT_MAX_SET_SIZE = 1_000_000
 #: bytes of cluster-scope tables and policy rows one block of a node's product
 #: members may take; the product is never built whole beyond one block
 BLOCK_BYTES = 1 << 23
-
-#: slack admitted on "utilities lie in [0, 1]" input checks
-UTILITY_RANGE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -244,19 +242,13 @@ def node_message(parts: list[PotentialSet], gone: set[str], alpha: float | None
 
 
 def solve(d: InfluenceDiagram, t: TreeDecomposition, cfg: SolverConfig) -> SolverResult:
-    """Run the propagation on a single-value diagram with utilities in [0, 1].
-
-    Callers with several value variables or out-of-range utilities should
-    use :func:`solve_full`, which reduces and normalizes first.
+    """Run the propagation on a diagram with one value variable and any
+    finite rewards, mapped onto [0, 1] first (a reward spanning [0, 1] maps
+    to itself) by :func:`~limid.reduction.normalize_utilities`; the value is
+    mapped back.  :func:`solve_full` merges several value variables first.
     """
     started = time.perf_counter()
-    if len(d.value_ids) != 1:
-        raise ValueError("solve needs a diagram with exactly one value variable")
-    value_var = d.value_ids[0]
-    reward = d.reward(value_var)
-    if reward.size and (reward.min() < -UTILITY_RANGE_TOL
-                        or reward.max() > 1.0 + UTILITY_RANGE_TOL):
-        raise ValueError("utilities must lie in [0, 1]; normalize the diagram first")
+    d, offset, scale = normalize_utilities(d)
     if t.root is None:
         raise ValueError("decomposition must be rooted")
     if any(t.degree(i) > 3 for i in range(t.n)):
@@ -314,7 +306,7 @@ def solve(d: InfluenceDiagram, t: TreeDecomposition, cfg: SolverConfig) -> Solve
     strategy = Strategy(pure_policy(d, dec, chosen[dec]) for dec in d.decision_ids)
 
     stats = SolveStats(m, alpha, time.perf_counter() - started, tuple(node_stats))
-    return SolverResult(best_value, strategy, stats)
+    return SolverResult(offset + scale * best_value, strategy, stats)
 
 
 def shape_and_reduce(d: InfluenceDiagram,
@@ -365,9 +357,10 @@ def solve_full(d: InfluenceDiagram, cfg: SolverConfig,
     (:func:`~limid.reduction.minimal_diagram`) with a supplied decomposition
     checked against ``d`` and restricted to the kept variables, shapes a
     decomposition and merges the value variables (:func:`shape_and_reduce`),
-    normalizes the utilities, solves, and maps the value back to the
-    original utility scale.  The strategy is lifted back to ``d``: it covers
-    exactly the original decision variables, with their original parents.
+    and solves (:func:`solve`, which normalizes the merged reward and maps
+    the value back to the original utility scale).  The strategy is lifted
+    back to ``d``: it covers exactly the original decision variables, with
+    their original parents.
     ``stats`` describe the solve of the minimal diagram.
     """
     started = time.perf_counter()
@@ -384,8 +377,6 @@ def solve_full(d: InfluenceDiagram, cfg: SolverConfig,
         _check_decomposition(d, decomposition)
         decomposition = _restrict(decomposition, minimal)
     reduced = shape_and_reduce(minimal, decomposition)
-    normalized, offset, scale = normalize_utilities(reduced.diagram)
-    result = solve(normalized, reduced.decomposition, cfg)
-    value = offset + scale * result.value
+    result = solve(reduced.diagram, reduced.decomposition, cfg)
     stats = replace(result.stats, wall_time=time.perf_counter() - started)
-    return SolverResult(value, lift(result.strategy), stats)
+    return SolverResult(result.value, lift(result.strategy), stats)

@@ -358,8 +358,6 @@ def ensure_value_leaves(d: InfluenceDiagram, t: TreeDecomposition) -> TreeDecomp
 
 def root_and_order(t: TreeDecomposition, r: int) -> TreeDecomposition:
     """Root the decomposition at node ``r``."""
-    if not 0 <= r < t.n:
-        raise ValueError(f"unknown node id {r}")
     return dataclasses.replace(t, root=r)
 
 

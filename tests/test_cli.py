@@ -407,6 +407,37 @@ def test_an_integer_too_large_for_a_float_names_the_table(capsys, tmp_path, comm
     assert err == f"limid: {where} holds a number too large\n"
 
 
+def constant_rewards_document(*rewards) -> dict:
+    values = [f"v{i}" for i in range(len(rewards))]
+    return {"variables": [{"id": "c", "kind": "chance", "cardinality": 2}]
+                         + [{"id": v, "kind": "value"} for v in values],
+            "arcs": [["c", v] for v in values],
+            "cpts": {"c": {"parents": [], "table": [0.5, 0.5]}},
+            "rewards": {v: {"parents": ["c"], "table": [r, r]} for v, r in zip(values, rewards)}}
+
+
+@pytest.mark.parametrize("rewards", [(1e17,), (1e17, 1e17)])
+@pytest.mark.parametrize("argv", [["--exact"], ["--epsilon", "0.5"]])
+def test_constant_rewards_past_two_to_the_53_solve_to_the_oracle(capsys, tmp_path, rewards,
+                                                                 argv):
+    # there lo + 1 rounds back to lo, so the rescale must widen by one ulp
+    path = write(tmp_path, "big.json", json.dumps(constant_rewards_document(*rewards)))
+    code, out, err = run(capsys, "solve", *argv, path)
+    assert (code, err) == (0, "")
+    code, oracle_out, _ = run(capsys, "oracle", path)
+    assert code == 0
+    assert json.loads(out)["value"] == json.loads(oracle_out)["value"] == sum(rewards)
+
+
+@pytest.mark.parametrize("command", [["solve", "--exact"], ["solve", "--epsilon", "0.5"],
+                                     ["reduce"]])
+def test_rewards_too_wide_to_rescale_exit_1_naming_their_range(capsys, tmp_path, command):
+    path = write(tmp_path, "wide.json", json.dumps(one_reward_document(reward=(1e308, -1e308))))
+    code, out, err = run(capsys, *command, path)
+    assert (code, out) == (1, "")
+    assert err == "limid: rewards span [-1e+308, 1e+308]: rescaling them overflows a float\n"
+
+
 @pytest.mark.parametrize("command", [["validate"], ["oracle"], ["solve", "--exact"]])
 def test_a_nan_cpt_entry_is_a_violation_naming_the_variable(capsys, tmp_path, command):
     doc = json.loads(serialize(pick_diagram()))

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -61,6 +62,28 @@ def test_utility_bounds_examples():
     assert utility_bounds(two) == (-2.0, 7.0)
 
 
+def test_a_constant_reward_past_two_to_the_53_widens_by_one_ulp():
+    for reward in (1e17, -1e17):
+        const = InfluenceDiagram(
+            [Variable("c", "chance", 2), Variable("v", "value")],
+            [("c", "v")], {"c": [0.5, 0.5]}, {"v": [reward, reward]})
+        assert utility_bounds(const) == (reward, np.nextafter(reward, np.inf))
+
+
+def test_rewards_too_wide_to_rescale_name_their_range():
+    wide = normalizable([1e308, -1e308])
+    message = "rewards span [-1e+308, 1e+308]: rescaling them overflows a float"
+    for rescale in (utility_bounds, normalize_utilities):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            rescale(wide)
+    # each bound fits, but two rewards' sum q * hi does not
+    two = InfluenceDiagram(
+        [Variable("c", "chance", 2), Variable("v1", "value"), Variable("v2", "value")],
+        [("c", "v1"), ("c", "v2")], {"c": [0.5, 0.5]}, {"v1": [1e308, 0.0], "v2": [0.0, 0.0]})
+    with pytest.raises(ValueError, match=re.escape("rewards span [0.0, 1e+308]")):
+        utility_bounds(two)
+
+
 def test_utility_bounds_requires_value_variable():
     d = InfluenceDiagram([Variable("c", "chance", 2)], [], {"c": [0.5, 0.5]}, {})
     with pytest.raises(ValueError):
@@ -72,7 +95,7 @@ def test_utility_bounds_requires_value_variable():
 def test_single_value_wrapper(rng):
     d = pick_diagram()
     red = reduce_diagram(d)
-    assert red.q == 1
+    assert len(red.o_vars) == 1
     assert len(red.diagram.value_ids) == 1
     # original chance/decision tables survive verbatim
     assert np.array_equal(red.diagram.cpt("c"), d.cpt("c"))
@@ -88,7 +111,7 @@ def test_single_value_wrapper(rng):
 def test_chain_conditionals_at_position_two():
     d = two_agent_diagram()
     red = reduce_diagram(d)
-    assert red.q == 2
+    assert len(red.o_vars) == 2
     first, second = red.o_vars
     orig = red.value_order[1]
     assert red.diagram.parents(second) == (first,) + d.parents(orig)

@@ -119,15 +119,52 @@ def test_solve_preconditions():
     cfg = SolverConfig(epsilon=0.0)
     with pytest.raises(ValueError):
         solve(two_agent_diagram(), rooted_decomposition(two_agent_diagram()), cfg)
+    # any finite reward solves: solve maps it onto [0, 1] and the value back
     scaled = InfluenceDiagram(
         [Variable("c", "chance", 2), Variable("v", "value")],
         [("c", "v")], {"c": [0.5, 0.5]}, {"v": [5.0, 0.0]})
-    with pytest.raises(ValueError):
-        solve(scaled, rooted_decomposition(scaled), cfg)
+    assert solve(scaled, rooted_decomposition(scaled), cfg).value == 2.5
+    assert brute_force_meu(scaled)[0] == 2.5
     d = pick_diagram()
     unrooted = ensure_value_leaves(d, binarize(build_decomposition(d)))
     with pytest.raises(ValueError):
         solve(d, unrooted, cfg)
+
+
+def strategy_tables(result):
+    return [(p.decision, p.parents, p.table.tolist()) for p in result.strategy.policies]
+
+
+def solved_fields(result):
+    return (result.value, result.stats.m, result.stats.alpha, result.stats.nodes,
+            strategy_tables(result))
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.5])
+def test_a_reward_spanning_zero_to_one_solves_unchanged(epsilon):
+    cfg = SolverConfig(epsilon=epsilon)
+    for seed in range(20):
+        reduced = shape_and_reduce(small_random_diagram(seed))
+        unit, _, _ = normalize_utilities(reduced.diagram)
+        again, offset, scale = normalize_utilities(unit)
+        assert (offset, scale) == (0.0, 1.0)
+        assert solved_fields(solve(unit, reduced.decomposition, cfg)) == \
+            solved_fields(solve(again, reduced.decomposition, cfg))
+
+
+def test_an_affine_reward_maps_the_exact_value_and_keeps_the_strategy():
+    a, b = 3.7, -2.2
+    cfg = SolverConfig(epsilon=0.0)
+    for seed in range(20):
+        reduced = shape_and_reduce(small_random_diagram(seed))
+        merged = reduced.diagram
+        v = merged.value_ids[0]
+        moved = InfluenceDiagram(merged.variables, merged.arcs, merged.cpts,
+                                 {v: a * merged.reward(v) + b})
+        base = solve(merged, reduced.decomposition, cfg)
+        got = solve(moved, reduced.decomposition, cfg)
+        assert got.value == pytest.approx(a * base.value + b, abs=1e-9)
+        assert strategy_tables(got) == strategy_tables(base)
 
 
 def test_max_set_size_reports_node():
