@@ -16,7 +16,6 @@ from .model import (
     Strategy,
     Variable,
     brute_force_meu,
-    enumerate_pure_policies,
     expected_utility,
     pure_policy,
     pure_policy_count,
@@ -27,7 +26,6 @@ from .potential import (
     PotentialSet,
     combine_sets,
     covering,
-    is_covering,
 )
 from .treedecomp import (
     TreeDecomposition,
@@ -44,7 +42,6 @@ from .reduction import (
     normalize_utilities,
     reduce_to_single_value,
     utility_bounds,
-    verify_chain_identity,
 )
 from .solver import (
     NodeStats,
@@ -81,9 +78,7 @@ __all__ = [
     "covering",
     "default_root",
     "ensure_value_leaves",
-    "enumerate_pure_policies",
     "expected_utility",
-    "is_covering",
     "minimal_diagram",
     "normalize_utilities",
     "pure_policy",
@@ -95,5 +90,4 @@ __all__ = [
     "utility_bounds",
     "validate_decomposition",
     "validate_diagram",
-    "verify_chain_identity",
 ]

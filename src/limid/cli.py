@@ -321,7 +321,7 @@ def _read_input(path: str) -> str:
 
 
 def _solver_config(args: argparse.Namespace) -> SolverConfig:
-    cap: int | None = DEFAULT_MAX_SET_SIZE
+    cap = DEFAULT_MAX_SET_SIZE
     env = os.environ.get(MAX_SET_SIZE_ENV)
     if env:
         bad = f"{MAX_SET_SIZE_ENV} must be an integer of at least 1, got {env!r}"

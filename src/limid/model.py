@@ -111,10 +111,8 @@ class InfluenceDiagram:
             if a == b:
                 raise ValueError(f"self-arc on {a!r}")
         parents: dict[str, list[str]] = {v.id: [] for v in variables}
-        children: dict[str, list[str]] = {v.id: [] for v in variables}
         for a, b in arcs:
             parents[b].append(a)
-            children[a].append(b)
         # value variables never parent tables; offenders are reported by
         # validate_diagram rather than breaking table shapes here
         table_parents = {
@@ -149,8 +147,6 @@ class InfluenceDiagram:
         object.__setattr__(self, "cpts", cpt_map)
         object.__setattr__(self, "rewards", reward_map)
         object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(self, "_parents", {x: tuple(sorted(ps)) for x, ps in parents.items()})
-        object.__setattr__(self, "_children", {x: tuple(sorted(cs)) for x, cs in children.items()})
         object.__setattr__(self, "_table_parents", table_parents)
         object.__setattr__(self, "_families", {
             x: tuple(sorted(ps + (x,))) if by_id[x].kind != VALUE else ps
@@ -178,13 +174,6 @@ class InfluenceDiagram:
         """Sorted scope of ``var``'s table: its parents, plus ``var`` unless it is a value."""
         return self._families[var]
 
-    def all_parents(self, var: str) -> tuple[str, ...]:
-        """Sorted arc parents, including any (invalid) value parents."""
-        return self._parents[var]
-
-    def children(self, var: str) -> tuple[str, ...]:
-        return self._children[var]
-
     @property
     def chance_ids(self) -> tuple[str, ...]:
         return tuple(v.id for v in self.variables if v.kind == CHANCE)
@@ -209,16 +198,20 @@ class InfluenceDiagram:
 def validate_diagram(d: InfluenceDiagram) -> list[str]:
     """Return all invariant violations of ``d``, empty iff the diagram is valid."""
     report: list[str] = []
+    sorter = TopologicalSorter()
+    for a, b in d.arcs:
+        sorter.add(b, a)
     try:
-        list(TopologicalSorter({v.id: set(d.all_parents(v.id)) for v in d.variables}).static_order())
+        sorter.prepare()
         acyclic = True
     except CycleError:
         report.append("arcs contain a cycle")
         acyclic = False
 
-    for v in d.variables:
-        if v.kind == VALUE and d.children(v.id):
-            report.append(f"value variable {v.id!r} has a child")
+    tails = {a for a, _ in d.arcs}
+    for var in d.value_ids:
+        if var in tails:
+            report.append(f"value variable {var!r} has a child")
 
     for var in d.chance_ids:
         if var not in d.cpts:
@@ -263,11 +256,6 @@ class Policy:
         object.__setattr__(self, "parents", tuple(self.parents))
         object.__setattr__(self, "table", _freeze(np.asarray(self.table, dtype=float)))
 
-    def is_pure(self) -> bool:
-        t = self.table
-        onehot = np.all((t == 0.0) | (t == 1.0))
-        return bool(onehot and np.all(t.sum(axis=0) == 1.0))
-
 
 @dataclass(frozen=True, eq=False)
 class Strategy:
@@ -311,21 +299,13 @@ def pure_policy(d: InfluenceDiagram, decision: str, index: int) -> Policy:
     n = card ** gamma
     if not 0 <= index < n:
         raise ValueError(f"policy index {index} out of range for {decision!r}")
-    digits = np.empty(gamma, dtype=np.int64)
-    rem = index
-    for j in range(gamma - 1, -1, -1):
-        digits[j] = rem % card
-        rem //= card
+    # pure_policy_tables' rule, in Python ints: a count past int64 still indexes
+    digits = [index // card ** (gamma - 1 - j) % card for j in range(gamma)]
     table = np.zeros((card, gamma))
     table[digits, np.arange(gamma)] = 1.0
     parents = d.parents(decision)
     shape = (card,) + tuple(d.cardinality(p) for p in parents)
     return Policy(decision, parents, table.reshape(shape))
-
-
-def enumerate_pure_policies(d: InfluenceDiagram, decision: str) -> list[Policy]:
-    """All pure policies for ``decision``, in deterministic order."""
-    return [pure_policy(d, decision, i) for i in range(pure_policy_count(d, decision))]
 
 
 def pure_policy_tables(d: InfluenceDiagram, decision: str) -> np.ndarray:

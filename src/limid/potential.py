@@ -49,9 +49,6 @@ _ZERO_SENTINEL = np.iinfo(np.int64).min
 #: signatures stable at bucket boundaries
 _LOG_SNAP = 1e-12
 
-#: relative slack admitted by is_covering's dominance test
-_COVER_SLACK = 1e-12
-
 #: the error for entries outside [0, inf)
 _BAD_ENTRIES = "potential set entries must be nonnegative and finite"
 
@@ -328,15 +325,3 @@ def _first_rows(sig: np.ndarray) -> np.ndarray:
     starts = np.flatnonzero(np.concatenate(([True], (words[1:] != words[:-1]).any(axis=1))))
     # an unstable sort leaves a group in any order; its least index is its first row
     return np.sort(np.minimum.reduceat(order, starts))
-
-
-def is_covering(k: PotentialSet, kprime: PotentialSet, alpha: float) -> bool:
-    """Exhaustively check that every member of ``k`` is pointwise dominated
-    by ``alpha`` times some member of ``kprime``."""
-    if len(k) == 0:
-        return True
-    eta = math.prod(k.cards)
-    covered = k.values.reshape(len(k), 1, eta)
-    covers = kprime.values.reshape(1, len(kprime), eta)
-    ok = np.all(covered <= alpha * covers * (1.0 + _COVER_SLACK), axis=2)
-    return bool(ok.any(axis=1).all())

@@ -38,17 +38,12 @@ from .model import (
     DECISION,
     VALUE,
     InfluenceDiagram,
-    InstanceTooLargeError,
     Policy,
     Strategy,
     Variable,
-    _joint_states,
     pure_policy,
 )
 from .treedecomp import TreeDecomposition
-
-#: cap on joint assignments enumerated by verify_chain_identity
-CHAIN_CHECK_CAP = 1_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,9 +98,7 @@ def reduce_to_single_value(d: InfluenceDiagram, t: TreeDecomposition) -> Reducti
     ``t`` must be rooted, binary, and carry a value leaf (cluster equal to
     the parent set) for every value variable of ``d``.
     """
-    if t.root is None:
-        raise ValueError("decomposition must be rooted")
-    if any(t.degree(i) > 3 for i in range(t.n)):
+    if not t.is_binary():
         raise ValueError("decomposition must be binary")
     leaf_map = t.value_leaf_map
     for v in d.value_ids:
@@ -157,33 +150,6 @@ def reduce_to_single_value(d: InfluenceDiagram, t: TreeDecomposition) -> Reducti
                                 root=t.root)
 
     return ReductionResult(reduced, widened, (lo, hi), tuple(o_names), value_order)
-
-
-def verify_chain_identity(r: ReductionResult, d: InfluenceDiagram) -> float:
-    """Max deviation of P(O_i = state0 | x) from the running average of the
-    rescaled rewards u_j(x), j <= i, over all joint assignments x and chain
-    positions i.
-
-    The left side comes from the forward recurrence over the chain tables of
-    ``r``, the right from ``d``'s own reward tables.
-    """
-    states, total = _joint_states(d)
-    if total > CHAIN_CHECK_CAP:
-        raise InstanceTooLargeError(f"{total} joint assignments exceed the chain check cap")
-    lo, hi = utility_bounds(d)
-    deviation = 0.0
-    running = np.zeros(total)
-    prob = None
-    for i, (orig, o) in enumerate(zip(r.value_order, r.o_vars), start=1):
-        running += (d.reward(orig)[tuple(states[p] for p in d.parents(orig))] - lo) / (hi - lo)
-        # P(O_i = state0 | O_{i-1} = s, x) for s = 0, 1; the only parent
-        # outside ``states`` is O_{i-1}
-        table = r.diagram.cpt(o)[0]
-        zero, one = (table[tuple(states.get(p, s) for p in r.diagram.parents(o))]
-                     for s in (0, 1))
-        prob = zero if i == 1 else zero * prob + one * (1.0 - prob)
-        deviation = max(deviation, float(np.max(np.abs(prob - running / i))))
-    return deviation
 
 
 def normalize_utilities(d: InfluenceDiagram) -> tuple[InfluenceDiagram, float, float]:

@@ -75,15 +75,15 @@ class SolverConfig:
 
     ``epsilon`` is the approximation factor; ``epsilon == 0`` means exact
     mode (no pruning), and so does an ``epsilon`` too small to move
-    ``alpha`` off 1.  ``max_set_size`` (``None`` for no cap, else an integer
-    of at least 1) caps each decision's pure-policy count and the member
-    count of each node's product, first of its own tables and then with its
-    children's messages; in approximate mode that product is walked in
-    blocks and never held whole.
+    ``alpha`` off 1.  ``max_set_size`` (an integer of at least 1) caps each
+    decision's pure-policy count and the member count of each node's
+    product, first of its own tables and then with its children's
+    messages; in approximate mode that product is walked in blocks and
+    never held whole.
     """
 
     epsilon: float = 0.0
-    max_set_size: int | None = DEFAULT_MAX_SET_SIZE
+    max_set_size: int = DEFAULT_MAX_SET_SIZE
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.epsilon):
@@ -91,9 +91,8 @@ class SolverConfig:
         if self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
         cap = self.max_set_size
-        if cap is not None and (not isinstance(cap, int) or cap < 1):
-            raise ValueError(f"max_set_size must be None or an integer of at least 1, "
-                             f"got {cap!r}")
+        if not isinstance(cap, int) or cap < 1:
+            raise ValueError(f"max_set_size must be an integer of at least 1, got {cap!r}")
 
 
 @dataclass(frozen=True)
@@ -118,10 +117,6 @@ class SolveStats:
     def exact(self) -> bool:
         return self.alpha == 1.0  # alpha 1 prunes nothing
 
-    @property
-    def total_pruned_size(self) -> int:
-        return sum(s.c_size for s in self.nodes)
-
 
 @dataclass(frozen=True, eq=False)
 class SolverResult:
@@ -143,10 +138,9 @@ def _table_set(d: InfluenceDiagram, var: str) -> PotentialSet:
     return PotentialSet(scope, tuple(d.cardinality(x) for x in scope), table[np.newaxis])
 
 
-def _policy_potential_set(d: InfluenceDiagram, dec: str,
-                          cap: int | None) -> PotentialSet:
+def _policy_potential_set(d: InfluenceDiagram, dec: str, cap: int) -> PotentialSet:
     count = pure_policy_count(d, dec)
-    if cap is not None and count > cap:
+    if count > cap:
         raise InstanceTooLargeError(
             f"decision {dec!r} has {count} pure policies, over the set-size cap {cap}")
     tables = pure_policy_tables(d, dec)
@@ -156,11 +150,11 @@ def _policy_potential_set(d: InfluenceDiagram, dec: str,
     return PotentialSet(scope, tuple(d.cardinality(x) for x in scope), stacked, (dec,), indices)
 
 
-def _check_cap(parts: list[PotentialSet], cap: int | None, node: int, stage: str) -> None:
+def _check_cap(parts: list[PotentialSet], cap: int, node: int, stage: str) -> None:
     """Reject a combination whose product set would exceed ``cap`` before it
     is built; combined sets share no decision, so the product size is exact."""
     size = math.prod(len(s) for s in parts)
-    if cap is not None and size > cap:
+    if size > cap:
         raise InstanceTooLargeError(
             f"set size {size} at node {node} ({stage}) exceeds the cap {cap}")
 
@@ -249,11 +243,12 @@ def solve(d: InfluenceDiagram, t: TreeDecomposition, cfg: SolverConfig) -> Solve
     """
     started = time.perf_counter()
     d, offset, scale = normalize_utilities(d)
-    if t.root is None:
-        raise ValueError("decomposition must be rooted")
-    if any(t.degree(i) > 3 for i in range(t.n)):
+    if not t.is_binary():
         raise ValueError("decomposition must be binary")
     _check_decomposition(d, t)
+    # a node's last visit on the Euler tour follows its whole subtree; the
+    # tour needs a root, so an unrooted t fails here, before any set is built
+    last = {node: pos for pos, node in enumerate(t.euler_tour())}
 
     m = t.n
     alpha = 1.0 + cfg.epsilon / (2 * m)
@@ -274,8 +269,6 @@ def solve(d: InfluenceDiagram, t: TreeDecomposition, cfg: SolverConfig) -> Solve
     cluster_sets = [set(c) for c in t.clusters]
     node_stats: list[NodeStats] = []
     messages: dict[int, PotentialSet] = {}
-    # a node's last visit on the Euler tour follows its whole subtree
-    last = {node: pos for pos, node in enumerate(t.euler_tour())}
     for i in sorted(last, key=last.__getitem__):
         own = hold.pop(i)
         parts = own + [messages.pop(c) for c in t.children(i)]

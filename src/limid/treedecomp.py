@@ -88,6 +88,10 @@ class TreeDecomposition:
                     stack.append(j)
         return len(seen) == self.n
 
+    def is_binary(self) -> bool:
+        """Every node has at most three neighbors."""
+        return all(self.degree(i) <= 3 for i in range(self.n))
+
     @cached_property
     def _holders(self) -> dict[str, set[int]]:
         holders: dict[str, set[int]] = {}
@@ -265,7 +269,7 @@ def binarize(t: TreeDecomposition) -> TreeDecomposition:
     original clusters survive verbatim.  Already-binary input is returned
     as is.
     """
-    if all(t.degree(i) <= 3 for i in range(t.n)):
+    if t.is_binary():
         return t
     clusters = [set(c) for c in t.clusters]
     adj: list[set[int]] = [set(t.neighbors(i)) for i in range(t.n)]
@@ -296,9 +300,8 @@ def ensure_value_leaves(d: InfluenceDiagram, t: TreeDecomposition) -> TreeDecomp
     takes over i's children and a fresh leaf k with cluster Pa(V) hangs off
     i.  Widths and degrees stay within the binary bound.
     """
-    for i in range(t.n):
-        if t.degree(i) > 3:
-            raise ValueError("decomposition must be binary (degree at most three)")
+    if not t.is_binary():
+        raise ValueError("decomposition must be binary")
     if not d.value_ids:
         return t
 

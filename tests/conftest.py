@@ -1,8 +1,28 @@
+import math
+
 import numpy as np
 import pytest
 
-from limid import InfluenceDiagram, Policy, Strategy, Variable
+from limid import (
+    InfluenceDiagram,
+    InstanceTooLargeError,
+    Policy,
+    PotentialSet,
+    ReductionResult,
+    Strategy,
+    Variable,
+    pure_policy,
+    pure_policy_count,
+    utility_bounds,
+)
 from limid.cli import generate_diagram
+from limid.model import _joint_states
+
+#: relative slack admitted by is_covering's dominance test
+_COVER_SLACK = 1e-12
+
+#: cap on joint assignments enumerated by verify_chain_identity
+CHAIN_CHECK_CAP = 1_000_000
 
 
 def two_agent_diagram() -> InfluenceDiagram:
@@ -67,3 +87,55 @@ def random_strategy(d: InfluenceDiagram, rng: np.random.Generator,
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240831)
+
+
+# -- reference checks ---------------------------------------------------------------
+
+def is_pure(p: Policy) -> bool:
+    t = p.table
+    onehot = np.all((t == 0.0) | (t == 1.0))
+    return bool(onehot and np.all(t.sum(axis=0) == 1.0))
+
+
+def pure_policies(d: InfluenceDiagram, decision: str) -> list[Policy]:
+    """All pure policies for ``decision``, in deterministic order."""
+    return [pure_policy(d, decision, i) for i in range(pure_policy_count(d, decision))]
+
+
+def is_covering(k: PotentialSet, kprime: PotentialSet, alpha: float) -> bool:
+    """Exhaustively check that every member of ``k`` is pointwise dominated
+    by ``alpha`` times some member of ``kprime``."""
+    if len(k) == 0:
+        return True
+    eta = math.prod(k.cards)
+    covered = k.values.reshape(len(k), 1, eta)
+    covers = kprime.values.reshape(1, len(kprime), eta)
+    ok = np.all(covered <= alpha * covers * (1.0 + _COVER_SLACK), axis=2)
+    return bool(ok.any(axis=1).all())
+
+
+def verify_chain_identity(r: ReductionResult, d: InfluenceDiagram) -> float:
+    """Max deviation of P(O_i = state0 | x) from the running average of the
+    rescaled rewards u_j(x), j <= i, over all joint assignments x and chain
+    positions i.
+
+    The left side comes from the forward recurrence over the chain tables of
+    ``r``, the right from ``d``'s own reward tables.
+    """
+    states, total = _joint_states(d)
+    if total > CHAIN_CHECK_CAP:
+        raise InstanceTooLargeError(f"{total} joint assignments exceed the chain check cap")
+    lo, hi = utility_bounds(d)
+    deviation = 0.0
+    running = np.zeros(total)
+    prob = None
+    for i, (orig, o) in enumerate(zip(r.value_order, r.o_vars), start=1):
+        running += (d.reward(orig)[tuple(states[p] for p in d.parents(orig))] - lo) / (hi - lo)
+        # P(O_i = state0 | O_{i-1} = s, x) for s = 0, 1; the only parent
+        # outside ``states`` is O_{i-1}
+        table = r.diagram.cpt(o)[0]
+        zero, one = (table[tuple(states.get(p, s) for p in r.diagram.parents(o))]
+                     for s in (0, 1))
+        prob = zero if i == 1 else zero * prob + one * (1.0 - prob)
+        deviation = max(deviation, float(np.max(np.abs(prob - running / i))))
+    return deviation

@@ -13,8 +13,7 @@ import pytest
 
 from limid import brute_force_meu, expected_utility
 from limid.cli import generate_diagram, main
-from limid.potential import is_covering
-from limid.reduction import reduce_to_single_value, verify_chain_identity
+from limid.reduction import reduce_to_single_value
 from limid import solver
 from limid.solver import SolverConfig, solve_full
 from limid.treedecomp import (
@@ -26,7 +25,7 @@ from limid.treedecomp import (
     validate_decomposition,
 )
 
-from conftest import random_strategy, small_random_diagram
+from conftest import is_covering, random_strategy, small_random_diagram, verify_chain_identity
 
 TOL = 1e-9
 CHAIN_TOL = 1e-12
@@ -216,8 +215,8 @@ def test_8_work_monotonicity(solver_runs):
     """
     violations = []
     for r in solver_runs["records"]:
-        totals = [r["exact"].stats.total_pruned_size]
-        totals += [r["pruned"][eps].stats.total_pruned_size for eps in EPSILONS]
+        totals = [sum(s.c_size for s in r["exact"].stats.nodes)]
+        totals += [sum(s.c_size for s in r["pruned"][eps].stats.nodes) for eps in EPSILONS]
         if any(a < b for a, b in zip(totals, totals[1:])):
             violations.append((r["seed"], totals))
     ok = not violations

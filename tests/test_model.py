@@ -10,14 +10,20 @@ from limid import (
     Strategy,
     Variable,
     brute_force_meu,
-    enumerate_pure_policies,
     expected_utility,
     pure_policy,
     pure_policy_count,
     validate_diagram,
 )
 
-from conftest import pick_diagram, random_strategy, small_random_diagram, two_agent_diagram
+from conftest import (
+    is_pure,
+    pick_diagram,
+    pure_policies,
+    random_strategy,
+    small_random_diagram,
+    two_agent_diagram,
+)
 
 
 def literal_expected_utility(d: InfluenceDiagram, s: Strategy) -> float:
@@ -105,26 +111,36 @@ def binary_decision_diagram(card=2, parent_cards=()):
 def test_pure_policy_counts(card, parent_cards, expected):
     d = binary_decision_diagram(card, parent_cards)
     assert pure_policy_count(d, "d") == expected
-    assert len(enumerate_pure_policies(d, "d")) == expected
+    assert len(pure_policies(d, "d")) == expected
 
 
 def test_enumerate_rejects_non_decision():
     d = pick_diagram()
     with pytest.raises(ValueError):
-        enumerate_pure_policies(d, "c")
+        pure_policy_count(d, "c")
 
 
 def test_pure_policies_are_pure_and_ordered():
     d = binary_decision_diagram(3, (2,))
-    policies = enumerate_pure_policies(d, "d")
-    assert all(p.is_pure() for p in policies)
+    policies = pure_policies(d, "d")
+    assert all(is_pure(p) for p in policies)
     # index 0 always picks action 0; the last index always the last action
     assert np.array_equal(policies[0].table, [[1, 1], [0, 0], [0, 0]])
     assert np.array_equal(policies[-1].table, [[0, 0], [0, 0], [1, 1]])
     # lexicographic: the first parent assignment is the most significant digit
     assert np.array_equal(policies[3].table, [[0, 1], [1, 0], [0, 0]])
-    again = enumerate_pure_policies(d, "d")
+    again = pure_policies(d, "d")
     assert all(np.array_equal(a.table, b.table) for a, b in zip(policies, again))
+
+
+def test_pure_policy_indexes_past_int64():
+    d = binary_decision_diagram(3, (41,))
+    assert pure_policy_count(d, "d") == 3 ** 41 > 2 ** 63
+    last = pure_policy(d, "d", 3 ** 41 - 1).table
+    assert np.array_equal(last, np.eye(3)[[2] * 41].T)
+    # the first parent assignment is the most significant digit
+    lead = pure_policy(d, "d", 3 ** 40).table
+    assert np.array_equal(lead, np.eye(3)[[1] + [0] * 40].T)
 
 
 # -- expected utility -----------------------------------------------------------
@@ -248,7 +264,7 @@ def test_brute_force_matches_literal_maximization():
         if not d.decision_ids:
             continue
         value, strategy = brute_force_meu(d)
-        spaces = [enumerate_pure_policies(d, dec) for dec in d.decision_ids]
+        spaces = [pure_policies(d, dec) for dec in d.decision_ids]
         values = [literal_expected_utility(d, Strategy(combo))
                   for combo in itertools.product(*spaces)]
         assert value == pytest.approx(max(values), abs=1e-10)

@@ -14,9 +14,10 @@ from limid.potential import (
     covering,
     covering_bound,
     floor_log,
-    is_covering,
 )
 from limid.solver import _blocks, node_message
+
+from conftest import is_covering
 
 
 def single(cards: dict, values, decisions=(), policies=None) -> PotentialSet:

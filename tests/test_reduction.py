@@ -20,10 +20,10 @@ from limid.reduction import (
     normalize_utilities,
     reduce_to_single_value,
     utility_bounds,
-    verify_chain_identity,
 )
 from limid.solver import SolverConfig, solve_full
 from limid.treedecomp import (
+    TreeDecomposition,
     binarize,
     build_decomposition,
     default_root,
@@ -32,7 +32,13 @@ from limid.treedecomp import (
     validate_decomposition,
 )
 
-from conftest import pick_diagram, random_strategy, small_random_diagram, two_agent_diagram
+from conftest import (
+    pick_diagram,
+    random_strategy,
+    small_random_diagram,
+    two_agent_diagram,
+    verify_chain_identity,
+)
 
 
 def shaped_decomposition(d):
@@ -156,11 +162,14 @@ def test_width_bound_and_decomposition_validity():
 def test_reduction_preconditions():
     d = pick_diagram()
     unrooted = ensure_value_leaves(d, binarize(build_decomposition(d)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="rooted"):
         reduce_to_single_value(d, unrooted)
     no_leaves = root_and_order(binarize(build_decomposition(d)), 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no value leaf"):
         reduce_to_single_value(d, no_leaves)
+    star = TreeDecomposition((("c", "d"),) * 5, tuple((0, j) for j in range(1, 5)), root=0)
+    with pytest.raises(ValueError, match="decomposition must be binary"):
+        reduce_to_single_value(d, star)
 
 
 def renamed(d, names):

@@ -25,7 +25,7 @@ from limid.treedecomp import (
     validate_decomposition,
 )
 
-from conftest import pick_diagram, small_random_diagram, two_agent_diagram
+from conftest import is_pure, pick_diagram, small_random_diagram, two_agent_diagram
 
 
 def rooted_decomposition(d):
@@ -75,9 +75,10 @@ def test_config_rejects_bad_max_set_size(cap):
         SolverConfig(epsilon=0.5, max_set_size=cap)
 
 
-def test_config_accepts_positive_or_no_cap():
+def test_config_accepts_a_positive_cap_and_refuses_none():
     assert SolverConfig(max_set_size=1).max_set_size == 1
-    assert SolverConfig(max_set_size=None).max_set_size is None
+    with pytest.raises(ValueError, match="max_set_size"):
+        SolverConfig(max_set_size=None)
 
 
 # -- solve on a prepared diagram -------------------------------------------------------
@@ -115,9 +116,9 @@ def test_no_decision_diagram_any_epsilon():
         assert result.strategy.policies == ()
 
 
-def test_solve_preconditions():
+def test_solve_preconditions(monkeypatch):
     cfg = SolverConfig(epsilon=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="one value variable"):
         solve(two_agent_diagram(), rooted_decomposition(two_agent_diagram()), cfg)
     # any finite reward solves: solve maps it onto [0, 1] and the value back
     scaled = InfluenceDiagram(
@@ -126,8 +127,17 @@ def test_solve_preconditions():
     assert solve(scaled, rooted_decomposition(scaled), cfg).value == 2.5
     assert brute_force_meu(scaled)[0] == 2.5
     d = pick_diagram()
+    star = TreeDecomposition((("c", "d"),) * 5, tuple((0, j) for j in range(1, 5)), root=0)
+    with pytest.raises(ValueError, match="decomposition must be binary"):
+        solve(d, star, cfg)
+
+    # an unrooted tree fails before any decision's policy set is built
+    def refuse(*args):
+        raise AssertionError("policy set built for an unrooted decomposition")
+
+    monkeypatch.setattr(limid.solver, "_policy_potential_set", refuse)
     unrooted = ensure_value_leaves(d, binarize(build_decomposition(d)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="rooted"):
         solve(d, unrooted, cfg)
 
 
@@ -292,7 +302,7 @@ def test_returned_strategy_reproduces_value():
         for eps in (0.0, 0.5):
             got = solve_full(d, SolverConfig(epsilon=eps))
             assert expected_utility(d, got.strategy) == pytest.approx(got.value, abs=1e-9)
-            assert all(p.is_pure() for p in got.strategy.policies)
+            assert all(is_pure(p) for p in got.strategy.policies)
 
 
 def test_constant_utility_diagram():
@@ -390,7 +400,8 @@ def test_exact_work_upper_bounds_pruned_work():
         exact = solve_full(d, SolverConfig(epsilon=0.0))
         for eps in (0.1, 0.5, 1.0):
             pruned = solve_full(d, SolverConfig(epsilon=eps))
-            assert pruned.stats.total_pruned_size <= exact.stats.total_pruned_size
+            assert (sum(s.c_size for s in pruned.stats.nodes)
+                    <= sum(s.c_size for s in exact.stats.nodes))
 
 
 def test_stats_shape():

@@ -256,7 +256,7 @@ def test_no_value_variables_is_identity():
 def test_value_leaves_require_binary_input():
     d = clique_diagram(2)
     star = TreeDecomposition((("c0", "c1"),) * 5, tuple((0, j) for j in range(1, 5)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="decomposition must be binary"):
         ensure_value_leaves(d, star)
 
 
