@@ -135,7 +135,9 @@ def document_to_diagram(doc: Any) -> tuple[InfluenceDiagram, TreeDecomposition |
             card = _integer(card, f"'cardinality' of {vid!r}")
         states = entry.get("states")
         if states is not None:
-            states = tuple(_expect(states, list, f"'states' of {vid!r}"))
+            if not isinstance(states, list) or any(type(x) is not str for x in states):
+                raise DocumentError(f"'states' of {vid!r} must be a JSON array of strings")
+            states = tuple(states)
         try:
             variables.append(Variable(vid, str(entry["kind"]), card, states))
         except ValueError as exc:

@@ -57,7 +57,8 @@ class Variable:
     """A chance, decision or value variable.
 
     Chance and decision variables carry a cardinality (>= 1); value
-    variables carry none, they stand for a reward table over their parents.
+    variables carry none and no state labels, they stand for a reward table
+    over their parents.
     """
 
     id: str
@@ -69,8 +70,9 @@ class Variable:
         if self.kind not in (CHANCE, DECISION, VALUE):
             raise ValueError(f"unknown variable kind {self.kind!r}")
         if self.kind == VALUE:
-            if self.cardinality is not None:
-                raise ValueError(f"value variable {self.id!r} must not carry a cardinality")
+            if self.cardinality is not None or self.state_labels is not None:
+                raise ValueError(f"value variable {self.id!r} must not carry a cardinality "
+                                 "or state labels")
         else:
             if self.cardinality is None or self.cardinality < 1:
                 raise ValueError(f"variable {self.id!r} needs a cardinality >= 1")

@@ -19,11 +19,14 @@ are disjoint, so combined sets never share a decision; that is checked
 once per combination.
 
 ``covering`` prunes a set down to one representative per bucket of the
-signature y -> floor(log_alpha P(y)), with a distinct sentinel for zero
+signature y -> floor(log_alpha P(y)), with a distinct code for zero
 entries.  Any two members sharing a signature dominate each other within a
 pointwise factor alpha, so every pruned member stays alpha-covered by a
-survivor.  Members are grouped on an exact key that packs their signatures
-into ``int64`` words.
+survivor.  Members are grouped on an exact key: their signatures are packed
+into ``int64`` words as they are computed, so no signature matrix exists.
+The packing range runs from one signature below the smallest positive
+entry's to one above the largest entry's, a margin for last-bit
+disagreements between ``math.log`` and ``np.log``.
 
 Arrays handed to the :class:`PotentialSet` constructor are copied and
 checked, so no caller can change a set afterwards.  Every other set is
@@ -42,9 +45,6 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-#: signature value standing in for entries that are exactly zero
-_ZERO_SENTINEL = np.iinfo(np.int64).min
-
 #: quotients this close to an integer are snapped to it, keeping bucket
 #: signatures stable at bucket boundaries
 _LOG_SNAP = 1e-12
@@ -52,8 +52,9 @@ _LOG_SNAP = 1e-12
 #: the error for entries outside [0, inf)
 _BAD_ENTRIES = "potential set entries must be nonnegative and finite"
 
-#: entries per row chunk of covering's passes (signatures, then their packed
-#: keys), which bounds their temporaries
+#: entries per row chunk of covering's passes (the smallest positive entry,
+#: then signatures packed straight into their keys), which bounds their
+#: temporaries
 _CHUNK_ENTRIES = 1 << 14
 
 
@@ -221,28 +222,25 @@ def covering(k: PotentialSet, alpha: float) -> tuple[PotentialSet, CoveringStats
     """Prune ``k`` to a subset covering it within a pointwise factor ``alpha``.
 
     Members are bucketed on the integer signature floor(log_alpha value)
-    per assignment (zero entries get their own sentinel); the first member
-    of each bucket survives, in input order.  Signatures are computed in row
-    chunks of ``_CHUNK_ENTRIES`` entries into one ``int64`` matrix, so the
-    float temporaries stay bounded.  Rows are grouped on an exact key that
-    packs each row's signatures into ``int64`` words (:func:`_first_rows`),
-    whatever the set's size.  When every member survives, ``k`` itself is
-    returned.  The returned stats carry the guaranteed cap
-    ``(1 - floor(log_alpha t)) ** assignments`` on the number of survivors,
-    valid whenever all entries are positive and at most one.
+    per assignment (zero entries get their own code); the first member of
+    each bucket survives, in input order.  Rows are grouped on an exact key
+    that packs each row's signatures into ``int64`` words as they are
+    computed (:func:`_packed_keys`), so no signature matrix exists.  When
+    every member survives, ``k`` itself is returned.  The returned stats
+    carry the guaranteed cap ``(1 - floor(log_alpha t)) ** assignments`` on
+    the number of survivors, valid whenever all entries are positive and at
+    most one.
     """
     if not alpha > 1.0:
         raise ValueError("alpha must be greater than 1")
     n = len(k)
-    eta = math.prod(k.cards)
+    stats = covering_bound(k, alpha)
     if n < 2:  # nothing to prune
-        return k, covering_bound(k, alpha)
-    sig, smallest = _signatures(k.values.reshape(n, eta), alpha)
-    keep = _first_rows(sig)
-    del sig  # freed before the survivors are gathered, to lower the peak
+        return k, stats
+    keep = _first_rows(_packed_keys(k.values.reshape(n, -1), alpha, stats.smallest_positive))
     if len(keep) < n:
         k = _derived(k.scope, k.cards, k.values[keep], k.decisions, k.policies[keep])
-    return k, _size_bound(smallest, alpha, eta)
+    return k, stats
 
 
 def covering_bound(k: PotentialSet, alpha: float) -> CoveringStats:
@@ -252,8 +250,11 @@ def covering_bound(k: PotentialSet, alpha: float) -> CoveringStats:
     smallest = math.inf
     for rows in _chunks(flat):
         x = flat[rows]
-        smallest = min(smallest, _smallest_positive(x, x > 0.0))
-    return _size_bound(smallest, alpha, eta)
+        # a masked min reduction takes several times longer than this
+        smallest = min(smallest, float(np.where(x > 0.0, x, math.inf).min()))
+    if smallest == math.inf:
+        return CoveringStats()
+    return CoveringStats(smallest, (1 - floor_log(smallest, alpha)) ** eta)
 
 
 def _chunks(a: np.ndarray) -> Iterator[slice]:
@@ -262,27 +263,32 @@ def _chunks(a: np.ndarray) -> Iterator[slice]:
     return (slice(lo, lo + step) for lo in range(0, len(a), step))
 
 
-def _smallest_positive(x: np.ndarray, positive: np.ndarray) -> float:
-    # a masked min reduction takes several times longer than this
-    return float(np.where(positive, x, math.inf).min())
+def _packed_keys(flat: np.ndarray, alpha: float, smallest: float | None) -> np.ndarray:
+    """One exact ``int64`` key row per row of ``flat``, whose smallest
+    positive entry is ``smallest`` (``None`` if none, when every row gets
+    the same key).
 
-
-def _size_bound(smallest: float, alpha: float, eta: int) -> CoveringStats:
-    if smallest == math.inf:
-        return CoveringStats()
-    return CoveringStats(smallest, (1 - floor_log(smallest, alpha)) ** eta)
-
-
-def _signatures(flat: np.ndarray, alpha: float) -> tuple[np.ndarray, float]:
-    """The ``int64`` signature of every entry of ``flat`` and its smallest
-    positive entry (``inf`` if none)."""
-    sig = np.empty(flat.shape, dtype=np.int64)
+    An entry's code is 0 for zero and ``s - lo + 1`` for a signature ``s``,
+    with ``lo = floor_log(smallest) - 1`` and ``hi = floor_log(largest) + 1``:
+    one signature of margin on each side absorbs any last-bit disagreement
+    between ``math.log`` and ``np.log``.  ``63 // bits`` codes of
+    ``bits = (hi - lo + 1).bit_length()`` pack into each word (finite
+    entries keep ``hi - lo`` below 2**63), so rows share a signature exactly
+    when their words are equal.  Signatures and codes are made a row chunk
+    at a time, so their temporaries stay bounded.
+    """
+    if smallest is None:
+        return np.zeros((len(flat), 1), dtype=np.int64)
+    lo = floor_log(smallest, alpha) - 1
+    hi = floor_log(float(flat.max()), alpha) + 1
+    bits = (hi - lo + 1).bit_length()
+    per = 63 // bits
+    column = np.arange(flat.shape[1])
+    words = np.empty((len(flat), -(-flat.shape[1] // per)), dtype=np.int64)
     log_alpha = math.log(alpha)
-    smallest = math.inf
     for rows in _chunks(flat):
         x = flat[rows]
         positive = x > 0.0
-        smallest = min(smallest, _smallest_positive(x, positive))
         # divide by log(alpha): multiplying by its reciprocal rounds differently
         q = np.log(x, out=np.zeros(x.shape), where=positive)
         q /= log_alpha
@@ -290,36 +296,16 @@ def _signatures(flat: np.ndarray, alpha: float) -> tuple[np.ndarray, float]:
         near = np.abs(q - r) <= _LOG_SNAP
         np.floor(q, out=q)
         np.copyto(q, r, where=near)
-        # the sentinel -2**63 is exact in float64, so it survives the cast
-        np.copyto(q, float(_ZERO_SENTINEL), where=~positive)
-        np.copyto(sig[rows], q, casting="unsafe")
-    return sig, smallest
-
-
-def _first_rows(sig: np.ndarray) -> np.ndarray:
-    """Ascending indices of the first occurrence of every distinct row of ``sig``.
-
-    An entry's code is 0 for the zero sentinel and ``s - lo + 1`` for a
-    signature ``s``, with ``lo`` and ``hi`` the least and greatest of the
-    others; ``63 // bits`` codes of ``bits = (hi - lo + 1).bit_length()`` pack
-    into each ``int64`` word (finite entries keep ``hi - lo`` below 2**63), so
-    rows are equal exactly when their words are.  Codes are made a row chunk
-    at a time, so their temporaries stay bounded.
-    """
-    hi = int(sig.max())
-    # the sentinel is the least int64 and never sets hi; read as hi, it never sets lo
-    lo = min(int(np.where(sig[rows] == _ZERO_SENTINEL, hi, sig[rows]).min())
-             for rows in _chunks(sig))
-    bits = (hi - lo + 1).bit_length()
-    per = 63 // bits
-    column = np.arange(sig.shape[1])
-    words = np.empty((len(sig), -(-sig.shape[1] // per)), dtype=np.int64)
-    for rows in _chunks(sig):
-        code = sig[rows] - lo  # wraps on the sentinel, whose code is then set to 0
-        code += 1
-        code[sig[rows] == _ZERO_SENTINEL] = 0
+        code = q.astype(np.int64)
+        code -= lo - 1
+        code *= positive  # zero entries take code 0
         code <<= bits * (column % per)
         np.bitwise_or.reduceat(code, column[::per], axis=1, out=words[rows])
+    return words
+
+
+def _first_rows(words: np.ndarray) -> np.ndarray:
+    """Ascending indices of the first occurrence of every distinct row of ``words``."""
     order = np.argsort(words[:, 0]) if words.shape[1] == 1 else np.lexsort(words.T)
     words = words[order]
     starts = np.flatnonzero(np.concatenate(([True], (words[1:] != words[:-1]).any(axis=1))))

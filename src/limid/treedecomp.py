@@ -360,7 +360,11 @@ def ensure_value_leaves(d: InfluenceDiagram, t: TreeDecomposition) -> TreeDecomp
 
 
 def root_and_order(t: TreeDecomposition, r: int) -> TreeDecomposition:
-    """Root the decomposition at node ``r``."""
+    """Root the decomposition at node ``r``; it only sets the root.
+
+    It stays a function of its own because ``bench/spans.py`` traces it by
+    name.
+    """
     return dataclasses.replace(t, root=r)
 
 

@@ -477,6 +477,37 @@ def test_loose_document_values_are_rejected_naming_the_field(capsys, tmp_path, d
     assert err.startswith(f"limid: {where} ") and err.count("\n") == 1
 
 
+def labelled_document(states) -> dict:
+    doc = one_reward_document()
+    doc["variables"][0]["states"] = states
+    return doc
+
+
+@pytest.mark.parametrize("command", [["validate"], ["solve", "--exact"], ["reduce"]])
+@pytest.mark.parametrize("states", [[1, {"a": 2}], ["lo", 2], [["lo"], "hi"], "lohi", {"lo": 0}])
+def test_state_labels_must_be_an_array_of_strings(capsys, tmp_path, command, states):
+    path = write(tmp_path, "bad.json", json.dumps(labelled_document(states)))
+    code, out, err = run(capsys, *command, path)
+    assert (code, out) == (1, "")
+    assert err == "limid: 'states' of 'c' must be a JSON array of strings\n"
+
+
+def test_a_value_variable_takes_no_state_labels(capsys, tmp_path):
+    doc = one_reward_document()
+    doc["variables"][1]["states"] = ["lo", "hi"]
+    code, out, err = run(capsys, "validate", write(tmp_path, "bad.json", json.dumps(doc)))
+    assert (code, out) == (1, "")
+    assert err == "limid: value variable 'v' must not carry a cardinality or state labels\n"
+
+
+def test_string_state_labels_are_kept(capsys, tmp_path):
+    path = write(tmp_path, "ok.json", json.dumps(labelled_document(["lo", "hi"])))
+    code, out, _ = run(capsys, "reduce", path)
+    assert code == 0
+    assert {"id": "c", "kind": "chance", "cardinality": 2, "states": ["lo", "hi"]} in \
+        json.loads(out)["variables"]
+
+
 def test_integral_float_node_ids_are_accepted(capsys, tmp_path):
     doc = decomposed_document(edges=[[0.0, 1.0]], root=1.0)
     path = write(tmp_path, "ok.json", json.dumps(doc))

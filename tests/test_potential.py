@@ -461,16 +461,28 @@ def reference_first_rows(sig):
     return np.sort(np.unique(rows, return_index=True)[1])
 
 
-def reference_survivors(values: np.ndarray, alpha: float) -> np.ndarray:
-    """Covering's survivors by the direct formula: all signatures at once,
-    rows grouped as raw bytes."""
+def reference_signatures(values: np.ndarray, alpha: float) -> np.ndarray:
+    """Every entry's signature by the direct formula, all at once, with the
+    least ``int64`` standing in for zero entries."""
     flat = values.reshape(len(values), -1)
     positive = flat > 0.0
     sig = np.full(flat.shape, np.iinfo(np.int64).min, dtype=np.int64)
     q = np.log(flat[positive]) / math.log(alpha)
     r = np.rint(q)
     sig[positive] = np.where(np.abs(q - r) <= 1e-12, r, np.floor(q)).astype(np.int64)
-    return reference_first_rows(sig)
+    return sig
+
+
+def reference_survivors(values: np.ndarray, alpha: float) -> np.ndarray:
+    """Covering's survivors by the direct formula: rows of signatures grouped as raw bytes."""
+    return reference_first_rows(reference_signatures(values, alpha))
+
+
+def packed_keys(values: np.ndarray, alpha: float) -> np.ndarray:
+    """The key words covering packs for the rows of ``values``."""
+    positive = values[values > 0.0]
+    smallest = float(positive.min()) if positive.size else None
+    return limid.potential._packed_keys(values, alpha, smallest)
 
 
 @pytest.mark.parametrize("chunked", [False, True])
@@ -492,6 +504,7 @@ def test_covering_matches_the_direct_formula(rng, monkeypatch, chunked):
 @pytest.mark.parametrize("rows", ["mixed", "first column only", "all colliding"])
 def test_first_rows_match_a_unique_reference(rng, rows):
     for trial in range(12):
+        alpha = (1.01, 1.3, 10.0)[trial % 3]
         width = int(rng.integers(1, 6))
         pool = rng.integers(-4, 2, size=(int(rng.integers(1, 40)), width))
         if rows == "first column only":
@@ -500,17 +513,11 @@ def test_first_rows_match_a_unique_reference(rng, rows):
         elif rows == "all colliding":
             # one signature in every column, rows told apart by their zeros only
             pool[:] = pool[0, 0]
-        pool[rng.uniform(size=pool.shape) < 0.2] = np.iinfo(np.int64).min
+        pool = np.where(rng.uniform(size=pool.shape) < 0.2, 0.0, alpha ** pool.astype(float))
         # heavily duplicated rows
-        sig = pool[rng.integers(len(pool), size=int(rng.integers(1, 20_000)))]
-        got = limid.potential._first_rows(sig)
-        assert got.tolist() == reference_first_rows(sig).tolist()
-
-
-def codes_per_word(sig: np.ndarray) -> int:
-    """How many signature codes the packed key fits into one 64-bit word."""
-    signatures = sig[sig != np.iinfo(np.int64).min]
-    return 63 // (int(signatures.max()) - int(signatures.min()) + 1).bit_length()
+        values = pool[rng.integers(len(pool), size=int(rng.integers(1, 20_000)))]
+        got = limid.potential._first_rows(packed_keys(values, alpha))
+        assert got.tolist() == reference_survivors(values, alpha).tolist()
 
 
 def duplicated_rows(rng, pool: np.ndarray, n: int) -> np.ndarray:
@@ -524,8 +531,8 @@ def duplicated_rows(rng, pool: np.ndarray, n: int) -> np.ndarray:
 
 
 @pytest.mark.parametrize("case", ["single member", "all zero", "above one",
-                                  "extreme alpha", "several words"])
-def test_packed_keys_match_the_reference(rng, case):
+                                  "extreme alpha", "several words", "bucket edges"])
+def test_packed_keys_match_the_reference(rng, monkeypatch, case):
     alpha = 1.3
     if case == "single member":
         values = rng.uniform(size=(1, 4))
@@ -536,18 +543,29 @@ def test_packed_keys_match_the_reference(rng, case):
     elif case == "extreme alpha":
         alpha = 1 + 1e-15
         values = duplicated_rows(rng, 10.0 ** rng.uniform(-300, 300, size=(20, 4)), 300)
-    else:
+    elif case == "several words":
         alpha = 1.01
         values = duplicated_rows(rng, rng.uniform(1e-6, 1.0, size=(30, 40)), 500)
-    sig = limid.potential._signatures(values, alpha)[0]
+    else:
+        # every pair of zero and the powers alpha**-6..alpha**0, whose
+        # signatures fill a 3-bit field exactly
+        entries = [0.0] + [alpha ** k for k in range(-6, 1)]
+        values = np.array([[a, b] for a in entries for b in entries])
+    want = reference_survivors(values, alpha).tolist()
+    # the smallest and largest entries of a bucket-edge set sit where the range
+    # (math.log) and the codes (np.log) may disagree in the last bit; the
+    # margin absorbs a range read one signature off on both ends
+    for shift in (-1, 0, 1) if case == "bucket edges" else (0,):
+        with monkeypatch.context() as m:
+            m.setattr(limid.potential, "floor_log", lambda value, a: floor_log(value, a) + shift)
+            words = packed_keys(values, alpha)
+        assert limid.potential._first_rows(words).tolist() == want
     if case == "extreme alpha":
-        assert codes_per_word(sig) == 1
+        assert words.shape[1] == values.shape[1]  # one code a word
     elif case == "several words":
-        assert 2 * codes_per_word(sig) < 40  # three words or more
-    assert limid.potential._first_rows(sig).tolist() == reference_first_rows(sig).tolist()
+        assert words.shape[1] >= 3
     k = PotentialSet(("a",), values.shape[1:], values, ("d",), np.arange(len(values))[:, None])
-    assert covering(k, alpha)[0].policies[:, 0].tolist() == \
-        reference_survivors(values, alpha).tolist()
+    assert covering(k, alpha)[0].policies[:, 0].tolist() == want
 
 
 def test_rows_differing_only_in_their_zeros_get_distinct_keys():
@@ -560,11 +578,12 @@ def test_rows_differing_only_in_their_zeros_get_distinct_keys():
 
 
 def test_covering_memory_stays_near_its_input(rng):
-    # 150,000 x 9 members, all surviving; the unchunked pass took about 5x the input
+    # 150,000 x 9 members, all surviving: covering holds no temporary as large
+    # as its input, such as a signature matrix
     k = random_set(rng, {"a": 3, "b": 3}, n=150_000)
     (pruned, _), peak = traced_peak(lambda: covering(k, 1.001))
     assert len(pruned) == len(k)
-    assert peak < 3 * k.values.nbytes
+    assert peak < k.values.nbytes
 
 
 def test_sets_never_alias_a_callers_arrays(rng):
