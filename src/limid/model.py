@@ -23,6 +23,7 @@ and flat indices follow C order over those axes.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
 from typing import Iterable, Mapping
@@ -46,9 +47,23 @@ class InstanceTooLargeError(RuntimeError):
     """An enumeration would exceed the configured resource cap."""
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
+#: the arrays :func:`_freeze` made, by id, while they live
+_FROZEN: weakref.WeakValueDictionary[int, np.ndarray] = weakref.WeakValueDictionary()
+
+
+def _frozen(a: object) -> bool:
+    """Whether ``a`` is an array :func:`_freeze` made, which nothing can write to."""
+    return _FROZEN.get(id(a)) is a
+
+
+def _freeze(a: object) -> np.ndarray:
+    """A read-only C-ordered float copy of ``a``, or ``a`` itself if it is one
+    this function made: a table one diagram took over passes to the next."""
+    if _frozen(a):
+        return a
     a = np.array(a, dtype=float, order="C")
-    a.flags.writeable = False
+    a.setflags(write=False)
+    _FROZEN[id(a)] = a
     return a
 
 
@@ -90,8 +105,11 @@ class InfluenceDiagram:
     ``cpts`` maps each chance variable to an array of shape
     ``(card, *parent cards)`` and ``rewards`` maps each value variable to an
     array of shape ``(*parent cards)``, parents sorted by id.  Flat inputs
-    are reshaped.  Construction enforces structure only (known ids, table
-    shapes); semantic invariants are reported by :func:`validate_diagram`.
+    are reshaped.  Every table is copied into a read-only array, except one
+    that already is such a copy, of the right shape: a diagram built from
+    another's tables shares them.  Construction enforces structure only
+    (known ids, table shapes); semantic invariants are reported by
+    :func:`validate_diagram`.
     """
 
     variables: tuple[Variable, ...]
@@ -124,6 +142,8 @@ class InfluenceDiagram:
 
         def shaped(tag: str, var: str, table: object, lead: tuple[int, ...]) -> np.ndarray:
             cards = lead + tuple(by_id[p].cardinality for p in table_parents[var])
+            if _frozen(table) and table.shape == cards:
+                return table
             arr = np.asarray(table, dtype=float)
             try:
                 arr = arr.reshape(cards)
@@ -229,19 +249,49 @@ def validate_diagram(d: InfluenceDiagram) -> list[str]:
             report.append(f"{var!r} is not a value variable but has a reward table")
 
     if acyclic:
-        for var, table in sorted(d.cpts.items()):
-            if d.kind(var) != CHANCE:
-                continue
-            # NaN fails both comparisons, so it is reported here too
-            if not np.all((table >= 0.0) & (table <= 1.0)):
-                report.append(f"cpt of {var!r} has entries outside [0, 1]")
-            sums = table.sum(axis=0)
-            if np.any(np.abs(sums - 1.0) > PROB_TOL):
-                report.append(f"cpt of {var!r} has columns not summing to 1")
+        cpts = [(var, table) for var, table in sorted(d.cpts.items()) if d.kind(var) == CHANCE]
+        # one pass over all tables clears most diagrams; only when it fails are
+        # the tables checked one by one, naming each fault
+        if not _probability_tables([table for _, table in cpts]):
+            for var, table in cpts:
+                # NaN fails both comparisons, so it is reported here too
+                if not np.all((table >= 0.0) & (table <= 1.0)):
+                    report.append(f"cpt of {var!r} has entries outside [0, 1]")
+                sums = table.sum(axis=0)
+                if np.any(np.abs(sums - 1.0) > PROB_TOL):
+                    report.append(f"cpt of {var!r} has columns not summing to 1")
         for var, table in sorted(d.rewards.items()):
             if not np.all(np.isfinite(table)):
                 report.append(f"reward table of {var!r} has non-finite entries")
     return report
+
+
+def _probability_tables(tables: list[np.ndarray]) -> bool:
+    """Whether every entry of the conditional ``tables`` lies in [0, 1] and
+    every column sums to one within ``PROB_TOL``, in one pass over all of them.
+
+    Each entry adds into its column's sum in ``np.bincount``, in an order
+    that may differ from ``table.sum(axis=0)``.  Two orders of summing ``c``
+    entries in [0, 1] whose sum is near one differ by less than ``c``
+    machine epsilons, so a column passes here only that far inside the
+    tolerance, and a pass here is a pass of every table's own check.
+    """
+    if not tables:
+        return True
+    flat = np.concatenate([t.ravel() for t in tables])
+    # NaN fails both comparisons
+    if not ((flat >= 0.0) & (flat <= 1.0)).all():
+        return False
+    sizes = np.array([t.size for t in tables])
+    columns = np.array([t.size // t.shape[0] for t in tables])
+    # an entry's column: its table's first column, plus its own flat index in
+    # the table modulo the table's column count
+    start = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    first = np.repeat(np.cumsum(columns) - columns, sizes)
+    column = first + (np.arange(flat.size) - start) % np.repeat(columns, sizes)
+    sums = np.bincount(column, weights=flat)
+    slack = max(t.shape[0] for t in tables) * np.finfo(float).eps
+    return bool((np.abs(sums - 1.0) <= PROB_TOL - slack).all())
 
 
 # -- policies and strategies -------------------------------------------------
@@ -256,7 +306,7 @@ class Policy:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "parents", tuple(self.parents))
-        object.__setattr__(self, "table", _freeze(np.asarray(self.table, dtype=float)))
+        object.__setattr__(self, "table", _freeze(self.table))
 
 
 @dataclass(frozen=True, eq=False)

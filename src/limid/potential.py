@@ -11,7 +11,7 @@ turned back into a strategy.
 Sets are combined by multiplication over their Cartesian product (members
 in lexicographic order) with the marginalization fused in: ``combine_sets``
 broadcasts each set's member axis against the others and sums the product
-straight down to the remaining scope.  A caller walks a large product in
+straight down to the remaining scope.  A caller may walk a large product in
 blocks by combining member slices of the sets (:meth:`PotentialSet.members`,
 views without a copy), so the product is never held whole.  The solver
 places each decision's policies at exactly one node and sibling subtrees
@@ -29,12 +29,14 @@ entry's to one above the largest entry's, a margin for last-bit
 disagreements between ``math.log`` and ``np.log``.
 
 Arrays handed to the :class:`PotentialSet` constructor are copied and
-checked, so no caller can change a set afterwards.  Every other set is
-derived from valid sets (member slices, products, sums, covering gathers,
-concatenations) and takes its arrays over as they are, read-only, with no
-second check.  Only a product or a sum can make a new number, so
-:func:`combine_sets` checks that its entries stay finite; slices, gathers
-and concatenations copy entries of valid sets.
+checked, so no caller can change a set afterwards.  Every other set is made
+by :func:`_derived`, which takes its arrays over as they are, read-only,
+with no check: a set derived from valid sets (member slices, products,
+sums, covering gathers, concatenations), or one built from arrays that no
+caller can write, such as a diagram's read-only tables once
+:func:`check_entries` has passed them.  Only a product or a sum can make a
+new number, so :func:`combine_sets` checks that its entries stay finite;
+slices, gathers and concatenations copy entries of valid sets.
 """
 
 from __future__ import annotations
@@ -56,6 +58,11 @@ _BAD_ENTRIES = "potential set entries must be nonnegative and finite"
 #: then signatures packed straight into their keys), which bounds their
 #: temporaries
 _CHUNK_ENTRIES = 1 << 14
+
+#: covering groups at most this many rows in a dict rather than by sorting:
+#: the sort's dozen numpy calls cost more than walking so few rows (the two
+#: take about as long at 64 rows)
+_DICT_ROWS = 32
 
 
 def _check_ids(ids: tuple[str, ...], what: str) -> None:
@@ -87,9 +94,7 @@ class PotentialSet:
         _check_ids(decisions, "potential set decisions")
         n = np.shape(self.values)[0]
         values = np.array(self.values, dtype=float, order="C").reshape((n,) + cards)
-        # min and max propagate NaN, so two reductions check every entry
-        if not (values.min(initial=0.0) >= 0.0 and math.isfinite(values.max(initial=0.0))):
-            raise ValueError(_BAD_ENTRIES)
+        check_entries(values)
         policies = np.zeros((n, 0)) if self.policies is None else self.policies
         if np.shape(policies) != (n, len(decisions)):
             raise ValueError("one policy index per member and decision required")
@@ -111,17 +116,30 @@ def _take(k: PotentialSet, scope: tuple[str, ...], cards: tuple[int, ...], value
           decisions: tuple[str, ...], policies: np.ndarray) -> PotentialSet:
     """``k`` with these fields, its arrays taken over as they are and made
     read-only, with no check."""
-    values.flags.writeable = False
-    policies.flags.writeable = False
-    for name, field in zip(("scope", "cards", "values", "decisions", "policies"),
-                           (scope, cards, values, decisions, policies)):
-        object.__setattr__(k, name, field)
+    values.setflags(write=False)
+    policies.setflags(write=False)
+    # the fields of a frozen dataclass, written past its __setattr__
+    vars(k).update(scope=scope, cards=cards, values=values, decisions=decisions,
+                   policies=policies)
     return k
 
 
-def _derived(*fields) -> PotentialSet:
-    """A set derived from valid sets, made by :func:`_take` with no second check."""
-    return _take(object.__new__(PotentialSet), *fields)
+def _derived(scope: tuple[str, ...], cards: tuple[int, ...], values: np.ndarray,
+             decisions: tuple[str, ...] = (), policies: np.ndarray | None = None
+             ) -> PotentialSet:
+    """A set made by :func:`_take` with no check: derived from valid sets, or
+    built from arrays that no caller can write.  No ``policies`` means no
+    decisions."""
+    if policies is None:
+        policies = np.empty((len(values), 0), dtype=np.int64)
+    return _take(object.__new__(PotentialSet), scope, cards, values, decisions, policies)
+
+
+def check_entries(values: np.ndarray) -> None:
+    """Raise ``ValueError`` unless every entry of ``values`` is nonnegative and finite."""
+    # min and max propagate NaN, so two reductions check every entry
+    if not (values.min(initial=0.0) >= 0.0 and math.isfinite(values.max(initial=0.0))):
+        raise ValueError(_BAD_ENTRIES)
 
 
 def combine_sets(sets: Sequence[PotentialSet], sum_out: Iterable[str] = ()) -> PotentialSet:
@@ -142,30 +160,35 @@ def combine_sets(sets: Sequence[PotentialSet], sum_out: Iterable[str] = ()) -> P
     card_by_var: dict[str, int] = {}
     decisions: list[str] = []
     for s in sets:
-        shared = set(decisions) & set(s.decisions)
-        if shared:
-            raise RuntimeError(f"decisions {sorted(shared)} met twice during combination")
         decisions.extend(s.decisions)
         for var, card in zip(s.scope, s.cards):
             if card_by_var.setdefault(var, card) != card:
                 raise ValueError(f"inconsistent cardinality for {var!r}")
+    if len(set(decisions)) < len(decisions):
+        twice = sorted({dec for dec in decisions if decisions.count(dec) > 1})
+        raise RuntimeError(f"decisions {twice} met twice during combination")
     zs = set(sum_out)
     if not zs <= card_by_var.keys():
         raise ValueError(f"cannot sum out {sorted(zs - card_by_var.keys())}: not in scope")
     if not sets:
-        return _derived((), (), np.ones((1,)), (), np.empty((1, 0), dtype=np.int64))
+        return _derived((), (), np.ones((1,)))
     scope = tuple(sorted(card_by_var))
     cards = tuple(card_by_var[v] for v in scope)
     sizes = tuple(len(s) for s in sets)
     n = math.prod(sizes)
     order = sorted(decisions)
+    column = {dec: j for j, dec in enumerate(order)}
     policies = np.empty((n, len(order)), dtype=np.int64)
     grid = policies.reshape(sizes + (len(order),))
     values = None
     for k, s in enumerate(sets):
         row = (1,) * k + (sizes[k],) + (1,) * (len(sets) - k - 1)
-        grid[..., [order.index(dec) for dec in s.decisions]] = \
-            s.policies.reshape(row + (len(s.decisions),))
+        if s.decisions:
+            # both id-sorted, so a set's columns ascend and are often one run
+            cols = [column[dec] for dec in s.decisions]
+            if cols[-1] - cols[0] == len(cols) - 1:
+                cols = slice(cols[0], cols[-1] + 1)
+            grid[..., cols] = s.policies.reshape(row + (len(s.decisions),))
         pick = s.values.reshape(row + _joint_shape(s, scope, cards))
         values = pick if values is None else values * pick
     values = np.ascontiguousarray(values.reshape((n,) + cards))
@@ -306,6 +329,12 @@ def _packed_keys(flat: np.ndarray, alpha: float, smallest: float | None) -> np.n
 
 def _first_rows(words: np.ndarray) -> np.ndarray:
     """Ascending indices of the first occurrence of every distinct row of ``words``."""
+    if len(words) <= _DICT_ROWS:
+        # a dict keeps each key's first row, in the order first seen
+        first: dict[tuple[int, ...], int] = {}
+        for i, key in enumerate(map(tuple, words.tolist())):
+            first.setdefault(key, i)
+        return np.fromiter(first.values(), dtype=np.intp, count=len(first))
     order = np.argsort(words[:, 0]) if words.shape[1] == 1 else np.lexsort(words.T)
     words = words[order]
     starts = np.flatnonzero(np.concatenate(([True], (words[1:] != words[:-1]).any(axis=1))))

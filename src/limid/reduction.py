@@ -64,9 +64,17 @@ class ReductionResult:
 
 
 def _check_range(lo: float, hi: float, q: int) -> None:
-    # q rewards in [lo, hi] rescale through hi - lo, q * hi and q * lo
-    if not all(map(math.isfinite, (hi - lo, q * hi, q * lo))):
+    # q rewards in [lo, hi] rescale to a reward table of q * hi and q * lo
+    if not all(map(math.isfinite, (q * hi, q * lo))):
         raise ValueError(f"rewards span [{lo!r}, {hi!r}]: rescaling them overflows a float")
+
+
+def _span(lo: float, hi: float) -> tuple[float, float]:
+    """A power of two ``unit`` and ``(hi - lo) / unit``, finite for finite
+    bounds: ``unit`` is 1 unless ``hi - lo`` overflows, and then 2, since
+    ``hi / 2 - lo / 2`` cannot overflow."""
+    span = hi - lo
+    return (1.0, span) if math.isfinite(span) else (2.0, hi / 2 - lo / 2)
 
 
 def utility_bounds(d: InfluenceDiagram) -> tuple[float, float]:
@@ -114,6 +122,9 @@ def reduce_to_single_value(d: InfluenceDiagram, t: TreeDecomposition) -> Reducti
     value_order = tuple(sorted(d.value_ids, key=lambda v: (first_pos[leaf_map[v]], v)))
     q = len(value_order)
     lo, hi = utility_bounds(d)
+    # (U - lo) / (hi - lo) with every term in units of _span's power of two
+    # (a unit of 1 changes no bit)
+    unit, span = _span(lo, hi)
     o_names, v_name = _fresh_names(d, q)
 
     variables = [v for v in d.variables if v.kind != VALUE]
@@ -123,7 +134,7 @@ def reduce_to_single_value(d: InfluenceDiagram, t: TreeDecomposition) -> Reducti
         variables.append(Variable(o, CHANCE, 2))
         parents = d.parents(orig)
         arcs.extend((p, o) for p in parents)
-        row0 = (d.reward(orig) - lo) / (hi - lo)
+        row0 = (d.reward(orig) / unit - lo / unit) / span
         if i > 1:
             prev = o_names[i - 2]
             arcs.append((prev, o))
@@ -152,12 +163,16 @@ def reduce_to_single_value(d: InfluenceDiagram, t: TreeDecomposition) -> Reducti
     return ReductionResult(reduced, widened, (lo, hi), tuple(o_names), value_order)
 
 
-def normalize_utilities(d: InfluenceDiagram) -> tuple[InfluenceDiagram, float, float]:
+def normalize_utilities(d: InfluenceDiagram
+                        ) -> tuple[InfluenceDiagram, float, float, float]:
     """Affinely map the single reward table onto [0, 1].
 
-    Returns (diagram, offset, scale) with original utilities recovered as
-    offset + scale * normalized; maximizing strategies are unaffected.  A
-    reward spanning [0, 1] maps to itself, with offset 0.0 and scale 1.0.
+    Returns (diagram, offset, scale, unit) with original utilities recovered
+    as unit * (offset + scale * normalized); maximizing strategies are
+    unaffected.  ``unit`` is a power of two: 1.0 unless the rewards span
+    more than the largest float, and then offset and scale count in units
+    of 2.0.  A reward spanning [0, 1] maps to itself, with offset 0.0,
+    scale 1.0 and unit 1.0.
     """
     if len(d.value_ids) != 1:
         raise ValueError(f"expected one value variable, got {len(d.value_ids)}")
@@ -165,10 +180,11 @@ def normalize_utilities(d: InfluenceDiagram) -> tuple[InfluenceDiagram, float, f
     table = d.reward(v)
     offset, top = float(table.min()), float(table.max())
     _check_range(offset, top, 1)
-    scale = top - offset if top > offset else 1.0
+    unit, scale = _span(offset, top) if top > offset else (1.0, 1.0)
+    offset /= unit
     normalized = InfluenceDiagram(d.variables, d.arcs, d.cpts,
-                                  {v: (table - offset) / scale})
-    return normalized, offset, scale
+                                  {v: (table / unit - offset) / scale})
+    return normalized, offset, scale, unit
 
 
 # -- minimal diagram ------------------------------------------------------------

@@ -40,6 +40,8 @@ from .model import (
 from .potential import (
     CoveringStats,
     PotentialSet,
+    _derived,
+    check_entries,
     combine_sets,
     concat_sets,
     covering,
@@ -132,10 +134,23 @@ def _check_decomposition(d: InfluenceDiagram, t: TreeDecomposition) -> None:
         raise ValueError("invalid decomposition: " + "; ".join(problems))
 
 
+def _in_scope_order(table: np.ndarray, at: int, scope: tuple[str, ...],
+                    var: str) -> np.ndarray:
+    """``table``, whose axis ``at`` is ``var``'s and whose later axes follow
+    the rest of ``scope``, with that axis moved to ``var``'s place in
+    ``scope``: a C-ordered array, copied only if the move changes the layout."""
+    axes = list(range(table.ndim))
+    axes.insert(at + scope.index(var), axes.pop(at))
+    return np.ascontiguousarray(table.transpose(axes))
+
+
 def _table_set(d: InfluenceDiagram, var: str) -> PotentialSet:
+    """The one-member set of ``var``'s table; it views the diagram's read-only
+    array where that needs no reordering."""
     scope = d.family(var)
-    table = d.reward(var) if var in d.rewards else np.moveaxis(d.cpt(var), 0, scope.index(var))
-    return PotentialSet(scope, tuple(d.cardinality(x) for x in scope), table[np.newaxis])
+    table = d.reward(var) if var in d.rewards else _in_scope_order(d.cpt(var), 0, scope, var)
+    check_entries(table)
+    return _derived(scope, tuple(d.cardinality(x) for x in scope), table[np.newaxis])
 
 
 def _policy_potential_set(d: InfluenceDiagram, dec: str, cap: int) -> PotentialSet:
@@ -143,11 +158,10 @@ def _policy_potential_set(d: InfluenceDiagram, dec: str, cap: int) -> PotentialS
     if count > cap:
         raise InstanceTooLargeError(
             f"decision {dec!r} has {count} pure policies, over the set-size cap {cap}")
-    tables = pure_policy_tables(d, dec)
     scope = d.family(dec)
-    stacked = np.moveaxis(tables, 1, 1 + scope.index(dec))
-    indices = np.arange(tables.shape[0]).reshape(-1, 1)
-    return PotentialSet(scope, tuple(d.cardinality(x) for x in scope), stacked, (dec,), indices)
+    tables = _in_scope_order(pure_policy_tables(d, dec), 1, scope, dec)
+    indices = np.arange(count, dtype=np.int64).reshape(-1, 1)
+    return _derived(scope, tuple(d.cardinality(x) for x in scope), tables, (dec,), indices)
 
 
 def _check_cap(parts: list[PotentialSet], cap: int, node: int, stage: str) -> None:
@@ -202,21 +216,24 @@ def node_message(parts: list[PotentialSet], gone: set[str], alpha: float | None
     """The product of ``parts`` with ``gone`` summed out, pruned by
     :func:`covering` at ``alpha`` (``None``: exact, no pruning).
 
-    The product members are walked in order in blocks of at most
-    ``BLOCK_BYTES`` of joint-scope tables and policy rows (:func:`_blocks`).
-    Each block is combined from member slices of ``parts``, viewed without a
-    copy, then contracted and pruned on its own; when there are several
-    blocks their survivors are pruned once more, which keeps the first
-    member of every signature over the whole product, as one covering call
-    on it would; a lone block needs no merge.  In exact mode the blocks are
-    written straight into the message, allocated once at the product size.
-    Also returns the :class:`CoveringStats` of the unpruned message, empty
-    when exact.
+    A product that fits in one block of at most ``BLOCK_BYTES`` of
+    joint-scope tables and policy rows is combined and covered in one go.
+    A larger one is walked in order in such blocks (:func:`_blocks`): each
+    is combined from member slices of ``parts``, viewed without a copy, then
+    contracted and pruned on its own, and the survivors of all blocks are
+    pruned once more, which keeps the first member of every signature over
+    the whole product, as one covering call on it would.  In exact mode the
+    blocks are written straight into the message, allocated once at the
+    product size.  Also returns the :class:`CoveringStats` of the unpruned
+    message, empty when exact.
     """
     cards = {v: c for p in parts for v, c in zip(p.scope, p.cards)}
     width = math.prod(cards.values()) + sum(len(p.decisions) for p in parts)
     step = max(1, BLOCK_BYTES // (8 * width))
     sizes = [len(p) for p in parts]
+    if math.prod(sizes) <= step:
+        message = combine_sets(parts, gone)
+        return (message, CoveringStats()) if alpha is None else covering(message, alpha)
     blocks = (combine_sets([p.members(lo, hi) for p, (lo, hi) in zip(parts, ranges)], gone)
               for ranges in _blocks(sizes, step))
     if alpha is None:
@@ -227,12 +244,11 @@ def node_message(parts: list[PotentialSet], gone: set[str], alpha: float | None
         survivors.append(block)
         found.append(cstats)
     merged = concat_sets(survivors, sum(map(len, survivors)))
-    lone = len(survivors) == 1
     del survivors, block  # only the concatenation stays live through the merge
-    message = merged if lone else covering(merged, alpha)[0]
     # the bound belongs to the smallest entry over all blocks, pruned or not
-    return message, min((c for c in found if c.smallest_positive is not None),
-                        key=lambda c: c.smallest_positive, default=CoveringStats())
+    return covering(merged, alpha)[0], min(
+        (c for c in found if c.smallest_positive is not None),
+        key=lambda c: c.smallest_positive, default=CoveringStats())
 
 
 def solve(d: InfluenceDiagram, t: TreeDecomposition, cfg: SolverConfig) -> SolverResult:
@@ -242,13 +258,19 @@ def solve(d: InfluenceDiagram, t: TreeDecomposition, cfg: SolverConfig) -> Solve
     mapped back.  :func:`solve_full` merges several value variables first.
     """
     started = time.perf_counter()
-    d, offset, scale = normalize_utilities(d)
+    d, offset, scale, unit = normalize_utilities(d)
     if not t.is_binary():
         raise ValueError("decomposition must be binary")
     _check_decomposition(d, t)
-    # a node's last visit on the Euler tour follows its whole subtree; the
-    # tour needs a root, so an unrooted t fails here, before any set is built
-    last = {node: pos for pos, node in enumerate(t.euler_tour())}
+    # a preorder that takes the last child first, reversed, lists each subtree
+    # before its root; t.children needs a root, so an unrooted t fails here,
+    # before any set is built
+    order, stack = [], [t.root]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(t.children(node))
+    order.reverse()
 
     m = t.n
     alpha = 1.0 + cfg.epsilon / (2 * m)
@@ -269,7 +291,7 @@ def solve(d: InfluenceDiagram, t: TreeDecomposition, cfg: SolverConfig) -> Solve
     cluster_sets = [set(c) for c in t.clusters]
     node_stats: list[NodeStats] = []
     messages: dict[int, PotentialSet] = {}
-    for i in sorted(last, key=last.__getitem__):
+    for i in order:
         own = hold.pop(i)
         parts = own + [messages.pop(c) for c in t.children(i)]
         _check_cap(parts, cap, i, "combination")
@@ -299,7 +321,7 @@ def solve(d: InfluenceDiagram, t: TreeDecomposition, cfg: SolverConfig) -> Solve
     strategy = Strategy(pure_policy(d, dec, chosen[dec]) for dec in d.decision_ids)
 
     stats = SolveStats(m, alpha, time.perf_counter() - started, tuple(node_stats))
-    return SolverResult(offset + scale * best_value, strategy, stats)
+    return SolverResult(unit * (offset + scale * best_value), strategy, stats)
 
 
 def shape_and_reduce(d: InfluenceDiagram,

@@ -90,7 +90,7 @@ class TreeDecomposition:
 
     def is_binary(self) -> bool:
         """Every node has at most three neighbors."""
-        return all(self.degree(i) <= 3 for i in range(self.n))
+        return max(map(len, self._adjacency), default=0) <= 3
 
     @cached_property
     def _holders(self) -> dict[str, set[int]]:

@@ -429,13 +429,30 @@ def test_constant_rewards_past_two_to_the_53_solve_to_the_oracle(capsys, tmp_pat
     assert json.loads(out)["value"] == json.loads(oracle_out)["value"] == sum(rewards)
 
 
+@pytest.mark.parametrize("argv", [["--exact"], ["--epsilon", "0.5"]])
+def test_rewards_wider_than_a_float_solve_to_the_oracle_and_reduce(capsys, tmp_path, argv):
+    # hi - lo overflows a float; the rescale runs in units of two
+    path = write(tmp_path, "wide.json", json.dumps(one_reward_document(reward=(1e308, -1e308))))
+    code, out, err = run(capsys, "solve", *argv, path)
+    assert (code, err) == (0, "")
+    code, oracle_out, _ = run(capsys, "oracle", path)
+    assert code == 0
+    assert json.loads(out)["value"] == json.loads(oracle_out)["value"] == 0.0
+    code, out, err = run(capsys, "reduce", path)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["reduction"]["utility_upper"] == 1e308
+
+
 @pytest.mark.parametrize("command", [["solve", "--exact"], ["solve", "--epsilon", "0.5"],
                                      ["reduce"]])
 def test_rewards_too_wide_to_rescale_exit_1_naming_their_range(capsys, tmp_path, command):
-    path = write(tmp_path, "wide.json", json.dumps(one_reward_document(reward=(1e308, -1e308))))
+    # each bound fits, but the merged reward table holds two rewards' sum 2 * hi
+    doc = constant_rewards_document(0.0, 0.0)
+    doc["rewards"]["v0"]["table"] = [1e308, 0.0]
+    path = write(tmp_path, "wide.json", json.dumps(doc))
     code, out, err = run(capsys, *command, path)
     assert (code, out) == (1, "")
-    assert err == "limid: rewards span [-1e+308, 1e+308]: rescaling them overflows a float\n"
+    assert err == "limid: rewards span [0.0, 1e+308]: rescaling them overflows a float\n"
 
 
 @pytest.mark.parametrize("command", [["validate"], ["oracle"], ["solve", "--exact"]])

@@ -15,6 +15,8 @@ from limid import (
     pure_policy_count,
     validate_diagram,
 )
+from limid.reduction import minimal_diagram, normalize_utilities
+from limid.solver import shape_and_reduce
 
 from conftest import (
     is_pure,
@@ -67,6 +69,52 @@ def test_validate_reports_bad_cpt_column():
         [Variable("c", "chance", 2)], [], cpts={"c": [0.6, 0.3]}, rewards={})
     report = validate_diagram(d)
     assert any("'c'" in line and "summing" in line for line in report)
+    # several bad tables at once, among good ones: each named, in id order
+    tables = {"a": [np.nan, 1.0], "b": [-0.5, 1.5], "c": [0.6, 0.3], "d": [1.2, 0.3],
+              "e": [0.5, 0.5], "f": [[0.2, 0.5], [0.8, 0.6]]}
+    d = InfluenceDiagram([Variable("p", "chance", 2)] + [Variable(v, "chance", 2) for v in tables],
+                         [("p", "f")], cpts={"p": [0.5, 0.5], **tables}, rewards={})
+    assert validate_diagram(d) == [
+        "cpt of 'a' has entries outside [0, 1]",
+        "cpt of 'b' has entries outside [0, 1]",
+        "cpt of 'c' has columns not summing to 1",
+        "cpt of 'd' has entries outside [0, 1]",
+        "cpt of 'd' has columns not summing to 1",
+        "cpt of 'f' has columns not summing to 1",
+    ]
+
+
+@pytest.mark.parametrize("excess, ok", [(1e-12 - 2e-16, True), (1e-12 + 3e-16, False)])
+def test_validate_decides_columns_at_the_tolerance_edge_as_each_table_does(excess, ok):
+    # a column this close to PROB_TOL fails the one-pass check's margin, so the
+    # table's own check decides it
+    d = InfluenceDiagram([Variable("c", "chance", 2), Variable("e", "chance", 2)], [],
+                         cpts={"c": [0.5, 0.5 + excess], "e": [0.5, 0.5]}, rewards={})
+    assert validate_diagram(d) == ([] if ok else ["cpt of 'c' has columns not summing to 1"])
+
+
+def test_tables_are_copied_from_callers_and_passed_through_by_derived_diagrams():
+    cpt, reward = np.array([0.5, 0.5]), np.array([0.0, 1.0])
+    held = np.array([0.25, 0.75])
+    held.flags.writeable = False  # its owner may make it writeable again
+    variables = [Variable("c", "chance", 2), Variable("u", "chance", 2), Variable("v", "value")]
+    arcs = [("c", "v")]
+    d = InfluenceDiagram(variables, arcs, {"c": cpt, "u": held}, {"v": reward})
+    cpt[0] = reward[1] = 9.0
+    held.flags.writeable = True
+    held[0] = 9.0
+    assert d.cpt("c").tolist() == [0.5, 0.5] and d.reward("v").tolist() == [0.0, 1.0]
+    assert d.cpt("u").tolist() == [0.25, 0.75]
+    assert not d.cpt("c").flags.writeable
+    # a diagram built from another's tables shares them; so do the derived ones
+    again = InfluenceDiagram(variables, arcs, d.cpts, d.rewards)
+    assert again.cpt("c") is d.cpt("c") and again.reward("v") is d.reward("v")
+    minimal, _ = minimal_diagram(d)  # drops "u", which no reward depends on
+    assert not minimal.has_variable("u") and minimal.cpt("c") is d.cpt("c")
+    normalized = normalize_utilities(minimal)[0]
+    assert normalized.cpt("c") is d.cpt("c")
+    reduced = shape_and_reduce(minimal).diagram
+    assert reduced.cpt("c") is d.cpt("c")
 
 
 def test_validate_reports_value_child():

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -123,6 +124,16 @@ def test_combine_singletons_and_sizes():
     assert np.allclose(got.values[3], np.outer([0.2, 0.8], [1, 0]))
 
 
+def test_combine_places_interleaved_decisions_in_id_order():
+    # "d" and "f" of one set are not neighbours among the joint decisions
+    two = PotentialSet(("a",), (2,), np.ones((2, 2)), ("d", "f"), [[0, 5], [1, 6]])
+    three = PotentialSet(("a",), (2,), np.ones((3, 2)), ("e",), [[7], [8], [9]])
+    got = combine_sets([two, three])
+    assert got.decisions == ("d", "e", "f")
+    assert got.policies.tolist() == [[0, 7, 5], [0, 8, 5], [0, 9, 5],
+                                     [1, 7, 6], [1, 8, 6], [1, 9, 6]]
+
+
 def test_combine_with_unit_is_identity():
     k = members_set({"a": 2}, [[0.4, 0.6], [0.2, 0.8]])
     unit = single({"a": 2}, [1.0, 1.0])
@@ -137,6 +148,10 @@ def test_combine_rejects_shared_decisions():
     b = single({"a": 2}, [0.0, 1.0], ("d",), [[1]])
     with pytest.raises(RuntimeError):
         combine_sets([a, b])
+    c = single({"a": 2}, [0.0, 1.0], ("d", "e"), [[1, 0]])
+    d = single({"a": 2}, [0.0, 1.0], ("e",), [[0]])
+    with pytest.raises(RuntimeError, match=re.escape("decisions ['d', 'e'] met twice")):
+        combine_sets([a, c, d])
 
 
 def test_combine_rejects_a_product_that_overflows():
@@ -518,6 +533,16 @@ def test_first_rows_match_a_unique_reference(rng, rows):
         values = pool[rng.integers(len(pool), size=int(rng.integers(1, 20_000)))]
         got = limid.potential._first_rows(packed_keys(values, alpha))
         assert got.tolist() == reference_survivors(values, alpha).tolist()
+
+
+@pytest.mark.parametrize("dict_rows", [0, 1 << 30], ids=["sorted", "walked"])
+def test_first_rows_agree_whether_sorted_or_walked_in_a_dict(rng, monkeypatch, dict_rows):
+    monkeypatch.setattr(limid.potential, "_DICT_ROWS", dict_rows)
+    for n in (1, 2, 5, 64, 65, 300):
+        for width in (1, 2, 3):
+            words = rng.integers(0, 3, size=(n, width))
+            got = limid.potential._first_rows(words)
+            assert got.tolist() == reference_first_rows(words).tolist()
 
 
 def duplicated_rows(rng, pool: np.ndarray, n: int) -> np.ndarray:

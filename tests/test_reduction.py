@@ -76,12 +76,19 @@ def test_a_constant_reward_past_two_to_the_53_widens_by_one_ulp():
         assert utility_bounds(const) == (reward, np.nextafter(reward, np.inf))
 
 
-def test_rewards_too_wide_to_rescale_name_their_range():
+def test_rewards_wider_than_a_float_rescale_in_units_of_two():
+    # hi - lo overflows, but halves of both bounds and their difference fit
     wide = normalizable([1e308, -1e308])
-    message = "rewards span [-1e+308, 1e+308]: rescaling them overflows a float"
-    for rescale in (utility_bounds, normalize_utilities):
-        with pytest.raises(ValueError, match=re.escape(message)):
-            rescale(wide)
+    assert utility_bounds(wide) == (-1e308, 1e308)
+    d, offset, scale, unit = normalize_utilities(wide)
+    assert (offset, scale, unit) == (-5e307, 1e308, 2.0)
+    assert np.array_equal(d.reward("v"), [1.0, 0.0])
+    red = reduce_diagram(wide)
+    assert np.array_equal(red.diagram.cpt(red.o_vars[0])[0], [1.0, 0.0])
+    assert np.array_equal(red.diagram.reward(red.diagram.value_ids[0]), [1e308, -1e308])
+
+
+def test_rewards_too_wide_to_rescale_name_their_range():
     # each bound fits, but two rewards' sum q * hi does not
     two = InfluenceDiagram(
         [Variable("c", "chance", 2), Variable("v1", "value"), Variable("v2", "value")],
@@ -276,16 +283,16 @@ def normalizable(rewards):
 
 
 def test_normalize_examples():
-    d, offset, scale = normalize_utilities(normalizable([2.0, 6.0]))
-    assert (offset, scale) == (2.0, 4.0)
+    d, offset, scale, unit = normalize_utilities(normalizable([2.0, 6.0]))
+    assert (offset, scale, unit) == (2.0, 4.0, 1.0)
     assert np.array_equal(d.reward("v"), [0.0, 1.0])
 
-    d, offset, scale = normalize_utilities(normalizable([0.0, 1.0]))
-    assert (offset, scale) == (0.0, 1.0)
+    d, offset, scale, unit = normalize_utilities(normalizable([0.0, 1.0]))
+    assert (offset, scale, unit) == (0.0, 1.0, 1.0)
     assert np.array_equal(d.reward("v"), [0.0, 1.0])
 
-    d, offset, scale = normalize_utilities(normalizable([3.0, 3.0]))
-    assert (offset, scale) == (3.0, 1.0)
+    d, offset, scale, unit = normalize_utilities(normalizable([3.0, 3.0]))
+    assert (offset, scale, unit) == (3.0, 1.0, 1.0)
     assert np.array_equal(d.reward("v"), [0.0, 0.0])
 
 
@@ -293,11 +300,11 @@ def test_normalize_commutes_with_expectation(rng):
     for seed in range(6):
         base = small_random_diagram(seed)
         red = reduce_diagram(base)
-        normalized, offset, scale = normalize_utilities(red.diagram)
+        normalized, offset, scale, unit = normalize_utilities(red.diagram)
         for _ in range(5):
             s = random_strategy(base, rng)
             raw = expected_utility(red.diagram, s)
-            scaled = offset + scale * expected_utility(normalized, s)
+            scaled = unit * (offset + scale * expected_utility(normalized, s))
             assert scaled == pytest.approx(raw, abs=1e-9)
 
 

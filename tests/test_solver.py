@@ -155,9 +155,9 @@ def test_a_reward_spanning_zero_to_one_solves_unchanged(epsilon):
     cfg = SolverConfig(epsilon=epsilon)
     for seed in range(20):
         reduced = shape_and_reduce(small_random_diagram(seed))
-        unit, _, _ = normalize_utilities(reduced.diagram)
-        again, offset, scale = normalize_utilities(unit)
-        assert (offset, scale) == (0.0, 1.0)
+        unit, _, _, _ = normalize_utilities(reduced.diagram)
+        again, offset, scale, power = normalize_utilities(unit)
+        assert (offset, scale, power) == (0.0, 1.0, 1.0)
         assert solved_fields(solve(unit, reduced.decomposition, cfg)) == \
             solved_fields(solve(again, reduced.decomposition, cfg))
 
