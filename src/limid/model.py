@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from graphlib import CycleError, TopologicalSorter
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -61,7 +60,12 @@ def _freeze(a: object) -> np.ndarray:
     this function made: a table one diagram took over passes to the next."""
     if _frozen(a):
         return a
-    a = np.array(a, dtype=float, order="C")
+    return _adopt(np.array(a, dtype=float, order="C"))
+
+
+def _adopt(a: np.ndarray) -> np.ndarray:
+    """Freeze, in place, a C-ordered float array that this library just
+    allocated and nothing else holds, as if :func:`_freeze` had copied it."""
     a.setflags(write=False)
     _FROZEN[id(a)] = a
     return a
@@ -89,6 +93,9 @@ class Variable:
                 raise ValueError(f"value variable {self.id!r} must not carry a cardinality "
                                  "or state labels")
         else:
+            if isinstance(self.cardinality, bool):
+                raise ValueError(f"variable {self.id!r}: cardinality must be an integer, "
+                                 f"got {self.cardinality!r}")
             if self.cardinality is None or self.cardinality < 1:
                 raise ValueError(f"variable {self.id!r} needs a cardinality >= 1")
         if self.state_labels is not None:
@@ -125,54 +132,66 @@ class InfluenceDiagram:
         if len(by_id) != len(variables):
             raise ValueError("duplicate variable ids")
         arcs = tuple(sorted({(str(a), str(b)) for a, b in arcs}))
+        parents: dict[str, list[str]] = {v.id: [] for v in variables}
         for a, b in arcs:
             if a not in by_id or b not in by_id:
                 raise ValueError(f"arc ({a!r}, {b!r}) references an unknown variable")
             if a == b:
                 raise ValueError(f"self-arc on {a!r}")
-        parents: dict[str, list[str]] = {v.id: [] for v in variables}
-        for a, b in arcs:
-            parents[b].append(a)
-        # value variables never parent tables; offenders are reported by
-        # validate_diagram rather than breaking table shapes here
-        table_parents = {
-            x: tuple(sorted(p for p in parents[x] if by_id[p].kind != VALUE))
-            for x in parents
-        }
-
-        def shaped(tag: str, var: str, table: object, lead: tuple[int, ...]) -> np.ndarray:
-            cards = lead + tuple(by_id[p].cardinality for p in table_parents[var])
-            if _frozen(table) and table.shape == cards:
-                return table
-            arr = np.asarray(table, dtype=float)
-            try:
-                arr = arr.reshape(cards)
-            except ValueError:
-                raise ValueError(f"{tag} for {var!r} has size {arr.size}, "
-                                 f"expected shape {cards}") from None
-            return _freeze(arr)
+            # value variables never parent tables; offenders are reported by
+            # validate_diagram rather than breaking table shapes here.  Arcs
+            # come sorted, so each parent list comes out sorted.
+            if by_id[a].kind != VALUE:
+                parents[b].append(a)
+        ids: dict[str, list[str]] = {CHANCE: [], DECISION: [], VALUE: []}
+        table_parents, families = {}, {}
+        for v in variables:
+            ids[v.kind].append(v.id)
+            ps = table_parents[v.id] = tuple(parents[v.id])
+            families[v.id] = ps if v.kind == VALUE else tuple(sorted(ps + (v.id,)))
+        # the fields of a frozen dataclass, written past its __setattr__
+        vars(self).update(variables=variables, arcs=arcs, _by_id=by_id,
+                          _table_parents=table_parents, _families=families,
+                          _ids={kind: tuple(xs) for kind, xs in ids.items()})
 
         cpt_map: dict[str, np.ndarray] = {}
         for var, table in dict(cpts or {}).items():
             if var not in by_id:
                 raise ValueError(f"cpt for unknown variable {var!r}")
             lead = (by_id[var].cardinality,) if by_id[var].kind != VALUE else ()
-            cpt_map[var] = shaped("cpt", var, table, lead)
+            cpt_map[var] = self._shaped("cpt", var, table, lead)
         reward_map: dict[str, np.ndarray] = {}
         for var, table in dict(rewards or {}).items():
             if var not in by_id:
                 raise ValueError(f"reward table for unknown variable {var!r}")
-            reward_map[var] = shaped("reward table", var, table, ())
+            reward_map[var] = self._shaped("reward table", var, table, ())
+        vars(self).update(cpts=cpt_map, rewards=reward_map)
 
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "arcs", arcs)
-        object.__setattr__(self, "cpts", cpt_map)
-        object.__setattr__(self, "rewards", reward_map)
-        object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(self, "_table_parents", table_parents)
-        object.__setattr__(self, "_families", {
-            x: tuple(sorted(ps + (x,))) if by_id[x].kind != VALUE else ps
-            for x, ps in table_parents.items()})
+    def _shaped(self, tag: str, var: str, table: object, lead: tuple[int, ...]) -> np.ndarray:
+        """``table`` as ``var``'s read-only table, of shape ``lead`` and its
+        parents' cardinalities; an array :func:`_freeze` made of that shape
+        passes as is."""
+        cards = lead + tuple(self._by_id[p].cardinality for p in self._table_parents[var])
+        if _frozen(table) and table.shape == cards:
+            return table
+        arr = np.asarray(table, dtype=float)
+        try:
+            arr = arr.reshape(cards)
+        except ValueError:
+            raise ValueError(f"{tag} for {var!r} has size {arr.size}, "
+                             f"expected shape {cards}") from None
+        return _freeze(arr)
+
+    def with_reward(self, var: str, table: object) -> InfluenceDiagram:
+        """This diagram with value variable ``var``'s reward table replaced by
+        ``table``, checked and frozen as the constructor would; everything
+        else, every other table included, is shared with this diagram."""
+        if not self.has_variable(var) or self.kind(var) != VALUE:
+            raise ValueError(f"{var!r} is not a value variable of the diagram")
+        out = object.__new__(InfluenceDiagram)
+        vars(out).update(vars(self))
+        vars(out)["rewards"] = {**self.rewards, var: self._shaped("reward table", var, table, ())}
+        return out
 
     # -- lookups -----------------------------------------------------------
 
@@ -198,15 +217,15 @@ class InfluenceDiagram:
 
     @property
     def chance_ids(self) -> tuple[str, ...]:
-        return tuple(v.id for v in self.variables if v.kind == CHANCE)
+        return self._ids[CHANCE]
 
     @property
     def decision_ids(self) -> tuple[str, ...]:
-        return tuple(v.id for v in self.variables if v.kind == DECISION)
+        return self._ids[DECISION]
 
     @property
     def value_ids(self) -> tuple[str, ...]:
-        return tuple(v.id for v in self.variables if v.kind == VALUE)
+        return self._ids[VALUE]
 
     def cpt(self, var: str) -> np.ndarray:
         return self.cpts[var]
@@ -220,15 +239,9 @@ class InfluenceDiagram:
 def validate_diagram(d: InfluenceDiagram) -> list[str]:
     """Return all invariant violations of ``d``, empty iff the diagram is valid."""
     report: list[str] = []
-    sorter = TopologicalSorter()
-    for a, b in d.arcs:
-        sorter.add(b, a)
-    try:
-        sorter.prepare()
-        acyclic = True
-    except CycleError:
+    acyclic = _acyclic(d.arcs)
+    if not acyclic:
         report.append("arcs contain a cycle")
-        acyclic = False
 
     tails = {a for a, _ in d.arcs}
     for var in d.value_ids:
@@ -264,6 +277,25 @@ def validate_diagram(d: InfluenceDiagram) -> list[str]:
             if not np.all(np.isfinite(table)):
                 report.append(f"reward table of {var!r} has non-finite entries")
     return report
+
+
+def _acyclic(arcs: tuple[tuple[str, str], ...]) -> bool:
+    """Whether ``arcs`` form no directed cycle: removing every variable with
+    no arc left coming in, one at a time, removes every arc."""
+    children: dict[str, list[str]] = {}
+    waiting: dict[str, int] = {}
+    for a, b in arcs:
+        children.setdefault(a, []).append(b)
+        waiting[b] = waiting.get(b, 0) + 1
+    ready = [a for a in children if a not in waiting]
+    left = len(arcs)
+    while ready:
+        for b in children.get(ready.pop(), ()):
+            left -= 1
+            waiting[b] -= 1
+            if not waiting[b]:
+                ready.append(b)
+    return not left
 
 
 def _probability_tables(tables: list[np.ndarray]) -> bool:
@@ -347,17 +379,17 @@ def pure_policy(d: InfluenceDiagram, decision: str, index: int) -> Policy:
     in C order over the sorted parents).
     """
     card = d.cardinality(decision)
-    gamma = parent_assignment_count(d, decision)
-    n = card ** gamma
-    if not 0 <= index < n:
-        raise ValueError(f"policy index {index} out of range for {decision!r}")
-    # pure_policy_tables' rule, in Python ints: a count past int64 still indexes
-    digits = [index // card ** (gamma - 1 - j) % card for j in range(gamma)]
-    table = np.zeros((card, gamma))
-    table[digits, np.arange(gamma)] = 1.0
     parents = d.parents(decision)
     shape = (card,) + tuple(d.cardinality(p) for p in parents)
-    return Policy(decision, parents, table.reshape(shape))
+    gamma = math.prod(shape[1:])
+    if not 0 <= index < card ** gamma:
+        raise ValueError(f"policy index {index} out of range for {decision!r}")
+    table = np.zeros(shape)
+    # pure_policy_tables' rule, in Python ints: a count past int64 still indexes;
+    # parent assignment j takes action a at flat entry a * gamma + j
+    table.reshape(-1)[[index // card ** (gamma - 1 - j) % card * gamma + j
+                       for j in range(gamma)]] = 1.0
+    return Policy(decision, parents, _adopt(table))
 
 
 def pure_policy_tables(d: InfluenceDiagram, decision: str) -> np.ndarray:

@@ -35,12 +35,12 @@ import numpy as np
 
 from .model import (
     CHANCE,
-    DECISION,
     VALUE,
     InfluenceDiagram,
     Policy,
     Strategy,
     Variable,
+    _adopt,
     pure_policy,
 )
 from .treedecomp import TreeDecomposition
@@ -104,7 +104,11 @@ def reduce_to_single_value(d: InfluenceDiagram, t: TreeDecomposition) -> Reducti
     """Build the single-value diagram and its widened decomposition.
 
     ``t`` must be rooted, binary, and carry a value leaf (cluster equal to
-    the parent set) for every value variable of ``d``.
+    the parent set) for every value variable of ``d``.  Each chain table is
+    written once, into an array allocated in its final axis order, which the
+    new diagram takes over without a copy; its other tables are ``d``'s own.
+    The widened decomposition has new clusters only: it shares ``t``'s
+    edges, root, adjacency and orientation.
     """
     if not t.is_binary():
         raise ValueError("decomposition must be binary")
@@ -127,22 +131,32 @@ def reduce_to_single_value(d: InfluenceDiagram, t: TreeDecomposition) -> Reducti
     unit, span = _span(lo, hi)
     o_names, v_name = _fresh_names(d, q)
 
-    variables = [v for v in d.variables if v.kind != VALUE]
-    arcs = [(a, b) for a, b in d.arcs if d.kind(a) != VALUE and d.kind(b) != VALUE]
+    values = set(d.value_ids)
+    variables = [v for v in d.variables if v.id not in values]
+    arcs = [(a, b) for a, b in d.arcs if a not in values and b not in values]
     cpts: dict[str, np.ndarray] = dict(d.cpts)
     for i, (orig, o) in enumerate(zip(value_order, o_names), start=1):
         variables.append(Variable(o, CHANCE, 2))
         parents = d.parents(orig)
         arcs.extend((p, o) for p in parents)
-        row0 = (d.reward(orig) / unit - lo / unit) / span
-        if i > 1:
+        u = (d.reward(orig) / unit - lo / unit) / span
+        if i == 1:
+            table = np.empty((2,) + u.shape)
+            table[0] = u
+        else:
             prev = o_names[i - 2]
             arcs.append((prev, o))
             # O_{i-1}'s axis goes to its id-sorted place: ids such as "A" or "9"
             # sort before "_"
-            row0 = np.moveaxis(np.stack([(i - 1 + row0) / i, row0 / i]), 0,
-                               sorted(parents + (prev,)).index(prev))
-        cpts[o] = np.stack([row0, 1.0 - row0])
+            at = sorted(parents + (prev,)).index(prev)
+            table = np.empty((2,) + u.shape[:at] + (2,) + u.shape[at:])
+            # row 0 at O_{i-1} = state0, then at state1; a trailing ... makes
+            # even a single entry a view that out= can write
+            head = (0,) + (slice(None),) * at
+            np.divide(i - 1 + u, i, out=table[head + (0, ...)])
+            np.divide(u, i, out=table[head + (1, ...)])
+        np.subtract(1.0, table[0], out=table[1, ...])
+        cpts[o] = _adopt(table)
     variables.append(Variable(v_name, VALUE))
     arcs.append((o_names[-1], v_name))
     rewards = {v_name: np.array([q * hi, q * lo])}
@@ -157,8 +171,8 @@ def reduce_to_single_value(d: InfluenceDiagram, t: TreeDecomposition) -> Reducti
         b = first_pos[leaf_map[value_order[i - 1]]]
         for node in tour[a:b + 1]:
             clusters[node].add(o_names[i - 2])
-    widened = TreeDecomposition(tuple(tuple(sorted(c)) for c in clusters), t.edges,
-                                root=t.root)
+    widened = t._sharing(("_adjacency", "_orientation"),
+                         clusters=tuple(tuple(sorted(c)) for c in clusters), value_leaves=())
 
     return ReductionResult(reduced, widened, (lo, hi), tuple(o_names), value_order)
 
@@ -172,7 +186,9 @@ def normalize_utilities(d: InfluenceDiagram
     unaffected.  ``unit`` is a power of two: 1.0 unless the rewards span
     more than the largest float, and then offset and scale count in units
     of 2.0.  A reward spanning [0, 1] maps to itself, with offset 0.0,
-    scale 1.0 and unit 1.0.
+    scale 1.0 and unit 1.0.  The diagram is ``d`` with its reward table
+    swapped (:meth:`~limid.model.InfluenceDiagram.with_reward`): variables,
+    arcs and every CPT are shared with ``d``.
     """
     if len(d.value_ids) != 1:
         raise ValueError(f"expected one value variable, got {len(d.value_ids)}")
@@ -182,8 +198,7 @@ def normalize_utilities(d: InfluenceDiagram
     _check_range(offset, top, 1)
     unit, scale = _span(offset, top) if top > offset else (1.0, 1.0)
     offset /= unit
-    normalized = InfluenceDiagram(d.variables, d.arcs, d.cpts,
-                                  {v: (table / unit - offset) / scale})
+    normalized = d.with_reward(v, (table / unit - offset) / scale)
     return normalized, offset, scale, unit
 
 
@@ -248,7 +263,7 @@ def minimal_diagram(d: InfluenceDiagram
     to drop comes back as is, with a lift that returns its argument.
     """
     parents = {v.id: set(d.parents(v.id)) for v in d.variables}
-    values = set(d.value_ids)
+    values, decisions = set(d.value_ids), set(d.decision_ids)
     changed = False
     while True:
         children: dict[str, set[str]] = {x: set() for x in parents}
@@ -256,7 +271,7 @@ def minimal_diagram(d: InfluenceDiagram
             for p in ps:
                 children[p].add(x)
         requisite = {x: _requisite_parents(parents, children, values, x)
-                     for x in parents if parents[x] and d.kind(x) == DECISION}
+                     for x in parents if parents[x] and x in decisions}
         dropped = {x: keep for x, keep in requisite.items() if keep != parents[x]}
         parents.update(dropped)
         useful = _ancestors(parents, values)
@@ -280,6 +295,9 @@ def minimal_diagram(d: InfluenceDiagram
                 continue
             policy = s.policy_for(dec)
             full = d.parents(dec)
+            if len(parents[dec]) == len(full):
+                policies.append(policy)
+                continue
             cards = (d.cardinality(dec),) + tuple(d.cardinality(q) for q in full)
             kept = (cards[0],) + tuple(c if q in parents[dec] else 1
                                        for q, c in zip(full, cards[1:]))

@@ -70,6 +70,9 @@ DEFAULT_MAX_SET_SIZE = 1_000_000
 #: members may take; the product is never built whole beyond one block
 BLOCK_BYTES = 1 << 23
 
+#: the message of a node with no table and no child: the empty product
+_UNIT = _derived((), (), np.ones((1,)))
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -93,7 +96,8 @@ class SolverConfig:
         if self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
         cap = self.max_set_size
-        if not isinstance(cap, int) or cap < 1:
+        # a bool is an int to isinstance, but never a count
+        if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
             raise ValueError(f"max_set_size must be an integer of at least 1, got {cap!r}")
 
 
@@ -297,10 +301,11 @@ def solve(d: InfluenceDiagram, t: TreeDecomposition, cfg: SolverConfig) -> Solve
         _check_cap(parts, cap, i, "combination")
         parent = t.parent(i)
         gone = cluster_sets[i] - (cluster_sets[parent] if parent is not None else set())
-        if not own and len(parts) == 1 and not gone:
-            # a pass-through node: its one child's message is already covered
-            # at alpha, so covering it again would keep every member
-            message = parts[0]
+        if not parts or (not own and len(parts) == 1 and not gone):
+            # an empty node sends the unit, and a pass-through node its one
+            # child's message, which is already covered at alpha: covering
+            # either would keep every member
+            message = parts[0] if parts else _UNIT
             found = covering_bound(message, alpha) if prune else CoveringStats()
         else:
             message, found = node_message(parts, gone, alpha if prune else None)

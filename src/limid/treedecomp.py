@@ -13,13 +13,16 @@ one, so no exact ordering search is made.
 
 from __future__ import annotations
 
-import dataclasses
 import heapq
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from functools import cached_property
 
 from .model import InfluenceDiagram, VALUE
+
+
+#: the fields of :class:`TreeDecomposition`
+_FIELDS = ("clusters", "edges", "root", "value_leaves")
 
 
 @dataclass(frozen=True)
@@ -54,6 +57,17 @@ class TreeDecomposition:
         object.__setattr__(self, "clusters", clusters)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "value_leaves", leaves)
+
+    def _sharing(self, caches: tuple[str, ...], **fields: object) -> TreeDecomposition:
+        """This decomposition with ``fields`` replaced by values already in
+        canonical form, taking over those of the cached ``caches`` that this
+        one has computed; only the caller knows that they still hold."""
+        out = object.__new__(TreeDecomposition)
+        mine = vars(self)
+        # the fields of a frozen dataclass, written past its __setattr__
+        vars(out).update({name: mine[name] for name in _FIELDS + caches if name in mine},
+                         **fields)
+        return out
 
     @property
     def n(self) -> int:
@@ -136,8 +150,9 @@ class TreeDecomposition:
         The walk keeps its own stack, so a deep tree cannot exhaust Python's
         recursion limit.
         """
+        children = self._orientation[1]
         tour = [self.root]
-        stack = [(self.root, iter(self.children(self.root)))]
+        stack = [(self.root, iter(children[self.root]))]
         while stack:
             child = next(stack[-1][1], None)
             if child is None:
@@ -146,7 +161,7 @@ class TreeDecomposition:
                     tour.append(stack[-1][0])
             else:
                 tour.append(child)
-                stack.append((child, iter(self.children(child))))
+                stack.append((child, iter(children[child])))
         return tuple(tour)
 
 
@@ -239,18 +254,20 @@ def validate_decomposition(d: InfluenceDiagram, t: TreeDecomposition) -> list[st
     tree = t.is_tree()
     if not tree:
         report.append("decomposition edges do not form a tree")
-    cluster_sets = [set(c) for c in t.clusters]
     home = homes(d, t)
     allowed = set(d.chance_ids) | set(d.decision_ids)
-    for i, c in enumerate(cluster_sets):
-        for v in sorted(c - allowed):
-            report.append(f"cluster {i} contains {v!r}, which is not a chance or "
-                          f"decision variable of the diagram")
+    for i, c in enumerate(t.clusters):
+        # clusters are sorted, so each one's strays come out sorted
+        for v in c:
+            if v not in allowed:
+                report.append(f"cluster {i} contains {v!r}, which is not a chance or "
+                              f"decision variable of the diagram")
     for v in d.variables:
         if home[v.id] is None:
             what = "parent set of value variable" if v.kind == VALUE else "family of"
             report.append(f"{what} {v.id!r} not covered by any cluster")
     if tree:
+        cluster_sets = [set(c) for c in t.clusters]
         # the nodes holding a variable induce a forest of the tree, which is
         # connected exactly when it has one edge fewer than nodes
         joins = Counter(v for i, j in t.edges for v in cluster_sets[i] & cluster_sets[j])
@@ -307,9 +324,9 @@ def ensure_value_leaves(d: InfluenceDiagram, t: TreeDecomposition) -> TreeDecomp
 
     # orient at a low-degree node so splits never push a degree past three
     orient = min(i for i in range(t.n) if t.degree(i) <= 2) if t.n > 1 else 0
-    oriented = dataclasses.replace(t, root=orient)
-    parent = {i: oriented.parent(i) for i in range(t.n)}
-    children = {i: list(oriented.children(i)) for i in range(t.n)}
+    parents, kids = root_and_order(t, orient)._orientation
+    parent = dict(enumerate(parents))
+    children = {i: list(c) for i, c in enumerate(kids)}
 
     clusters = [set(c) for c in t.clusters]
     claimed: dict[int, str] = {}
@@ -362,10 +379,15 @@ def ensure_value_leaves(d: InfluenceDiagram, t: TreeDecomposition) -> TreeDecomp
 def root_and_order(t: TreeDecomposition, r: int) -> TreeDecomposition:
     """Root the decomposition at node ``r``; it only sets the root.
 
-    It stays a function of its own because ``bench/spans.py`` traces it by
-    name.
+    The rooted tree is ``t`` with a new root, equal to
+    ``dataclasses.replace(t, root=r)``, made without canonicalizing ``t``
+    again: it shares ``t``'s fields and the caches that do not depend on the
+    root (adjacency and the nodes holding each variable).  It stays a
+    function of its own because ``bench/spans.py`` traces it by name.
     """
-    return dataclasses.replace(t, root=r)
+    if not 0 <= r < t.n:
+        raise ValueError(f"unknown node id {r}")
+    return t._sharing(("_adjacency", "_holders"), root=r)
 
 
 def default_root(t: TreeDecomposition) -> int:

@@ -1,4 +1,5 @@
 import itertools
+from graphlib import CycleError, TopologicalSorter
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from limid import (
     pure_policy_count,
     validate_diagram,
 )
+from limid.model import CHANCE, DECISION, VALUE
 from limid.reduction import minimal_diagram, normalize_utilities
 from limid.solver import shape_and_reduce
 
@@ -58,6 +60,60 @@ def test_variable_invariants():
         Variable("c", "chance", 0)
     with pytest.raises(ValueError):
         Variable("x", "utility", 2)
+    # a bool is an int subclass, but never a cardinality
+    for flag in (True, False):
+        with pytest.raises(ValueError, match="'x': cardinality must be an integer"):
+            Variable("x", "chance", flag)
+
+
+def test_cycle_check_matches_a_topological_sort(rng):
+    outcomes = set()
+    for _ in range(400):
+        n = int(rng.integers(2, 9))
+        kinds = rng.choice([CHANCE, DECISION, VALUE], size=n)
+        variables = [Variable(f"x{i}", str(k), None if k == VALUE else 2)
+                     for i, k in enumerate(kinds)]
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        if rng.random() < 0.5:
+            # mostly forward arcs, so acyclic sets come up as often as cyclic ones
+            pairs = [(i, j) for i, j in pairs if i < j] + [pairs[int(rng.integers(len(pairs)))]]
+        chosen = rng.random(len(pairs)) < rng.random()
+        arcs = [(f"x{i}", f"x{j}") for (i, j), keep in zip(pairs, chosen) if keep]
+        d = InfluenceDiagram(variables, arcs)
+        sorter = TopologicalSorter()
+        for a, b in d.arcs:
+            sorter.add(b, a)
+        try:
+            sorter.prepare()
+            cyclic = False
+        except CycleError:
+            cyclic = True
+        report = validate_diagram(d)
+        assert ("arcs contain a cycle" in report) == cyclic
+        # the cycle is always the first violation reported
+        assert not cyclic or report[0] == "arcs contain a cycle"
+        outcomes.add(cyclic)
+    assert outcomes == {False, True}
+
+
+def test_cached_id_tuples_match_the_variables():
+    def diagrams():
+        for seed in range(20):
+            d = small_random_diagram(seed)
+            yield d
+            minimal = minimal_diagram(d)[0]
+            yield minimal
+            if minimal.value_ids:
+                reduced = shape_and_reduce(minimal).diagram
+                yield reduced
+                yield normalize_utilities(reduced)[0]
+        yield two_agent_diagram()
+        yield pick_diagram()
+
+    for d in diagrams():
+        for kind, ids in ((CHANCE, d.chance_ids), (DECISION, d.decision_ids),
+                          (VALUE, d.value_ids)):
+            assert ids == tuple(v.id for v in d.variables if v.kind == kind)
 
 
 def test_validate_accepts_two_agent_diagram():

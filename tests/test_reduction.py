@@ -308,6 +308,43 @@ def test_normalize_commutes_with_expectation(rng):
             assert scaled == pytest.approx(raw, abs=1e-9)
 
 
+def test_normalize_swaps_the_reward_table_and_shares_the_rest():
+    for seed in range(10):
+        reduced = reduce_diagram(small_random_diagram(seed)).diagram
+        normalized = normalize_utilities(reduced)[0]
+        assert normalized.variables is reduced.variables and normalized.arcs is reduced.arcs
+        assert normalized.cpts.keys() == reduced.cpts.keys()
+        assert all(normalized.cpt(x) is reduced.cpt(x) for x in reduced.cpts)
+        (v,) = normalized.value_ids
+        table = normalized.reward(v)
+        assert table is not reduced.reward(v) and not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0.5
+        fresh = InfluenceDiagram(reduced.variables, reduced.arcs, reduced.cpts, {v: table})
+        for x in (u.id for u in reduced.variables):
+            assert normalized.family(x) == fresh.family(x)
+        # the swapped table is checked as the constructor checks it
+        with pytest.raises(ValueError, match=f"reward table for {v!r} has size 3"):
+            reduced.with_reward(v, [0.0, 0.5, 1.0])
+        for other in (reduced.chance_ids[0], "nowhere"):
+            with pytest.raises(ValueError, match="not a value variable"):
+                reduced.with_reward(other, table)
+
+
+def test_the_widened_tree_is_canonical_and_shares_its_parent_tree():
+    for seed in range(20):
+        d = small_random_diagram(seed, max_values=3)
+        t = shaped_decomposition(d)
+        widened = reduce_to_single_value(d, t).decomposition
+        fresh = TreeDecomposition(widened.clusters, t.edges, root=t.root)
+        assert widened == fresh
+        assert widened.edges is t.edges and widened._adjacency is t._adjacency
+        for i in range(t.n):
+            assert widened.parent(i) == fresh.parent(i)
+            assert widened.children(i) == fresh.children(i)
+        assert widened._holders == fresh._holders != t._holders
+
+
 def test_normalize_rejects_multiple_values():
     with pytest.raises(ValueError):
         normalize_utilities(two_agent_diagram())

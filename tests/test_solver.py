@@ -69,7 +69,7 @@ def test_config_rejects_non_finite_epsilon(epsilon):
         SolverConfig(epsilon=epsilon)
 
 
-@pytest.mark.parametrize("cap", [0, -3, 1.5, "10"])
+@pytest.mark.parametrize("cap", [0, -3, 1.5, "10", True])
 def test_config_rejects_bad_max_set_size(cap):
     with pytest.raises(ValueError, match="max_set_size"):
         SolverConfig(epsilon=0.5, max_set_size=cap)
@@ -432,6 +432,33 @@ def test_pass_through_nodes_are_not_covered_again(monkeypatch):
         assert again.values.tobytes() == k.values.tobytes()
         assert np.array_equal(again.policies, k.policies)
         assert real_bound(k, alpha) == stats
+
+
+def test_empty_nodes_send_the_unit_without_a_product(monkeypatch):
+    sizes = []
+    real = limid.solver.node_message
+    monkeypatch.setattr(limid.solver, "node_message",
+                        lambda parts, gone, alpha: sizes.append(len(parts))
+                        or real(parts, gone, alpha))
+    empty = 0
+    for seed in range(6):
+        d = generate_diagram(12, 5, 3, 2, 3, seed, decision_max_parents=2)
+        minimal = minimal_diagram(d)[0]
+        reduced = shape_and_reduce(minimal)
+        t = reduced.decomposition
+        held = set(limid.solver.homes(reduced.diagram, t).values())
+        for epsilon in (0.0, 0.5):
+            got = solve(reduced.diagram, t, SolverConfig(epsilon=epsilon))
+            assert got.stats.m == t.n == len(got.stats.nodes)
+            for row in got.stats.nodes:
+                if row.node in held or t.children(row.node):
+                    continue
+                empty += 1
+                bound = (1.0, 1) if epsilon else (None, None)
+                assert (row.k_size, row.product_size, row.c_size) == (1, 1, 1)
+                assert (row.smallest_positive, row.size_bound) == bound
+            assert got.value == solve_full(d, SolverConfig(epsilon=epsilon)).value
+    assert empty and 0 not in sizes
 
 
 def test_determinism():

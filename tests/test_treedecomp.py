@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -281,6 +283,28 @@ def test_unknown_root_rejected():
     t = TreeDecomposition((("a",),), ())
     with pytest.raises(ValueError):
         root_and_order(t, 3)
+
+
+def test_rerooting_shares_what_does_not_depend_on_the_root():
+    for seed in range(12):
+        t = binarize(build_decomposition(generate_diagram(8, 3, 3, 2, 3, seed)))
+        t._adjacency, t._holders  # computed before the trees that share them are made
+        for r in range(t.n):
+            rooted = root_and_order(t, r)
+            fresh = dataclasses.replace(t, root=r)
+            assert rooted == fresh
+            assert rooted._adjacency is t._adjacency and rooted._holders is t._holders
+            again = root_and_order(rooted, t.n - 1 - r)
+            # the orientation depends on the root, so it is never carried over
+            assert again == dataclasses.replace(t, root=t.n - 1 - r)
+            for tree, reference in ((rooted, fresh),
+                                    (again, dataclasses.replace(t, root=t.n - 1 - r))):
+                for i in range(t.n):
+                    assert tree.parent(i) == reference.parent(i)
+                    assert tree.children(i) == reference.children(i)
+        for r in (-1, t.n):
+            with pytest.raises(ValueError, match=f"unknown node id {r}"):
+                root_and_order(t, r)
 
 
 def test_tour_length_and_visit_counts():
