@@ -93,9 +93,11 @@ class Variable:
                 raise ValueError(f"value variable {self.id!r} must not carry a cardinality "
                                  "or state labels")
         else:
-            if isinstance(self.cardinality, bool):
+            # a bool is an int to isinstance, but never a count; 2.5 is no count either
+            card = self.cardinality
+            if isinstance(card, bool) or not isinstance(card, (int, np.integer, type(None))):
                 raise ValueError(f"variable {self.id!r}: cardinality must be an integer, "
-                                 f"got {self.cardinality!r}")
+                                 f"got {card!r}")
             if self.cardinality is None or self.cardinality < 1:
                 raise ValueError(f"variable {self.id!r} needs a cardinality >= 1")
         if self.state_labels is not None:
@@ -143,17 +145,7 @@ class InfluenceDiagram:
             # come sorted, so each parent list comes out sorted.
             if by_id[a].kind != VALUE:
                 parents[b].append(a)
-        ids: dict[str, list[str]] = {CHANCE: [], DECISION: [], VALUE: []}
-        table_parents, families = {}, {}
-        for v in variables:
-            ids[v.kind].append(v.id)
-            ps = table_parents[v.id] = tuple(parents[v.id])
-            families[v.id] = ps if v.kind == VALUE else tuple(sorted(ps + (v.id,)))
-        # the fields of a frozen dataclass, written past its __setattr__
-        vars(self).update(variables=variables, arcs=arcs, _by_id=by_id,
-                          _table_parents=table_parents, _families=families,
-                          _ids={kind: tuple(xs) for kind, xs in ids.items()})
-
+        self._assemble(variables, arcs, {x: tuple(ps) for x, ps in parents.items()}, {}, {})
         cpt_map: dict[str, np.ndarray] = {}
         for var, table in dict(cpts or {}).items():
             if var not in by_id:
@@ -166,6 +158,23 @@ class InfluenceDiagram:
                 raise ValueError(f"reward table for unknown variable {var!r}")
             reward_map[var] = self._shaped("reward table", var, table, ())
         vars(self).update(cpts=cpt_map, rewards=reward_map)
+
+    def _assemble(self, variables: tuple[Variable, ...], arcs: tuple[tuple[str, str], ...],
+                  parents: dict[str, tuple[str, ...]], cpts: dict[str, np.ndarray],
+                  rewards: dict[str, np.ndarray]) -> InfluenceDiagram:
+        """Write every field from a valid diagram's parts, unchecked: sorted
+        ``variables``, ``arcs`` and table ``parents``, and shaped read-only tables."""
+        ids: dict[str, list[str]] = {CHANCE: [], DECISION: [], VALUE: []}
+        families = {}
+        for v in variables:
+            ids[v.kind].append(v.id)
+            ps = parents[v.id]
+            families[v.id] = ps if v.kind == VALUE else tuple(sorted(ps + (v.id,)))
+        # the fields of a frozen dataclass, written past its __setattr__
+        vars(self).update(variables=variables, arcs=arcs, _by_id={v.id: v for v in variables},
+                          _table_parents=parents, _families=families, cpts=cpts,
+                          rewards=rewards, _ids={kind: tuple(xs) for kind, xs in ids.items()})
+        return self
 
     def _shaped(self, tag: str, var: str, table: object, lead: tuple[int, ...]) -> np.ndarray:
         """``table`` as ``var``'s read-only table, of shape ``lead`` and its

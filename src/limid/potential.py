@@ -12,31 +12,24 @@ Sets are combined by multiplication over their Cartesian product (members
 in lexicographic order) with the marginalization fused in: ``combine_sets``
 broadcasts each set's member axis against the others and sums the product
 straight down to the remaining scope.  A caller may walk a large product in
-blocks by combining member slices of the sets (:meth:`PotentialSet.members`,
-views without a copy), so the product is never held whole.  The solver
-places each decision's policies at exactly one node and sibling subtrees
-are disjoint, so combined sets never share a decision; that is checked
-once per combination.
+blocks of member slices (:meth:`PotentialSet.members`, views), never holding
+it whole.  The solver places each decision's policies at exactly one node,
+so combined sets never share a decision; that is checked once per
+combination.
 
 ``covering`` prunes a set down to one representative per bucket of the
 signature y -> floor(log_alpha P(y)), with a distinct code for zero
 entries.  Any two members sharing a signature dominate each other within a
 pointwise factor alpha, so every pruned member stays alpha-covered by a
-survivor.  Members are grouped on an exact key: their signatures are packed
-into ``int64`` words as they are computed, so no signature matrix exists.
-The packing range runs from one signature below the smallest positive
-entry's to one above the largest entry's, a margin for last-bit
-disagreements between ``math.log`` and ``np.log``.
+survivor.  Grouping is exact: a few rows by a dict on the bytes of their
+float signatures, more by sorting ``int64`` keys that the signatures are
+packed into as they are computed, so no large signature matrix exists.
 
 Arrays handed to the :class:`PotentialSet` constructor are copied and
-checked, so no caller can change a set afterwards.  Every other set is made
-by :func:`_derived`, which takes its arrays over as they are, read-only,
-with no check: a set derived from valid sets (member slices, products,
-sums, covering gathers, concatenations), or one built from arrays that no
-caller can write, such as a diagram's read-only tables once
-:func:`check_entries` has passed them.  Only a product or a sum can make a
-new number, so :func:`combine_sets` checks that its entries stay finite;
-slices, gathers and concatenations copy entries of valid sets.
+checked.  Every other set is made by :func:`_derived`, which takes arrays
+over read-only with no check: those of valid sets, or a diagram's tables
+once :func:`check_entries` has passed them.  Only a product or a sum can
+make a new number, so :func:`combine_sets` checks that its entries stay finite.
 """
 
 from __future__ import annotations
@@ -59,10 +52,9 @@ _BAD_ENTRIES = "potential set entries must be nonnegative and finite"
 #: temporaries
 _CHUNK_ENTRIES = 1 << 14
 
-#: covering groups at most this many rows in a dict rather than by sorting:
-#: the sort's dozen numpy calls cost more than walking so few rows (the two
-#: take about as long at 64 rows)
-_DICT_ROWS = 32
+#: covering groups at most this many rows in a dict, not by packing and sorting
+#: keys (the two take about as long near 192 rows of 12 entries)
+_DICT_ROWS = 128
 
 
 def _check_ids(ids: tuple[str, ...], what: str) -> None:
@@ -148,19 +140,17 @@ def combine_sets(sets: Sequence[PotentialSet], sum_out: Iterable[str] = ()) -> P
 
     Member order is the lexicographic product order of the input members,
     the first set varying slowest; the empty product is the scalar unit.
-    Each set's member axis broadcasts against the others; tables are
-    multiplied left to right over the joint scope and summed in one ``sum``
-    over the marginalized axes, so a member comes out with the same numbers
-    whichever member slices of the sets it is built from.  Raises
-    ``RuntimeError`` when two inputs carry policies of the same decision and
-    ``ValueError`` on inconsistent cardinalities, a variable to sum out that
-    no input has, or a product or sum that overflows to inf (or gives NaN
-    from inf * 0).
+    Tables are multiplied left to right over the joint scope and summed in
+    one reduction, so a member comes out with the same numbers whichever
+    member slices of the sets it is built from.  Raises ``RuntimeError``
+    when two inputs carry policies of the same decision and ``ValueError``
+    on inconsistent cardinalities, a variable to sum out that no input has,
+    or a product or sum that overflows to inf (or gives NaN from inf * 0).
     """
     card_by_var: dict[str, int] = {}
     decisions: list[str] = []
     for s in sets:
-        decisions.extend(s.decisions)
+        decisions += s.decisions
         for var, card in zip(s.scope, s.cards):
             if card_by_var.setdefault(var, card) != card:
                 raise ValueError(f"inconsistent cardinality for {var!r}")
@@ -172,51 +162,54 @@ def combine_sets(sets: Sequence[PotentialSet], sum_out: Iterable[str] = ()) -> P
         raise ValueError(f"cannot sum out {sorted(zs - card_by_var.keys())}: not in scope")
     if not sets:
         return _derived((), (), np.ones((1,)))
-    scope = tuple(sorted(card_by_var))
-    cards = tuple(card_by_var[v] for v in scope)
-    sizes = tuple(len(s) for s in sets)
+    m = len(sets)
+    scope = sorted(card_by_var)
+    axis = {v: i for i, v in enumerate(scope, m)}
+    sizes = [s.values.shape[0] for s in sets]
+    values = None
+    for k, s in enumerate(sets):
+        # member axis k, then the set's table laid over the joint scope
+        shape = [1] * (m + len(scope))
+        shape[k] = sizes[k]
+        for var, card in zip(s.scope, s.cards):
+            shape[axis[var]] = card
+        pick = s.values.reshape(shape)
+        values = pick if values is None else values * pick
     n = math.prod(sizes)
+    values = values.reshape([n] + [card_by_var[v] for v in scope])
+    if not values.flags.c_contiguous:
+        values = np.ascontiguousarray(values)
+    if zs:
+        values = np.add.reduce(values, axis=tuple(axis[v] - m + 1 for v in scope if v in zs))
+        scope = [v for v in scope if v not in zs]
+    # entries are nonnegative, so one max (which propagates NaN) checks them all
+    if not math.isfinite(np.maximum.reduce(values, axis=None, initial=0.0)):
+        raise ValueError(_BAD_ENTRIES)
+    cards = tuple(card_by_var[v] for v in scope)
+    if not decisions:
+        return _derived(tuple(scope), cards, values)
     order = sorted(decisions)
     column = {dec: j for j, dec in enumerate(order)}
     policies = np.empty((n, len(order)), dtype=np.int64)
-    grid = policies.reshape(sizes + (len(order),))
-    values = None
+    grid = policies.reshape(sizes + [len(order)])
     for k, s in enumerate(sets):
-        row = (1,) * k + (sizes[k],) + (1,) * (len(sets) - k - 1)
         if s.decisions:
             # both id-sorted, so a set's columns ascend and are often one run
             cols = [column[dec] for dec in s.decisions]
             if cols[-1] - cols[0] == len(cols) - 1:
                 cols = slice(cols[0], cols[-1] + 1)
-            grid[..., cols] = s.policies.reshape(row + (len(s.decisions),))
-        pick = s.values.reshape(row + _joint_shape(s, scope, cards))
-        values = pick if values is None else values * pick
-    values = np.ascontiguousarray(values.reshape((n,) + cards))
-    if zs:
-        values = values.sum(axis=tuple(1 + i for i, v in enumerate(scope) if v in zs))
-        cards = tuple(c for v, c in zip(scope, cards) if v not in zs)
-        scope = tuple(v for v in scope if v not in zs)
-    # entries are nonnegative, so one max (which propagates NaN) checks them all
-    if not math.isfinite(values.max(initial=0.0)):
-        raise ValueError(_BAD_ENTRIES)
-    return _derived(scope, cards, values, tuple(order), policies)
-
-
-def _joint_shape(s: PotentialSet, scope: tuple[str, ...],
-                 cards: tuple[int, ...]) -> tuple[int, ...]:
-    """The table shape of ``s`` laid over the joint ``scope``, 1 on axes it lacks."""
-    return tuple(c if v in s.scope else 1 for v, c in zip(scope, cards))
+            row = [1] * m + [len(s.decisions)]
+            row[k] = sizes[k]
+            grid[..., cols] = s.policies.reshape(row)
+    return _derived(tuple(scope), cards, values, tuple(order), policies)
 
 
 def concat_sets(sets: Iterable[PotentialSet], total: int) -> PotentialSet:
-    """The ``total`` members of ``sets`` one after another; all share scope
-    and decisions.  Each set is written into the result as it arrives, so an
-    iterator of sets is never held whole; a lone set is returned as it is."""
+    """The ``total`` members of ``sets`` one after another, all of one scope and
+    decisions, each written into the result as it arrives from an iterator."""
     lo = 0
     for s in sets:
         if lo == 0:
-            if len(s) == total:
-                return s
             first = s
             values = np.empty((total,) + s.values.shape[1:])
             policies = np.empty((total, len(s.decisions)), dtype=np.int64)
@@ -246,13 +239,11 @@ def covering(k: PotentialSet, alpha: float) -> tuple[PotentialSet, CoveringStats
 
     Members are bucketed on the integer signature floor(log_alpha value)
     per assignment (zero entries get their own code); the first member of
-    each bucket survives, in input order.  Rows are grouped on an exact key
-    that packs each row's signatures into ``int64`` words as they are
-    computed (:func:`_packed_keys`), so no signature matrix exists.  When
-    every member survives, ``k`` itself is returned.  The returned stats
-    carry the guaranteed cap ``(1 - floor(log_alpha t)) ** assignments`` on
-    the number of survivors, valid whenever all entries are positive and at
-    most one.
+    each bucket survives, in input order (``k`` itself if all do).  Up to
+    ``_DICT_ROWS`` rows are grouped in a dict on their float signatures'
+    bytes (zeros at -inf), more by sorting :func:`_packed_keys`.  The stats
+    carry the cap ``(1 - floor(log_alpha t)) ** assignments`` on the
+    survivors, valid whenever all entries are positive and at most one.
     """
     if not alpha > 1.0:
         raise ValueError("alpha must be greater than 1")
@@ -260,7 +251,18 @@ def covering(k: PotentialSet, alpha: float) -> tuple[PotentialSet, CoveringStats
     stats = covering_bound(k, alpha)
     if n < 2:  # nothing to prune
         return k, stats
-    keep = _first_rows(_packed_keys(k.values.reshape(n, -1), alpha, stats.smallest_positive))
+    flat = k.values.reshape(n, -1)
+    if n > _DICT_ROWS:
+        keep = _first_rows(_packed_keys(flat, alpha, stats.smallest_positive))
+    else:
+        positive = flat > 0.0
+        sig = _signatures(flat, positive, alpha)
+        np.copyto(sig, -math.inf, where=~positive)
+        sig += 0.0  # a snapped -0.0 becomes 0.0, so equal signatures have equal bytes
+        raw, width = sig.tobytes(), sig[0].nbytes
+        keys = [raw[i:i + width] for i in range(0, len(raw), width)]
+        # walked backwards, each key keeps its first row
+        keep = sorted(dict(zip(reversed(keys), range(n - 1, -1, -1))).values())
     if len(keep) < n:
         k = _derived(k.scope, k.cards, k.values[keep], k.decisions, k.policies[keep])
     return k, stats
@@ -268,16 +270,17 @@ def covering(k: PotentialSet, alpha: float) -> tuple[PotentialSet, CoveringStats
 
 def covering_bound(k: PotentialSet, alpha: float) -> CoveringStats:
     """The :class:`CoveringStats` that :func:`covering` returns for ``k``, without pruning it."""
-    eta = math.prod(k.cards)
-    flat = k.values.reshape(len(k), eta)
-    smallest = math.inf
-    for rows in _chunks(flat):
-        x = flat[rows]
-        # a masked min reduction takes several times longer than this
-        smallest = min(smallest, float(np.where(x > 0.0, x, math.inf).min()))
+    flat = k.values.reshape(len(k), math.prod(k.cards))
+    smallest = float(flat.min(initial=math.inf))
+    if not smallest > 0.0:
+        # zeros are masked out a row chunk at a time (a masked min reduction is slower)
+        smallest = math.inf
+        for rows in _chunks(flat):
+            x = flat[rows]
+            smallest = min(smallest, float(np.where(x > 0.0, x, math.inf).min()))
     if smallest == math.inf:
         return CoveringStats()
-    return CoveringStats(smallest, (1 - floor_log(smallest, alpha)) ** eta)
+    return CoveringStats(smallest, (1 - floor_log(smallest, alpha)) ** flat.shape[1])
 
 
 def _chunks(a: np.ndarray) -> Iterator[slice]:
@@ -286,19 +289,29 @@ def _chunks(a: np.ndarray) -> Iterator[slice]:
     return (slice(lo, lo + step) for lo in range(0, len(a), step))
 
 
+def _signatures(x: np.ndarray, positive: np.ndarray, alpha: float) -> np.ndarray:
+    """floor(log_alpha x), snapped at bucket edges, as floats; 0 off ``positive``."""
+    q = np.log(x, out=np.zeros(x.shape), where=positive)
+    # divide by log(alpha): multiplying by its reciprocal rounds differently
+    q /= math.log(alpha)
+    r = np.rint(q)
+    near = np.abs(q - r) <= _LOG_SNAP
+    np.floor(q, out=q)
+    np.copyto(q, r, where=near)
+    return q
+
+
 def _packed_keys(flat: np.ndarray, alpha: float, smallest: float | None) -> np.ndarray:
     """One exact ``int64`` key row per row of ``flat``, whose smallest
     positive entry is ``smallest`` (``None`` if none, when every row gets
     the same key).
 
     An entry's code is 0 for zero and ``s - lo + 1`` for a signature ``s``,
-    with ``lo = floor_log(smallest) - 1`` and ``hi = floor_log(largest) + 1``:
-    one signature of margin on each side absorbs any last-bit disagreement
-    between ``math.log`` and ``np.log``.  ``63 // bits`` codes of
-    ``bits = (hi - lo + 1).bit_length()`` pack into each word (finite
-    entries keep ``hi - lo`` below 2**63), so rows share a signature exactly
-    when their words are equal.  Signatures and codes are made a row chunk
-    at a time, so their temporaries stay bounded.
+    with ``lo = floor_log(smallest) - 1`` and ``hi = floor_log(largest) + 1``,
+    a margin for last-bit disagreements between ``math.log`` and ``np.log``.
+    ``63 // bits`` codes of ``bits = (hi - lo + 1).bit_length()`` pack into
+    each word, so rows share a signature exactly when their words are
+    equal.  Codes are made a row chunk at a time, bounding temporaries.
     """
     if smallest is None:
         return np.zeros((len(flat), 1), dtype=np.int64)
@@ -308,18 +321,10 @@ def _packed_keys(flat: np.ndarray, alpha: float, smallest: float | None) -> np.n
     per = 63 // bits
     column = np.arange(flat.shape[1])
     words = np.empty((len(flat), -(-flat.shape[1] // per)), dtype=np.int64)
-    log_alpha = math.log(alpha)
     for rows in _chunks(flat):
         x = flat[rows]
         positive = x > 0.0
-        # divide by log(alpha): multiplying by its reciprocal rounds differently
-        q = np.log(x, out=np.zeros(x.shape), where=positive)
-        q /= log_alpha
-        r = np.rint(q)
-        near = np.abs(q - r) <= _LOG_SNAP
-        np.floor(q, out=q)
-        np.copyto(q, r, where=near)
-        code = q.astype(np.int64)
+        code = _signatures(x, positive, alpha).astype(np.int64)
         code -= lo - 1
         code *= positive  # zero entries take code 0
         code <<= bits * (column % per)
@@ -329,12 +334,6 @@ def _packed_keys(flat: np.ndarray, alpha: float, smallest: float | None) -> np.n
 
 def _first_rows(words: np.ndarray) -> np.ndarray:
     """Ascending indices of the first occurrence of every distinct row of ``words``."""
-    if len(words) <= _DICT_ROWS:
-        # a dict keeps each key's first row, in the order first seen
-        first: dict[tuple[int, ...], int] = {}
-        for i, key in enumerate(map(tuple, words.tolist())):
-            first.setdefault(key, i)
-        return np.fromiter(first.values(), dtype=np.intp, count=len(first))
     order = np.argsort(words[:, 0]) if words.shape[1] == 1 else np.lexsort(words.T)
     words = words[order]
     starts = np.flatnonzero(np.concatenate(([True], (words[1:] != words[:-1]).any(axis=1))))

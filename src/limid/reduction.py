@@ -41,7 +41,6 @@ from .model import (
     Strategy,
     Variable,
     _adopt,
-    pure_policy,
 )
 from .treedecomp import TreeDecomposition
 
@@ -82,8 +81,8 @@ def utility_bounds(d: InfluenceDiagram) -> tuple[float, float]:
     or by one ulp where lo + 1 == lo, so (U - lo) / (hi - lo) stays defined."""
     if not d.value_ids:
         raise ValueError("diagram has no value variables")
-    lo = min(float(d.reward(v).min()) for v in d.value_ids)
-    hi = max(float(d.reward(v).max()) for v in d.value_ids)
+    rewards = np.concatenate([d.reward(v).ravel() for v in d.value_ids])
+    lo, hi = float(rewards.min()), float(rewards.max())
     if hi == lo:
         hi = lo + 1.0 if lo + 1.0 != lo else math.nextafter(lo, math.inf)
     _check_range(lo, hi, len(d.value_ids))
@@ -105,10 +104,9 @@ def reduce_to_single_value(d: InfluenceDiagram, t: TreeDecomposition) -> Reducti
 
     ``t`` must be rooted, binary, and carry a value leaf (cluster equal to
     the parent set) for every value variable of ``d``.  Each chain table is
-    written once, into an array allocated in its final axis order, which the
-    new diagram takes over without a copy; its other tables are ``d``'s own.
-    The widened decomposition has new clusters only: it shares ``t``'s
-    edges, root, adjacency and orientation.
+    written once, in its final axis order; the other tables are ``d``'s own.
+    The widened decomposition shares ``t``'s edges, root, adjacency and
+    orientation; only its clusters are new.
     """
     if not t.is_binary():
         raise ValueError("decomposition must be binary")
@@ -120,35 +118,30 @@ def reduce_to_single_value(d: InfluenceDiagram, t: TreeDecomposition) -> Reducti
             raise ValueError(f"value leaf cluster for {v!r} does not equal its parent set")
 
     tour = t.euler_tour()
-    first_pos: dict[int, int] = {}
-    for pos, node in enumerate(tour):
-        first_pos.setdefault(node, pos)
-    value_order = tuple(sorted(d.value_ids, key=lambda v: (first_pos[leaf_map[v]], v)))
+    first = {v: tour.index(leaf_map[v]) for v in d.value_ids}  # each leaf's first visit
+    value_order = tuple(sorted(d.value_ids, key=lambda v: (first[v], v)))
     q = len(value_order)
     lo, hi = utility_bounds(d)
-    # (U - lo) / (hi - lo) with every term in units of _span's power of two
-    # (a unit of 1 changes no bit)
+    # (U - lo) / (hi - lo) in units of _span's power of two (1 changes no bit)
     unit, span = _span(lo, hi)
     o_names, v_name = _fresh_names(d, q)
 
-    values = set(d.value_ids)
-    variables = [v for v in d.variables if v.id not in values]
-    arcs = [(a, b) for a, b in d.arcs if a not in values and b not in values]
+    variables = [v for v in d.variables if v.kind != VALUE]
+    parents = {v.id: d.parents(v.id) for v in variables}
     cpts: dict[str, np.ndarray] = dict(d.cpts)
     for i, (orig, o) in enumerate(zip(value_order, o_names), start=1):
         variables.append(Variable(o, CHANCE, 2))
-        parents = d.parents(orig)
-        arcs.extend((p, o) for p in parents)
-        u = (d.reward(orig) / unit - lo / unit) / span
+        parents[o] = d.parents(orig)
+        u = ((d.reward(orig) if unit == 1.0 else d.reward(orig) / unit) - lo / unit) / span
         if i == 1:
             table = np.empty((2,) + u.shape)
             table[0] = u
         else:
             prev = o_names[i - 2]
-            arcs.append((prev, o))
             # O_{i-1}'s axis goes to its id-sorted place: ids such as "A" or "9"
             # sort before "_"
-            at = sorted(parents + (prev,)).index(prev)
+            parents[o] = tuple(sorted(parents[o] + (prev,)))
+            at = parents[o].index(prev)
             table = np.empty((2,) + u.shape[:at] + (2,) + u.shape[at:])
             # row 0 at O_{i-1} = state0, then at state1; a trailing ... makes
             # even a single entry a view that out= can write
@@ -158,18 +151,18 @@ def reduce_to_single_value(d: InfluenceDiagram, t: TreeDecomposition) -> Reducti
         np.subtract(1.0, table[0], out=table[1, ...])
         cpts[o] = _adopt(table)
     variables.append(Variable(v_name, VALUE))
-    arcs.append((o_names[-1], v_name))
-    rewards = {v_name: np.array([q * hi, q * lo])}
-    reduced = InfluenceDiagram(variables, arcs, cpts, rewards)
+    parents[v_name] = (o_names[-1],)
+    arcs = tuple(sorted((p, x) for x, ps in parents.items() for p in ps))
+    reduced = object.__new__(InfluenceDiagram)._assemble(
+        tuple(sorted(variables, key=lambda v: v.id)), arcs, parents, cpts,
+        {v_name: _adopt(np.array([q * hi, q * lo]))})
 
     clusters = [set(c) for c in t.clusters]
     for orig, o in zip(value_order, o_names):
         clusters[leaf_map[orig]].add(o)
     # the tour from leaf i - 1 through leaf i carries O_{i-1} to both leaves
     for i in range(2, q + 1):
-        a = first_pos[leaf_map[value_order[i - 2]]]
-        b = first_pos[leaf_map[value_order[i - 1]]]
-        for node in tour[a:b + 1]:
+        for node in tour[first[value_order[i - 2]]:first[value_order[i - 1]] + 1]:
             clusters[node].add(o_names[i - 2])
     widened = t._sharing(("_adjacency", "_orientation"),
                          clusters=tuple(tuple(sorted(c)) for c in clusters), value_leaves=())
@@ -183,12 +176,10 @@ def normalize_utilities(d: InfluenceDiagram
 
     Returns (diagram, offset, scale, unit) with original utilities recovered
     as unit * (offset + scale * normalized); maximizing strategies are
-    unaffected.  ``unit`` is a power of two: 1.0 unless the rewards span
-    more than the largest float, and then offset and scale count in units
-    of 2.0.  A reward spanning [0, 1] maps to itself, with offset 0.0,
-    scale 1.0 and unit 1.0.  The diagram is ``d`` with its reward table
-    swapped (:meth:`~limid.model.InfluenceDiagram.with_reward`): variables,
-    arcs and every CPT are shared with ``d``.
+    unaffected.  ``unit`` is 1.0 unless the rewards span more than the
+    largest float, and then offset and scale count in units of 2.0.  A
+    reward spanning [0, 1] maps to itself.  The diagram is ``d`` with its
+    reward swapped (:meth:`~limid.model.InfluenceDiagram.with_reward`).
     """
     if len(d.value_ids) != 1:
         raise ValueError(f"expected one value variable, got {len(d.value_ids)}")
@@ -198,7 +189,7 @@ def normalize_utilities(d: InfluenceDiagram
     _check_range(offset, top, 1)
     unit, scale = _span(offset, top) if top > offset else (1.0, 1.0)
     offset /= unit
-    normalized = d.with_reward(v, (table / unit - offset) / scale)
+    normalized = d.with_reward(v, ((table if unit == 1.0 else table / unit) - offset) / scale)
     return normalized, offset, scale, unit
 
 
@@ -255,54 +246,60 @@ def minimal_diagram(d: InfluenceDiagram
     Two rules run until neither changes anything: every arc n -> D into a
     decision goes whose n is d-separated from the value variables below D
     given D and its other parents, then every chance or decision variable
-    with no value descendant goes.  Neither rule changes the maximum
-    expected utility.  ``lift`` widens each kept policy over the parents its
-    decision lost, constant along them, and gives each dropped decision its
-    first pure policy: the lifted strategy is worth on ``d`` exactly what
-    the strategy is worth on the minimal diagram.  A diagram with nothing
-    to drop comes back as is, with a lift that returns its argument.
+    with no value descendant goes; neither changes the maximum expected
+    utility.  ``lift`` widens each kept policy over the parents its decision
+    lost, constant along them, and gives each dropped decision its first
+    pure policy, so the lifted strategy keeps its worth.  A diagram with
+    nothing to drop comes back as is, with a lift that returns its argument.
     """
     parents = {v.id: set(d.parents(v.id)) for v in d.variables}
+    children: dict[str, set[str]] = {x: set() for x in parents}
+    for x, ps in parents.items():
+        for p in ps:
+            children[p].add(x)
     values, decisions = set(d.value_ids), set(d.decision_ids)
     changed = False
     while True:
-        children: dict[str, set[str]] = {x: set() for x in parents}
-        for x, ps in parents.items():
-            for p in ps:
-                children[p].add(x)
         requisite = {x: _requisite_parents(parents, children, values, x)
                      for x in parents if parents[x] and x in decisions}
         dropped = {x: keep for x, keep in requisite.items() if keep != parents[x]}
-        parents.update(dropped)
+        for x, keep in dropped.items():
+            for p in parents[x] - keep:
+                children[p].discard(x)
+            parents[x] = keep
         useful = _ancestors(parents, values)
         if not dropped and len(useful) == len(parents):
             break
         changed = True
-        parents = {x: ps for x, ps in parents.items() if x in useful}
+        for x in [x for x in parents if x not in useful]:
+            for p in parents.pop(x):
+                children[p].discard(x)
     if not changed:
         return d, lambda s: s
 
-    minimal = InfluenceDiagram(
-        [v for v in d.variables if v.id in parents],
-        [(p, x) for x, ps in parents.items() for p in ps],
-        {x: d.cpt(x) for x in d.chance_ids if x in parents}, d.rewards)
+    left = tuple(v for v in d.variables if v.id in parents)
+    arcs = tuple(sorted((p, x) for x, ps in parents.items() for p in ps))
+    minimal = object.__new__(InfluenceDiagram)._assemble(
+        left, arcs, {v.id: tuple(sorted(parents[v.id])) for v in left},
+        {x: d.cpt(x) for x in d.chance_ids if x in parents}, dict(d.rewards))
 
     def lift(s: Strategy) -> Strategy:
         policies = []
         for dec in d.decision_ids:
-            if dec not in parents:
-                policies.append(pure_policy(d, dec, 0))
-                continue
-            policy = s.policy_for(dec)
             full = d.parents(dec)
-            if len(parents[dec]) == len(full):
-                policies.append(policy)
-                continue
-            cards = (d.cardinality(dec),) + tuple(d.cardinality(q) for q in full)
-            kept = (cards[0],) + tuple(c if q in parents[dec] else 1
-                                       for q, c in zip(full, cards[1:]))
-            table = np.broadcast_to(policy.table.reshape(kept), cards)
-            policies.append(Policy(dec, full, table))
+            cards = (d.cardinality(dec),) + tuple(map(d.cardinality, full))
+            if dec not in parents:
+                # the first pure policy: action 0 under every parent assignment
+                table = np.zeros(cards)
+                table[0] = 1.0
+                policies.append(Policy(dec, full, _adopt(table)))
+            elif len(parents[dec]) == len(full):
+                policies.append(s.policy_for(dec))
+            else:
+                kept = (cards[0],) + tuple(c if q in parents[dec] else 1
+                                           for q, c in zip(full, cards[1:]))
+                table = np.broadcast_to(s.policy_for(dec).table.reshape(kept), cards)
+                policies.append(Policy(dec, full, table))
         return Strategy(policies)
 
     return minimal, lift

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -81,10 +81,8 @@ class SolverConfig:
     ``epsilon`` is the approximation factor; ``epsilon == 0`` means exact
     mode (no pruning), and so does an ``epsilon`` too small to move
     ``alpha`` off 1.  ``max_set_size`` (an integer of at least 1) caps each
-    decision's pure-policy count and the member count of each node's
-    product, first of its own tables and then with its children's
-    messages; in approximate mode that product is walked in blocks and
-    never held whole.
+    decision's pure-policy count and each node's product, of its own tables
+    and then with its children's messages, even where it is walked in blocks.
     """
 
     epsilon: float = 0.0
@@ -142,19 +140,21 @@ def _in_scope_order(table: np.ndarray, at: int, scope: tuple[str, ...],
                     var: str) -> np.ndarray:
     """``table``, whose axis ``at`` is ``var``'s and whose later axes follow
     the rest of ``scope``, with that axis moved to ``var``'s place in
-    ``scope``: a C-ordered array, copied only if the move changes the layout."""
+    ``scope``: ``table`` itself when ``var`` comes first, else a C-ordered copy."""
+    place = scope.index(var)
+    if not place:
+        return table
     axes = list(range(table.ndim))
-    axes.insert(at + scope.index(var), axes.pop(at))
+    axes.insert(at + place, axes.pop(at))
     return np.ascontiguousarray(table.transpose(axes))
 
 
 def _table_set(d: InfluenceDiagram, var: str) -> PotentialSet:
-    """The one-member set of ``var``'s table; it views the diagram's read-only
-    array where that needs no reordering."""
+    """The one-member set of ``var``'s table, entries checked by :func:`solve`;
+    it views the diagram's read-only array where that needs no reordering."""
     scope = d.family(var)
     table = d.reward(var) if var in d.rewards else _in_scope_order(d.cpt(var), 0, scope, var)
-    check_entries(table)
-    return _derived(scope, tuple(d.cardinality(x) for x in scope), table[np.newaxis])
+    return _derived(scope, table.shape, table[np.newaxis])
 
 
 def _policy_potential_set(d: InfluenceDiagram, dec: str, cap: int) -> PotentialSet:
@@ -165,24 +165,19 @@ def _policy_potential_set(d: InfluenceDiagram, dec: str, cap: int) -> PotentialS
     scope = d.family(dec)
     tables = _in_scope_order(pure_policy_tables(d, dec), 1, scope, dec)
     indices = np.arange(count, dtype=np.int64).reshape(-1, 1)
-    return _derived(scope, tuple(d.cardinality(x) for x in scope), tables, (dec,), indices)
+    return _derived(scope, tables.shape[1:], tables, (dec,), indices)
 
 
-def _check_cap(parts: list[PotentialSet], cap: int, node: int, stage: str) -> None:
-    """Reject a combination whose product set would exceed ``cap`` before it
-    is built; combined sets share no decision, so the product size is exact."""
-    size = math.prod(len(s) for s in parts)
+def _check_cap(size: int, cap: int, node: int, stage: str) -> None:
+    """Reject a product of ``size`` members over ``cap`` before it is built;
+    combined sets share no decision, so the size is exact."""
     if size > cap:
         raise InstanceTooLargeError(
             f"set size {size} at node {node} ({stage}) exceeds the cap {cap}")
 
 
 def sum_out_set(k: PotentialSet, zs: set[str]) -> PotentialSet:
-    """Marginalize ``zs`` out of every member of ``k``.
-
-    :func:`solve` sums out inside :func:`combine_sets`; this one-set form
-    stays because ``bench/spans.py`` traces the solver by these names.
-    """
+    """``combine_sets([k], zs)``, a name ``bench/spans.py`` still traces."""
     return combine_sets([k], zs)
 
 
@@ -194,11 +189,10 @@ def _blocks(sizes: Sequence[int], step: int) -> Iterator[list[tuple[int, int]]]:
     The split set is the earliest one whose later sets together fit in one
     block.  A block takes one member of every earlier set, a run of members
     of the split set and the whole of every later set.  The split set is cut
-    into as few runs as fit, all of one length but a shorter last one: a
-    split set just over one block gives two half blocks rather than a full
-    one and a tiny one, and no block is larger than the one before it under
-    the same prefix, so each fits in the memory its predecessor freed.
-    The empty product is one block of no ranges.
+    into as few equal runs as fit, but a shorter last one, so no block is
+    larger than the one before it under the same prefix and each fits in
+    the memory its predecessor freed.  The empty product is one block of no
+    ranges.
     """
     if not sizes:
         yield []
@@ -220,28 +214,26 @@ def node_message(parts: list[PotentialSet], gone: set[str], alpha: float | None
     """The product of ``parts`` with ``gone`` summed out, pruned by
     :func:`covering` at ``alpha`` (``None``: exact, no pruning).
 
-    A product that fits in one block of at most ``BLOCK_BYTES`` of
-    joint-scope tables and policy rows is combined and covered in one go.
-    A larger one is walked in order in such blocks (:func:`_blocks`): each
-    is combined from member slices of ``parts``, viewed without a copy, then
-    contracted and pruned on its own, and the survivors of all blocks are
-    pruned once more, which keeps the first member of every signature over
-    the whole product, as one covering call on it would.  In exact mode the
-    blocks are written straight into the message, allocated once at the
-    product size.  Also returns the :class:`CoveringStats` of the unpruned
-    message, empty when exact.
+    A product within one block of ``BLOCK_BYTES`` of joint-scope tables and
+    policy rows is combined and covered in one go; a larger one in such
+    blocks (:func:`_blocks`) of member views, each pruned on its own, and
+    their survivors once more, which keeps the first member of every
+    signature over the whole product.  In exact mode the blocks go straight
+    into the message.  Also returns the unpruned message's stats.
     """
-    cards = {v: c for p in parts for v, c in zip(p.scope, p.cards)}
-    width = math.prod(cards.values()) + sum(len(p.decisions) for p in parts)
-    step = max(1, BLOCK_BYTES // (8 * width))
     sizes = [len(p) for p in parts]
-    if math.prod(sizes) <= step:
+    n, step = math.prod(sizes), 1  # one member always fits in a block
+    if n > 1:
+        cards = {v: c for p in parts for v, c in zip(p.scope, p.cards)}
+        width = math.prod(cards.values()) + sum(len(p.decisions) for p in parts)
+        step = max(1, BLOCK_BYTES // (8 * width))
+    if n <= step:
         message = combine_sets(parts, gone)
         return (message, CoveringStats()) if alpha is None else covering(message, alpha)
     blocks = (combine_sets([p.members(lo, hi) for p, (lo, hi) in zip(parts, ranges)], gone)
               for ranges in _blocks(sizes, step))
     if alpha is None:
-        return concat_sets(blocks, math.prod(sizes)), CoveringStats()
+        return concat_sets(blocks, n), CoveringStats()
     survivors, found = [], []
     for block in blocks:
         block, cstats = covering(block, alpha)
@@ -257,10 +249,9 @@ def node_message(parts: list[PotentialSet], gone: set[str], alpha: float | None
 
 def solve(d: InfluenceDiagram, t: TreeDecomposition, cfg: SolverConfig) -> SolverResult:
     """Run the propagation on a diagram with one value variable and any
-    finite rewards, mapped onto [0, 1] first (a reward spanning [0, 1] maps
-    to itself) by :func:`~limid.reduction.normalize_utilities`; the value is
-    mapped back.  :func:`solve_full` merges several value variables first.
-    """
+    finite rewards, mapped onto [0, 1] first by
+    :func:`~limid.reduction.normalize_utilities` and the value mapped back.
+    :func:`solve_full` merges several value variables first."""
     started = time.perf_counter()
     d, offset, scale, unit = normalize_utilities(d)
     if not t.is_binary():
@@ -282,25 +273,30 @@ def solve(d: InfluenceDiagram, t: TreeDecomposition, cfg: SolverConfig) -> Solve
     # exact, which meets any (1 + epsilon) bound
     prune = alpha > 1.0
     cap = cfg.max_set_size
+    # a direct call may bring tables no validation has seen: check them all at once
+    check_entries(np.concatenate([d.cpt(v).ravel() for v in d.chance_ids]
+                                 + [d.reward(v).ravel() for v in d.value_ids]))
     # every table sits at its home, which validation guarantees exists
     home = homes(d, t)
-    hold: dict[int, list[PotentialSet]] = {i: [] for i in range(m)}
+    hold: list[list[PotentialSet]] = [[] for _ in range(m)]
     for var in d.chance_ids + d.decision_ids + d.value_ids:
         hold[home[var]].append(_policy_potential_set(d, var, cap) if d.kind(var) == DECISION
                                else _table_set(d, var))
+    own_size = [math.prod(map(len, own)) for own in hold]
+    for i, size in enumerate(own_size):
+        _check_cap(size, cap, i, "initialization")
 
-    for i in range(m):
-        _check_cap(hold[i], cap, i, "initialization")
-
+    parents, children = t._orientation
     cluster_sets = [set(c) for c in t.clusters]
     node_stats: list[NodeStats] = []
     messages: dict[int, PotentialSet] = {}
     for i in order:
-        own = hold.pop(i)
-        parts = own + [messages.pop(c) for c in t.children(i)]
-        _check_cap(parts, cap, i, "combination")
-        parent = t.parent(i)
-        gone = cluster_sets[i] - (cluster_sets[parent] if parent is not None else set())
+        own, hold[i] = hold[i], []
+        parts = own + [messages.pop(c) for c in children[i]]
+        size = math.prod(map(len, parts))
+        _check_cap(size, cap, i, "combination")
+        parent = parents[i]
+        gone = cluster_sets[i] - cluster_sets[parent] if parent is not None else cluster_sets[i]
         if not parts or (not own and len(parts) == 1 and not gone):
             # an empty node sends the unit, and a pass-through node its one
             # child's message, which is already covered at alpha: covering
@@ -309,8 +305,7 @@ def solve(d: InfluenceDiagram, t: TreeDecomposition, cfg: SolverConfig) -> Solve
             found = covering_bound(message, alpha) if prune else CoveringStats()
         else:
             message, found = node_message(parts, gone, alpha if prune else None)
-        node_stats.append(NodeStats(i, t.clusters[i], math.prod(map(len, own)),
-                                    math.prod(map(len, parts)), len(message),
+        node_stats.append(NodeStats(i, t.clusters[i], own_size[i], size, len(message),
                                     found.smallest_positive, found.size_bound))
         messages[i] = message
 
@@ -377,11 +372,9 @@ def solve_full(d: InfluenceDiagram, cfg: SolverConfig,
     (:func:`~limid.reduction.minimal_diagram`) with a supplied decomposition
     checked against ``d`` and restricted to the kept variables, shapes a
     decomposition and merges the value variables (:func:`shape_and_reduce`),
-    and solves (:func:`solve`, which normalizes the merged reward and maps
-    the value back to the original utility scale).  The strategy is lifted
-    back to ``d``: it covers exactly the original decision variables, with
-    their original parents.
-    ``stats`` describe the solve of the minimal diagram.
+    and solves (:func:`solve`).  The strategy is lifted back to ``d``, with
+    its original decisions and parents; ``stats`` describe the solve of the
+    minimal diagram.
     """
     started = time.perf_counter()
     problems = validate_diagram(d)
@@ -398,5 +391,6 @@ def solve_full(d: InfluenceDiagram, cfg: SolverConfig,
         decomposition = _restrict(decomposition, minimal)
     reduced = shape_and_reduce(minimal, decomposition)
     result = solve(reduced.diagram, reduced.decomposition, cfg)
-    stats = replace(result.stats, wall_time=time.perf_counter() - started)
+    stats = SolveStats(result.stats.m, result.stats.alpha, time.perf_counter() - started,
+                       result.stats.nodes)
     return SolverResult(result.value, lift(result.strategy), stats)

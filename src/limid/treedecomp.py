@@ -124,19 +124,7 @@ class TreeDecomposition:
     def _orientation(self) -> tuple[tuple[int | None, ...], tuple[tuple[int, ...], ...]]:
         if self.root is None:
             raise ValueError("decomposition is not rooted")
-        parent: list[int | None] = [None] * self.n
-        children: list[tuple[int, ...]] = [()] * self.n
-        seen = {self.root}
-        stack = [self.root]
-        while stack:
-            i = stack.pop()
-            kids = tuple(j for j in self.neighbors(i) if j not in seen)
-            children[i] = kids
-            for j in kids:
-                seen.add(j)
-                parent[j] = i
-                stack.append(j)
-        return tuple(parent), tuple(children)
+        return _orient(self._adjacency, self.root)
 
     def parent(self, i: int) -> int | None:
         return self._orientation[0][i]
@@ -163,6 +151,22 @@ class TreeDecomposition:
                 tour.append(child)
                 stack.append((child, iter(children[child])))
         return tuple(tour)
+
+
+def _orient(adjacency: tuple[tuple[int, ...], ...], root: int
+            ) -> tuple[tuple[int | None, ...], tuple[tuple[int, ...], ...]]:
+    """Each node's parent and children in the tree of ``adjacency`` rooted at ``root``."""
+    parent: list[int | None] = [None] * len(adjacency)
+    children: list[tuple[int, ...]] = [()] * len(adjacency)
+    seen, stack = {root}, [root]
+    while stack:
+        i = stack.pop()
+        kids = children[i] = tuple(j for j in adjacency[i] if j not in seen)
+        seen.update(kids)
+        for j in kids:
+            parent[j] = i
+        stack += kids
+    return tuple(parent), tuple(children)
 
 
 # -- construction -------------------------------------------------------------
@@ -235,13 +239,13 @@ def build_decomposition(d: InfluenceDiagram) -> TreeDecomposition:
 def homes(d: InfluenceDiagram, t: TreeDecomposition) -> dict[str, int | None]:
     """Each variable's home: the smallest node whose cluster holds its whole
     family (:meth:`~limid.model.InfluenceDiagram.family`), else ``None``."""
-    holders, none = t._holders, set()
-    every = set(range(t.n))
+    get, none = t._holders.get, set()
     out: dict[str, int | None] = {}
     for v in d.variables:
-        common = every
-        for x in d.family(v.id):
-            common = common & holders.get(x, none)  # walks the smaller set
+        family = d.family(v.id)
+        common = get(family[0], none) if family else range(t.n)
+        for x in family[1:]:
+            common = common & get(x, none)  # walks the smaller set
         out[v.id] = min(common, default=None)
     return out
 
@@ -323,8 +327,9 @@ def ensure_value_leaves(d: InfluenceDiagram, t: TreeDecomposition) -> TreeDecomp
         return t
 
     # orient at a low-degree node so splits never push a degree past three
-    orient = min(i for i in range(t.n) if t.degree(i) <= 2) if t.n > 1 else 0
-    parents, kids = root_and_order(t, orient)._orientation
+    adjacency = t._adjacency
+    orient = min(i for i, nb in enumerate(adjacency) if len(nb) <= 2) if t.n > 1 else 0
+    parents, kids = _orient(adjacency, orient)
     parent = dict(enumerate(parents))
     children = {i: list(c) for i, c in enumerate(kids)}
 
@@ -371,20 +376,16 @@ def ensure_value_leaves(d: InfluenceDiagram, t: TreeDecomposition) -> TreeDecomp
         claimed[leaf] = v
         leaf_of[v] = leaf
 
-    edges = tuple((min(i, p), max(i, p)) for i, p in parent.items() if p is not None)
-    return TreeDecomposition(tuple(tuple(sorted(c)) for c in clusters), edges,
-                             root=t.root, value_leaves=tuple(leaf_of.items()))
+    edges = sorted((min(i, p), max(i, p)) for i, p in parent.items() if p is not None)
+    return t._sharing((), clusters=tuple(tuple(sorted(c)) for c in clusters),
+                      edges=tuple(edges), value_leaves=tuple(sorted(leaf_of.items())))
 
 
 def root_and_order(t: TreeDecomposition, r: int) -> TreeDecomposition:
-    """Root the decomposition at node ``r``; it only sets the root.
-
-    The rooted tree is ``t`` with a new root, equal to
-    ``dataclasses.replace(t, root=r)``, made without canonicalizing ``t``
+    """``dataclasses.replace(t, root=r)``, made without canonicalizing ``t``
     again: it shares ``t``'s fields and the caches that do not depend on the
-    root (adjacency and the nodes holding each variable).  It stays a
-    function of its own because ``bench/spans.py`` traces it by name.
-    """
+    root (adjacency and the nodes holding each variable).  ``bench/spans.py``
+    traces it by name."""
     if not 0 <= r < t.n:
         raise ValueError(f"unknown node id {r}")
     return t._sharing(("_adjacency", "_holders"), root=r)

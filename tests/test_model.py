@@ -16,7 +16,7 @@ from limid import (
     pure_policy_count,
     validate_diagram,
 )
-from limid.model import CHANCE, DECISION, VALUE
+from limid.model import CHANCE, DECISION, PROB_TOL, VALUE
 from limid.reduction import minimal_diagram, normalize_utilities
 from limid.solver import shape_and_reduce
 
@@ -60,10 +60,11 @@ def test_variable_invariants():
         Variable("c", "chance", 0)
     with pytest.raises(ValueError):
         Variable("x", "utility", 2)
-    # a bool is an int subclass, but never a cardinality
-    for flag in (True, False):
+    # a bool is an int subclass, but never a cardinality; nor is a fraction
+    for flag in (True, False, 2.5, 2.0, "2"):
         with pytest.raises(ValueError, match="'x': cardinality must be an integer"):
             Variable("x", "chance", flag)
+    assert Variable("x", "chance", np.int64(3)).cardinality == 3
 
 
 def test_cycle_check_matches_a_topological_sort(rng):
@@ -147,6 +148,59 @@ def test_validate_decides_columns_at_the_tolerance_edge_as_each_table_does(exces
     d = InfluenceDiagram([Variable("c", "chance", 2), Variable("e", "chance", 2)], [],
                          cpts={"c": [0.5, 0.5 + excess], "e": [0.5, 0.5]}, rewards={})
     assert validate_diagram(d) == ([] if ok else ["cpt of 'c' has columns not summing to 1"])
+
+
+def random_cpt(rng, faults: bool) -> np.ndarray:
+    """A C-ordered table of 2-12 states over 0-3 parents, some of whose
+    columns sum to one within a few ulps of ``PROB_TOL``; with ``faults``
+    they may reach further out, or hold NaN or entries outside [0, 1]."""
+    card = int(rng.integers(2, 13))
+    # one-column tables are where a flat-order sum and numpy's part: make them common
+    parents = 0 if rng.uniform() < 0.4 else int(rng.integers(1, 4))
+    shape = (card,) + tuple(int(c) for c in rng.integers(1, 5, size=parents))
+    table = np.ascontiguousarray(rng.dirichlet(np.ones(card), size=int(np.prod(shape[1:]))).T)
+    table, flat = table.reshape(shape), table
+    for c in range(flat.shape[1]):
+        fault = rng.uniform()
+        if fault < 0.4:
+            # the last entry puts the column sum at the tolerance's edge
+            ulps = rng.integers(-4, 5 if faults else 2)
+            flat[-1, c] = 1.0 + rng.choice([-1, 1]) * (PROB_TOL + ulps * 2.2e-16) - flat[:-1, c].sum()
+        elif faults and fault < 0.45:
+            flat[int(rng.integers(card)), c] = np.nan
+        elif faults and fault < 0.5:
+            flat[int(rng.integers(card)), c] = rng.choice([-0.25, 1.25])
+    return table
+
+
+def test_cpt_checks_match_each_table_checked_alone(rng):
+    # the one-pass check adds a column's entries in flat order, as
+    # table.sum(axis=0) does but for a one-column table, which numpy sums
+    # pairwise: a column at the tolerance's edge must still fall on the side
+    # its table's own sum puts it
+    for trial in range(400):
+        tables = {f"c{k}": random_cpt(rng, trial % 2 == 0) for k in range(int(rng.integers(1, 4)))}
+        variables, arcs, cpts, want = [], [], {}, []
+        for var, table in tables.items():
+            variables.append(Variable(var, "chance", table.shape[0]))
+            for j, card in enumerate(table.shape[1:]):
+                variables.append(Variable(f"{var}p{j}", "chance", card))
+                cpts[f"{var}p{j}"] = np.full(card, 1.0 / card)
+                arcs.append((f"{var}p{j}", var))
+            cpts[var] = table
+            if not np.all((table >= 0.0) & (table <= 1.0)):
+                want.append(f"cpt of {var!r} has entries outside [0, 1]")
+            if np.any(np.abs(table.sum(axis=0) - 1.0) > PROB_TOL):
+                want.append(f"cpt of {var!r} has columns not summing to 1")
+        assert validate_diagram(InfluenceDiagram(variables, arcs, cpts, {})) == want
+    # one-column tables at the edge itself, where the two orders part most often
+    for trial in range(300):
+        card = int(rng.integers(3, 13))
+        table = rng.dirichlet(np.ones(card))
+        table[-1] = 1.0 + rng.choice([-1, 1]) * PROB_TOL - table[:-1].sum()
+        d = InfluenceDiagram([Variable("c", "chance", card)], [], {"c": table}, {})
+        bad = abs(table.sum() - 1.0) > PROB_TOL
+        assert validate_diagram(d) == (["cpt of 'c' has columns not summing to 1"] if bad else [])
 
 
 def test_tables_are_copied_from_callers_and_passed_through_by_derived_diagrams():

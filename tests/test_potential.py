@@ -535,14 +535,48 @@ def test_first_rows_match_a_unique_reference(rng, rows):
         assert got.tolist() == reference_survivors(values, alpha).tolist()
 
 
-@pytest.mark.parametrize("dict_rows", [0, 1 << 30], ids=["sorted", "walked"])
-def test_first_rows_agree_whether_sorted_or_walked_in_a_dict(rng, monkeypatch, dict_rows):
-    monkeypatch.setattr(limid.potential, "_DICT_ROWS", dict_rows)
-    for n in (1, 2, 5, 64, 65, 300):
-        for width in (1, 2, 3):
-            words = rng.integers(0, 3, size=(n, width))
-            got = limid.potential._first_rows(words)
-            assert got.tolist() == reference_first_rows(words).tolist()
+def split_cases(rng):
+    """Sets for both sides of covering's row split, with their alpha."""
+    alpha = 1.3
+    for n in (1, 2, 5, 40, 300):
+        for zeros in (False, True):
+            k = random_set(rng, {"a": 2, "b": 3}, n, zeros=zeros)
+            # coarse entries, so many rows share a signature
+            yield PotentialSet(k.scope, k.cards, np.round(k.values, 1), k.decisions,
+                               k.policies), alpha
+    yield members_set({"a": 2}, [[0.0, 0.0]] * 4), alpha  # all zero
+    # entries exactly at powers of alpha, and zeros, in every pair
+    entries = [0.0] + [alpha ** e for e in range(-6, 1)]
+    yield members_set({"a": 2}, [[a, b] for a in entries for b in entries] * 2), alpha
+    # 1 - 1e-15 snaps to the signature of 1.0 from below, where rint gives -0.0:
+    # it shares a bucket with 1.0 on both sides of the split
+    yield members_set({"a": 2}, [[1.0, 0.5], [1.0 - 1e-15, 0.5], [0.5, 1.0 - 1e-15]]), 1.01
+
+
+@pytest.mark.parametrize("dict_rows", [1 << 30, 0], ids=["dict", "sorted"])
+def test_covering_agrees_whether_grouped_in_a_dict_or_sorted(rng, monkeypatch, dict_rows):
+    for k, alpha in split_cases(rng):
+        want = reference_survivors(k.values, alpha)
+        with monkeypatch.context() as m:
+            m.setattr(limid.potential, "_DICT_ROWS", dict_rows)
+            pruned, stats = covering(k, alpha)
+        assert pruned.policies[:, 0].tolist() == want.tolist()
+        assert pruned.values.tobytes() == k.values[want].tobytes()
+        assert stats == covering_bound(k, alpha)
+
+
+@pytest.mark.parametrize("chunk", [1 << 14, 7])
+def test_covering_bound_is_the_masked_min(rng, monkeypatch, chunk):
+    # small chunks mix chunks of positive entries with chunks holding zeros
+    monkeypatch.setattr(limid.potential, "_CHUNK_ENTRIES", chunk)
+    for trial in range(20):
+        k = random_set(rng, {"a": 2, "b": 3}, n=int(rng.integers(1, 30)), zeros=trial % 2 == 1)
+        want = float(np.min(k.values, where=k.values > 0.0, initial=math.inf))
+        stats = covering_bound(k, 1.3)
+        if want == math.inf:
+            assert stats == CoveringStats()
+        else:
+            assert stats == CoveringStats(want, (1 - floor_log(want, 1.3)) ** 6)
 
 
 def duplicated_rows(rng, pool: np.ndarray, n: int) -> np.ndarray:

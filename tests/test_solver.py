@@ -141,6 +141,15 @@ def test_solve_preconditions(monkeypatch):
         solve(d, unrooted, cfg)
 
 
+@pytest.mark.parametrize("bad", [-0.5, np.nan, np.inf])
+def test_a_direct_solve_checks_the_entries_no_validation_saw(bad):
+    # solve_full validates first; a direct solve checks every table in one pass
+    d = InfluenceDiagram([Variable("c", "chance", 2), Variable("v", "value")], [("c", "v")],
+                         {"c": [bad, 0.5]}, {"v": [1.0, 0.0]})
+    with pytest.raises(ValueError, match="nonnegative and finite"):
+        solve(d, rooted_decomposition(d), SolverConfig(epsilon=0.5))
+
+
 def strategy_tables(result):
     return [(p.decision, p.parents, p.table.tolist()) for p in result.strategy.policies]
 
