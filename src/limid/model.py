@@ -23,7 +23,6 @@ and flat indices follow C order over those axes.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -46,28 +45,10 @@ class InstanceTooLargeError(RuntimeError):
     """An enumeration would exceed the configured resource cap."""
 
 
-#: the arrays :func:`_freeze` made, by id, while they live
-_FROZEN: weakref.WeakValueDictionary[int, np.ndarray] = weakref.WeakValueDictionary()
-
-
-def _frozen(a: object) -> bool:
-    """Whether ``a`` is an array :func:`_freeze` made, which nothing can write to."""
-    return _FROZEN.get(id(a)) is a
-
-
 def _freeze(a: object) -> np.ndarray:
-    """A read-only C-ordered float copy of ``a``, or ``a`` itself if it is one
-    this function made: a table one diagram took over passes to the next."""
-    if _frozen(a):
-        return a
-    return _adopt(np.array(a, dtype=float, order="C"))
-
-
-def _adopt(a: np.ndarray) -> np.ndarray:
-    """Freeze, in place, a C-ordered float array that this library just
-    allocated and nothing else holds, as if :func:`_freeze` had copied it."""
+    """A read-only C-ordered float copy of ``a``, which no caller can write to."""
+    a = np.array(a, dtype=float, order="C")
     a.setflags(write=False)
-    _FROZEN[id(a)] = a
     return a
 
 
@@ -98,8 +79,10 @@ class Variable:
             if isinstance(card, bool) or not isinstance(card, (int, np.integer, type(None))):
                 raise ValueError(f"variable {self.id!r}: cardinality must be an integer, "
                                  f"got {card!r}")
-            if self.cardinality is None or self.cardinality < 1:
+            if card is None or card < 1:
                 raise ValueError(f"variable {self.id!r} needs a cardinality >= 1")
+            # a numpy integer is stored as a Python int, which serializes
+            object.__setattr__(self, "cardinality", int(card))
         if self.state_labels is not None:
             object.__setattr__(self, "state_labels", tuple(self.state_labels))
             if self.cardinality is not None and len(self.state_labels) != self.cardinality:
@@ -114,11 +97,12 @@ class InfluenceDiagram:
     ``cpts`` maps each chance variable to an array of shape
     ``(card, *parent cards)`` and ``rewards`` maps each value variable to an
     array of shape ``(*parent cards)``, parents sorted by id.  Flat inputs
-    are reshaped.  Every table is copied into a read-only array, except one
-    that already is such a copy, of the right shape: a diagram built from
-    another's tables shares them.  Construction enforces structure only
-    (known ids, table shapes); semantic invariants are reported by
-    :func:`validate_diagram`.
+    are reshaped.  Every table given is copied into a read-only array, even
+    another diagram's.  A diagram derived by :meth:`with_reward` or by
+    :mod:`limid.reduction` shares its source's tables, and a table the
+    library allocates is made read-only where it is made.  Construction
+    enforces structure only (known ids, table shapes); semantic invariants
+    are reported by :func:`validate_diagram`.
     """
 
     variables: tuple[Variable, ...]
@@ -178,11 +162,8 @@ class InfluenceDiagram:
 
     def _shaped(self, tag: str, var: str, table: object, lead: tuple[int, ...]) -> np.ndarray:
         """``table`` as ``var``'s read-only table, of shape ``lead`` and its
-        parents' cardinalities; an array :func:`_freeze` made of that shape
-        passes as is."""
+        parents' cardinalities, copied by :func:`_freeze`."""
         cards = lead + tuple(self._by_id[p].cardinality for p in self._table_parents[var])
-        if _frozen(table) and table.shape == cards:
-            return table
         arr = np.asarray(table, dtype=float)
         try:
             arr = arr.reshape(cards)
@@ -398,7 +379,7 @@ def pure_policy(d: InfluenceDiagram, decision: str, index: int) -> Policy:
     # parent assignment j takes action a at flat entry a * gamma + j
     table.reshape(-1)[[index // card ** (gamma - 1 - j) % card * gamma + j
                        for j in range(gamma)]] = 1.0
-    return Policy(decision, parents, _adopt(table))
+    return Policy(decision, parents, table)
 
 
 def pure_policy_tables(d: InfluenceDiagram, decision: str) -> np.ndarray:

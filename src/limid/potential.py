@@ -176,9 +176,7 @@ def combine_sets(sets: Sequence[PotentialSet], sum_out: Iterable[str] = ()) -> P
         pick = s.values.reshape(shape)
         values = pick if values is None else values * pick
     n = math.prod(sizes)
-    values = values.reshape([n] + [card_by_var[v] for v in scope])
-    if not values.flags.c_contiguous:
-        values = np.ascontiguousarray(values)
+    values = np.ascontiguousarray(values.reshape([n] + [card_by_var[v] for v in scope]))
     if zs:
         values = np.add.reduce(values, axis=tuple(axis[v] - m + 1 for v in scope if v in zs))
         scope = [v for v in scope if v not in zs]
@@ -186,21 +184,15 @@ def combine_sets(sets: Sequence[PotentialSet], sum_out: Iterable[str] = ()) -> P
     if not math.isfinite(np.maximum.reduce(values, axis=None, initial=0.0)):
         raise ValueError(_BAD_ENTRIES)
     cards = tuple(card_by_var[v] for v in scope)
-    if not decisions:
-        return _derived(tuple(scope), cards, values)
     order = sorted(decisions)
     column = {dec: j for j, dec in enumerate(order)}
     policies = np.empty((n, len(order)), dtype=np.int64)
     grid = policies.reshape(sizes + [len(order)])
     for k, s in enumerate(sets):
-        if s.decisions:
-            # both id-sorted, so a set's columns ascend and are often one run
-            cols = [column[dec] for dec in s.decisions]
-            if cols[-1] - cols[0] == len(cols) - 1:
-                cols = slice(cols[0], cols[-1] + 1)
-            row = [1] * m + [len(s.decisions)]
-            row[k] = sizes[k]
-            grid[..., cols] = s.policies.reshape(row)
+        row = [1] * m
+        row[k] = sizes[k]
+        for j, dec in enumerate(s.decisions):
+            grid[..., column[dec]] = s.policies[:, j].reshape(row)
     return _derived(tuple(scope), cards, values, tuple(order), policies)
 
 

@@ -40,7 +40,7 @@ from .model import (
     Policy,
     Strategy,
     Variable,
-    _adopt,
+    _freeze,
 )
 from .treedecomp import TreeDecomposition
 
@@ -63,6 +63,9 @@ class ReductionResult:
 
 
 def _check_range(lo: float, hi: float, q: int) -> None:
+    # min and max propagate NaN, so a non-finite entry makes lo or hi non-finite
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("reward tables hold a non-finite entry")
     # q rewards in [lo, hi] rescale to a reward table of q * hi and q * lo
     if not all(map(math.isfinite, (q * hi, q * lo))):
         raise ValueError(f"rewards span [{lo!r}, {hi!r}]: rescaling them overflows a float")
@@ -132,7 +135,7 @@ def reduce_to_single_value(d: InfluenceDiagram, t: TreeDecomposition) -> Reducti
     for i, (orig, o) in enumerate(zip(value_order, o_names), start=1):
         variables.append(Variable(o, CHANCE, 2))
         parents[o] = d.parents(orig)
-        u = ((d.reward(orig) if unit == 1.0 else d.reward(orig) / unit) - lo / unit) / span
+        u = (d.reward(orig) / unit - lo / unit) / span
         if i == 1:
             table = np.empty((2,) + u.shape)
             table[0] = u
@@ -149,13 +152,14 @@ def reduce_to_single_value(d: InfluenceDiagram, t: TreeDecomposition) -> Reducti
             np.divide(i - 1 + u, i, out=table[head + (0, ...)])
             np.divide(u, i, out=table[head + (1, ...)])
         np.subtract(1.0, table[0], out=table[1, ...])
-        cpts[o] = _adopt(table)
+        table.setflags(write=False)
+        cpts[o] = table
     variables.append(Variable(v_name, VALUE))
     parents[v_name] = (o_names[-1],)
     arcs = tuple(sorted((p, x) for x, ps in parents.items() for p in ps))
     reduced = object.__new__(InfluenceDiagram)._assemble(
         tuple(sorted(variables, key=lambda v: v.id)), arcs, parents, cpts,
-        {v_name: _adopt(np.array([q * hi, q * lo]))})
+        {v_name: _freeze([q * hi, q * lo])})
 
     clusters = [set(c) for c in t.clusters]
     for orig, o in zip(value_order, o_names):
@@ -189,7 +193,7 @@ def normalize_utilities(d: InfluenceDiagram
     _check_range(offset, top, 1)
     unit, scale = _span(offset, top) if top > offset else (1.0, 1.0)
     offset /= unit
-    normalized = d.with_reward(v, ((table if unit == 1.0 else table / unit) - offset) / scale)
+    normalized = d.with_reward(v, (table / unit - offset) / scale)
     return normalized, offset, scale, unit
 
 
@@ -292,7 +296,7 @@ def minimal_diagram(d: InfluenceDiagram
                 # the first pure policy: action 0 under every parent assignment
                 table = np.zeros(cards)
                 table[0] = 1.0
-                policies.append(Policy(dec, full, _adopt(table)))
+                policies.append(Policy(dec, full, table))
             elif len(parents[dec]) == len(full):
                 policies.append(s.policy_for(dec))
             else:

@@ -222,11 +222,10 @@ def node_message(parts: list[PotentialSet], gone: set[str], alpha: float | None
     into the message.  Also returns the unpruned message's stats.
     """
     sizes = [len(p) for p in parts]
-    n, step = math.prod(sizes), 1  # one member always fits in a block
-    if n > 1:
-        cards = {v: c for p in parts for v, c in zip(p.scope, p.cards)}
-        width = math.prod(cards.values()) + sum(len(p.decisions) for p in parts)
-        step = max(1, BLOCK_BYTES // (8 * width))
+    n = math.prod(sizes)
+    cards = {v: c for p in parts for v, c in zip(p.scope, p.cards)}
+    width = math.prod(cards.values()) + sum(len(p.decisions) for p in parts)
+    step = max(1, BLOCK_BYTES // (8 * width))  # one member always fits in a block
     if n <= step:
         message = combine_sets(parts, gone)
         return (message, CoveringStats()) if alpha is None else covering(message, alpha)

@@ -18,6 +18,8 @@ from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .model import InfluenceDiagram, VALUE
 
 
@@ -42,21 +44,29 @@ class TreeDecomposition:
     value_leaves: tuple[tuple[str, int], ...] = ()
 
     def __post_init__(self) -> None:
+        def node(i: object, field: str) -> int:
+            # a numpy integer becomes a Python int; a bool is an int to
+            # isinstance, but no node id, and neither is 1.0
+            if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+                raise ValueError(f"{field} takes integer node ids, got {i!r}")
+            return int(i)
+
         clusters = tuple(tuple(sorted(set(c))) for c in self.clusters)
         n = len(clusters)
-        edges = tuple(sorted({(min(i, j), max(i, j)) for i, j in self.edges}))
+        ends = ((node(i, "edges"), node(j, "edges")) for i, j in self.edges)
+        edges = tuple(sorted({(min(i, j), max(i, j)) for i, j in ends}))
         for i, j in edges:
             if i == j or not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"bad edge ({i}, {j})")
-        if self.root is not None and not 0 <= self.root < n:
-            raise ValueError(f"unknown node id {self.root}")
-        leaves = tuple(sorted((str(v), int(i)) for v, i in self.value_leaves))
+        root = None if self.root is None else node(self.root, "root")
+        if root is not None and not 0 <= root < n:
+            raise ValueError(f"unknown node id {root}")
+        leaves = tuple(sorted((str(v), node(i, "value_leaves")) for v, i in self.value_leaves))
         for _, i in leaves:
             if not 0 <= i < n:
                 raise ValueError(f"value leaf index {i} out of range")
-        object.__setattr__(self, "clusters", clusters)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "value_leaves", leaves)
+        # the fields of a frozen dataclass, written past its __setattr__
+        vars(self).update(clusters=clusters, edges=edges, root=root, value_leaves=leaves)
 
     def _sharing(self, caches: tuple[str, ...], **fields: object) -> TreeDecomposition:
         """This decomposition with ``fields`` replaced by values already in

@@ -4,7 +4,14 @@ import json
 import numpy as np
 import pytest
 
-from limid import Policy, Strategy, expected_utility, validate_diagram
+from limid import (
+    InfluenceDiagram,
+    Policy,
+    Strategy,
+    Variable,
+    expected_utility,
+    validate_diagram,
+)
 from limid.cli import (
     DocumentError,
     document_to_diagram,
@@ -13,6 +20,7 @@ from limid.cli import (
     parse,
     serialize,
 )
+from limid.treedecomp import TreeDecomposition
 
 from conftest import pick_diagram, two_agent_diagram
 
@@ -92,6 +100,16 @@ def test_decomposition_block_round_trip():
     parsed, decomposition = parse(serialize(d, t))
     assert decomposition == t
     assert validate_diagram(parsed) == []
+
+
+def test_numpy_integers_serialize_and_parse_back():
+    d = InfluenceDiagram([Variable("x", "chance", np.int64(2)), Variable("v", "value")],
+                         [("x", "v")], {"x": [0.5, 0.5]}, {"v": [0.0, 1.0]})
+    t = TreeDecomposition([["x"], ["x"]], [(np.int64(0), np.int64(1))], root=np.int64(1))
+    text = serialize(d, t)
+    parsed, decomposition = parse(text)
+    assert decomposition == t and serialize(parsed, decomposition) == text
+    assert json.loads(text)["variables"][1] == {"id": "x", "kind": "chance", "cardinality": 2}
 
 
 # -- generator ------------------------------------------------------------------

@@ -216,9 +216,11 @@ def test_tables_are_copied_from_callers_and_passed_through_by_derived_diagrams()
     assert d.cpt("c").tolist() == [0.5, 0.5] and d.reward("v").tolist() == [0.0, 1.0]
     assert d.cpt("u").tolist() == [0.25, 0.75]
     assert not d.cpt("c").flags.writeable
-    # a diagram built from another's tables shares them; so do the derived ones
+    # a diagram built from another's tables gets equal copies; derived ones share them
     again = InfluenceDiagram(variables, arcs, d.cpts, d.rewards)
-    assert again.cpt("c") is d.cpt("c") and again.reward("v") is d.reward("v")
+    for mine, theirs in ((again.cpt("c"), d.cpt("c")), (again.reward("v"), d.reward("v"))):
+        assert mine is not theirs and np.array_equal(mine, theirs)
+        assert not mine.flags.writeable
     minimal, _ = minimal_diagram(d)  # drops "u", which no reward depends on
     assert not minimal.has_variable("u") and minimal.cpt("c") is d.cpt("c")
     normalized = normalize_utilities(minimal)[0]

@@ -8,6 +8,7 @@ import limid.reduction
 import limid.solver
 from limid import (
     InfluenceDiagram,
+    Strategy,
     Variable,
     brute_force_meu,
     expected_utility,
@@ -21,7 +22,7 @@ from limid.reduction import (
     reduce_to_single_value,
     utility_bounds,
 )
-from limid.solver import SolverConfig, solve_full
+from limid.solver import SolverConfig, solve, solve_full
 from limid.treedecomp import (
     TreeDecomposition,
     binarize,
@@ -95,6 +96,17 @@ def test_rewards_too_wide_to_rescale_name_their_range():
         [("c", "v1"), ("c", "v2")], {"c": [0.5, 0.5]}, {"v1": [1e308, 0.0], "v2": [0.0, 0.0]})
     with pytest.raises(ValueError, match=re.escape("rewards span [0.0, 1e+308]")):
         utility_bounds(two)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_reward_is_named_as_such(bad):
+    d = InfluenceDiagram([Variable("c", "chance", 2), Variable("v", "value")], [("c", "v")],
+                         {"c": [0.5, 0.5]}, {"v": [bad, 0.0]})
+    t = shaped_decomposition(d)
+    for call in (lambda: utility_bounds(d), lambda: normalize_utilities(d),
+                 lambda: reduce_to_single_value(d, t), lambda: solve(d, t, SolverConfig())):
+        with pytest.raises(ValueError, match="^reward tables hold a non-finite entry$"):
+            call()
 
 
 def test_utility_bounds_requires_value_variable():
@@ -391,6 +403,26 @@ def test_the_lifted_strategy_is_worth_the_returned_value():
     # constant along the dropped n: the action follows x alone
     assert got.strategy.policy_for("d").table[1].tolist() == [[0.0, 1.0], [0.0, 1.0]]
     assert np.array_equal(got.strategy.policy_for("e").table, pure_policy(d, "e", 0).table)
+
+
+def test_every_table_the_library_makes_is_read_only():
+    d = informed_diagram()
+    minimal, lift = minimal_diagram(d)
+    reduced = reduce_diagram(minimal)
+    (v,) = reduced.diagram.value_ids
+    assert len(reduced.o_vars) == 2
+    lifted = lift(Strategy([pure_policy(minimal, "d", 1)]))
+    made = [reduced.diagram.cpt(o) for o in reduced.o_vars] + [
+        reduced.diagram.reward(v),
+        normalize_utilities(reduced.diagram)[0].reward(v),
+        pure_policy(d, "d", 3).table,
+        lifted.policy_for("e").table,  # "e" was dropped
+        lifted.policy_for("d").table,  # "d" lost its parent "n"
+    ]
+    for table in made:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table.flat[0] = 0.5
 
 
 def test_a_parent_seen_through_an_observed_collider_stays():

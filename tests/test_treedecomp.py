@@ -43,6 +43,27 @@ def pipeline(d):
 
 # -- construction ----------------------------------------------------------------
 
+def test_numpy_integer_node_ids_are_stored_as_python_ints():
+    t = TreeDecomposition([["x"], ["x"]], [(np.int64(1), np.int32(0))], root=np.int64(1),
+                          value_leaves=[("v", np.int64(0))])
+    assert t == TreeDecomposition([["x"], ["x"]], [(0, 1)], root=1, value_leaves=[("v", 0)])
+    ids = [*t.edges[0], t.root, t.value_leaves[0][1]]
+    assert [type(i) for i in ids] == [int] * 4
+
+
+@pytest.mark.parametrize("field, fields", [
+    ("edges", {"edges": [(0, 1.0)]}),
+    ("edges", {"edges": [(True, 0)]}),
+    ("edges", {"edges": [(0, 1), (True, 0)]}),
+    ("root", {"root": 1.0}),
+    ("root", {"root": True}),
+    ("value_leaves", {"value_leaves": [("v", 0.0)]}),
+])
+def test_a_float_or_bool_node_id_is_refused_naming_its_field(field, fields):
+    with pytest.raises(ValueError, match=f"^{field} takes integer node ids, got "):
+        TreeDecomposition(**{"clusters": [["x"], ["x"]], "edges": [(0, 1)], **fields})
+
+
 def test_chain_has_width_one():
     t = build_decomposition(chain_diagram())
     assert t.width() == 1
