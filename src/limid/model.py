@@ -52,6 +52,13 @@ def _freeze(a: object) -> np.ndarray:
     return a
 
 
+def _integer(x: object) -> int | None:
+    """``x`` as a Python int, which serializes, if it is an int or a numpy
+    integer; else ``None``.  A bool is an int to isinstance, but no count
+    or id, and neither is 2.5 or 1.0."""
+    return None if isinstance(x, bool) or not isinstance(x, (int, np.integer)) else int(x)
+
+
 @dataclass(frozen=True)
 class Variable:
     """A chance, decision or value variable.
@@ -74,15 +81,13 @@ class Variable:
                 raise ValueError(f"value variable {self.id!r} must not carry a cardinality "
                                  "or state labels")
         else:
-            # a bool is an int to isinstance, but never a count; 2.5 is no count either
-            card = self.cardinality
-            if isinstance(card, bool) or not isinstance(card, (int, np.integer, type(None))):
+            card = _integer(self.cardinality)
+            if card is None and self.cardinality is not None:
                 raise ValueError(f"variable {self.id!r}: cardinality must be an integer, "
-                                 f"got {card!r}")
+                                 f"got {self.cardinality!r}")
             if card is None or card < 1:
                 raise ValueError(f"variable {self.id!r} needs a cardinality >= 1")
-            # a numpy integer is stored as a Python int, which serializes
-            object.__setattr__(self, "cardinality", int(card))
+            object.__setattr__(self, "cardinality", card)
         if self.state_labels is not None:
             object.__setattr__(self, "state_labels", tuple(self.state_labels))
             if self.cardinality is not None and len(self.state_labels) != self.cardinality:

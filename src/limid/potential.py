@@ -40,6 +40,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .model import _integer
+
 #: quotients this close to an integer are snapped to it, keeping bucket
 #: signatures stable at bucket boundaries
 _LOG_SNAP = 1e-12
@@ -67,9 +69,10 @@ class PotentialSet:
     """Potentials over one common scope, each tagged with pure-policy indices.
 
     ``values`` has shape ``(n, *cards)``; ``policies`` has shape
-    ``(n, len(decisions))`` and defaults to no decisions at all.  The
-    constructor copies both arrays, validates them (shape, finite,
-    nonnegative) and makes them read-only.
+    ``(n, len(decisions))`` and defaults to no decisions at all.  ``cards``
+    holds one positive integer per scope variable.  The constructor copies
+    both arrays, validates them (shape, finite, nonnegative) and makes them
+    read-only.
     """
 
     scope: tuple[str, ...]
@@ -80,7 +83,10 @@ class PotentialSet:
 
     def __post_init__(self) -> None:
         scope = tuple(self.scope)
-        cards = tuple(int(c) for c in self.cards)
+        cards = tuple(map(_integer, self.cards))
+        if len(cards) != len(scope) or not all(c is not None and c >= 1 for c in cards):
+            raise ValueError(f"potential set cards {tuple(self.cards)!r} are not one "
+                             f"positive integer per scope variable")
         decisions = tuple(self.decisions)
         _check_ids(scope, "potential set scope")
         _check_ids(decisions, "potential set decisions")

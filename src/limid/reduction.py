@@ -62,15 +62,6 @@ class ReductionResult:
     value_order: tuple[str, ...]
 
 
-def _check_range(lo: float, hi: float, q: int) -> None:
-    # min and max propagate NaN, so a non-finite entry makes lo or hi non-finite
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError("reward tables hold a non-finite entry")
-    # q rewards in [lo, hi] rescale to a reward table of q * hi and q * lo
-    if not all(map(math.isfinite, (q * hi, q * lo))):
-        raise ValueError(f"rewards span [{lo!r}, {hi!r}]: rescaling them overflows a float")
-
-
 def _span(lo: float, hi: float) -> tuple[float, float]:
     """A power of two ``unit`` and ``(hi - lo) / unit``, finite for finite
     bounds: ``unit`` is 1 unless ``hi - lo`` overflows, and then 2, since
@@ -81,14 +72,21 @@ def _span(lo: float, hi: float) -> tuple[float, float]:
 
 def utility_bounds(d: InfluenceDiagram) -> tuple[float, float]:
     """(lo, hi) over all reward entries; a constant reward widens hi by one,
-    or by one ulp where lo + 1 == lo, so (U - lo) / (hi - lo) stays defined."""
+    or by one ulp where lo + 1 == lo, so (U - lo) / (hi - lo) stays defined.
+    At the largest float, where hi cannot grow, lo shrinks by one ulp."""
     if not d.value_ids:
         raise ValueError("diagram has no value variables")
     rewards = np.concatenate([d.reward(v).ravel() for v in d.value_ids])
     lo, hi = float(rewards.min()), float(rewards.max())
     if hi == lo:
-        hi = lo + 1.0 if lo + 1.0 != lo else math.nextafter(lo, math.inf)
-    _check_range(lo, hi, len(d.value_ids))
+        up = lo + 1.0 if lo + 1.0 != lo else math.nextafter(lo, math.inf)
+        lo, hi = (lo, up) if math.isfinite(up) else (math.nextafter(lo, -math.inf), lo)
+    # min and max propagate NaN, so a non-finite entry makes lo or hi non-finite
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("reward tables hold a non-finite entry")
+    # q rewards in [lo, hi] rescale to a reward table of q * hi and q * lo
+    if not math.isfinite(len(d.value_ids) * max(abs(lo), abs(hi))):
+        raise ValueError(f"rewards span [{lo!r}, {hi!r}]: rescaling them overflows a float")
     return lo, hi
 
 
@@ -184,29 +182,31 @@ def normalize_utilities(d: InfluenceDiagram
     largest float, and then offset and scale count in units of 2.0.  A
     reward spanning [0, 1] maps to itself.  The diagram is ``d`` with its
     reward swapped (:meth:`~limid.model.InfluenceDiagram.with_reward`).
+    The bounds are :func:`utility_bounds`', so a constant reward maps to
+    zeros with ``scale`` the width that function gives it: 1.0 for 3.0, but
+    2.0 at 2**53, where it widens by one ulp.
     """
     if len(d.value_ids) != 1:
         raise ValueError(f"expected one value variable, got {len(d.value_ids)}")
     v = d.value_ids[0]
-    table = d.reward(v)
-    offset, top = float(table.min()), float(table.max())
-    _check_range(offset, top, 1)
-    unit, scale = _span(offset, top) if top > offset else (1.0, 1.0)
-    offset /= unit
-    normalized = d.with_reward(v, (table / unit - offset) / scale)
+    lo, hi = utility_bounds(d)
+    unit, scale = _span(lo, hi)
+    offset = lo / unit
+    normalized = d.with_reward(v, (d.reward(v) / unit - offset) / scale)
     return normalized, offset, scale, unit
 
 
 # -- minimal diagram ------------------------------------------------------------
 
-def _ancestors(parents: dict[str, set[str]], targets: set[str]) -> set[str]:
-    """``targets`` and every variable with a directed path into one of them."""
-    found, stack = set(targets), list(targets)
+def _reach(links: dict[str, set[str]], start: set[str]) -> set[str]:
+    """``start`` and every variable a chain of ``links`` leads to from it:
+    over parent sets its ancestors, over child sets its descendants."""
+    found, stack = set(start), list(start)
     while stack:
-        for p in parents[stack.pop()]:
-            if p not in found:
-                found.add(p)
-                stack.append(p)
+        for x in links[stack.pop()]:
+            if x not in found:
+                found.add(x)
+                stack.append(x)
     return found
 
 
@@ -221,14 +221,8 @@ def _requisite_parents(parents: dict[str, set[str]], children: dict[str, set[str
     family, so one search from the value descendants, stopped at the family,
     finds every requisite parent at once.
     """
-    below, stack = set(), [dec]
-    while stack:
-        for c in children[stack.pop()]:
-            if c not in below:
-                below.add(c)
-                stack.append(c)
-    targets = below & values
-    ancestral = _ancestors(parents, targets)
+    targets = _reach(children, {dec}) & values  # dec is no value variable
+    ancestral = _reach(parents, targets)
     family = parents[dec] | {dec}
     reached, seen, stack = set(), set(targets), list(targets)
     while stack:
@@ -271,7 +265,7 @@ def minimal_diagram(d: InfluenceDiagram
             for p in parents[x] - keep:
                 children[p].discard(x)
             parents[x] = keep
-        useful = _ancestors(parents, values)
+        useful = _reach(parents, values)
         if not dropped and len(useful) == len(parents):
             break
         changed = True

@@ -32,6 +32,7 @@ from .model import (
     InfluenceDiagram,
     InstanceTooLargeError,
     Strategy,
+    _integer,
     pure_policy,
     pure_policy_count,
     pure_policy_tables,
@@ -93,10 +94,11 @@ class SolverConfig:
             raise ValueError(f"epsilon must be finite, got {self.epsilon!r}")
         if self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
-        cap = self.max_set_size
-        # a bool is an int to isinstance, but never a count
-        if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
-            raise ValueError(f"max_set_size must be an integer of at least 1, got {cap!r}")
+        cap = _integer(self.max_set_size)
+        if cap is None or cap < 1:
+            raise ValueError(f"max_set_size must be an integer of at least 1, "
+                             f"got {self.max_set_size!r}")
+        object.__setattr__(self, "max_set_size", cap)
 
 
 @dataclass(frozen=True)
@@ -256,15 +258,9 @@ def solve(d: InfluenceDiagram, t: TreeDecomposition, cfg: SolverConfig) -> Solve
     if not t.is_binary():
         raise ValueError("decomposition must be binary")
     _check_decomposition(d, t)
-    # a preorder that takes the last child first, reversed, lists each subtree
-    # before its root; t.children needs a root, so an unrooted t fails here,
-    # before any set is built
-    order, stack = [], [t.root]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        stack.extend(t.children(node))
-    order.reverse()
+    # the orientation walk reversed lists each subtree before its root; it
+    # needs a root, so an unrooted t fails here, before any set is built
+    parents, children, walk = t._orientation
 
     m = t.n
     alpha = 1.0 + cfg.epsilon / (2 * m)
@@ -285,11 +281,10 @@ def solve(d: InfluenceDiagram, t: TreeDecomposition, cfg: SolverConfig) -> Solve
     for i, size in enumerate(own_size):
         _check_cap(size, cap, i, "initialization")
 
-    parents, children = t._orientation
     cluster_sets = [set(c) for c in t.clusters]
     node_stats: list[NodeStats] = []
     messages: dict[int, PotentialSet] = {}
-    for i in order:
+    for i in reversed(walk):
         own, hold[i] = hold[i], []
         parts = own + [messages.pop(c) for c in children[i]]
         size = math.prod(map(len, parts))
@@ -308,9 +303,8 @@ def solve(d: InfluenceDiagram, t: TreeDecomposition, cfg: SolverConfig) -> Solve
                                     found.smallest_positive, found.size_bound))
         messages[i] = message
 
+    # the root sums out its whole cluster, which holds every scope below it
     final = messages[t.root]
-    if final.scope:
-        raise RuntimeError("root message still carries variables")
     values = final.values.reshape(len(final))
     best_value = float(values.max())
     ties = np.nonzero(values == best_value)[0]
@@ -383,6 +377,8 @@ def solve_full(d: InfluenceDiagram, cfg: SolverConfig,
     minimal, lift = minimal_diagram(d)
     if not minimal.value_ids:
         # no rewards anywhere: every strategy has expected utility zero
+        if decomposition is not None:
+            _check_decomposition(d, decomposition)
         stats = SolveStats(0, 1.0, time.perf_counter() - started)
         return SolverResult(0.0, lift(Strategy(())), stats)
     if decomposition is not None and minimal is not d:

@@ -18,9 +18,7 @@ from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
-from .model import InfluenceDiagram, VALUE
+from .model import InfluenceDiagram, VALUE, _integer
 
 
 #: the fields of :class:`TreeDecomposition`
@@ -45,11 +43,10 @@ class TreeDecomposition:
 
     def __post_init__(self) -> None:
         def node(i: object, field: str) -> int:
-            # a numpy integer becomes a Python int; a bool is an int to
-            # isinstance, but no node id, and neither is 1.0
-            if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+            j = _integer(i)
+            if j is None:
                 raise ValueError(f"{field} takes integer node ids, got {i!r}")
-            return int(i)
+            return j
 
         clusters = tuple(tuple(sorted(set(c))) for c in self.clusters)
         n = len(clusters)
@@ -101,16 +98,10 @@ class TreeDecomposition:
         return max((len(c) for c in self.clusters), default=0) - 1
 
     def is_tree(self) -> bool:
-        if self.n == 0 or len(self.edges) != self.n - 1:
-            return False
-        seen = {0}
-        stack = [0]
-        while stack:
-            for j in self.neighbors(stack.pop()):
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        return len(seen) == self.n
+        """``n - 1`` edges that join all ``n`` nodes: the orientation walk
+        from node 0 (:func:`_orient`) reaches every one of them."""
+        return (self.n > 0 and len(self.edges) == self.n - 1
+                and len(_orient(self._adjacency, 0)[2]) == self.n)
 
     def is_binary(self) -> bool:
         """Every node has at most three neighbors."""
@@ -131,7 +122,8 @@ class TreeDecomposition:
     # -- rooted structure ---------------------------------------------------
 
     @cached_property
-    def _orientation(self) -> tuple[tuple[int | None, ...], tuple[tuple[int, ...], ...]]:
+    def _orientation(self) -> tuple[tuple[int | None, ...], tuple[tuple[int, ...], ...],
+                                    tuple[int, ...]]:
         if self.root is None:
             raise ValueError("decomposition is not rooted")
         return _orient(self._adjacency, self.root)
@@ -164,19 +156,28 @@ class TreeDecomposition:
 
 
 def _orient(adjacency: tuple[tuple[int, ...], ...], root: int
-            ) -> tuple[tuple[int | None, ...], tuple[tuple[int, ...], ...]]:
-    """Each node's parent and children in the tree of ``adjacency`` rooted at ``root``."""
+            ) -> tuple[tuple[int | None, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Each node's parent and children in the tree of ``adjacency`` rooted at
+    ``root``, and the nodes in the order the walk reaches them.
+
+    The walk pops each node once and takes its last child first, so the
+    order is a preorder: reversed, it lists every subtree before its root.
+    On a graph that is no tree it reaches only ``root``'s component and
+    drops every edge that closes a cycle.
+    """
     parent: list[int | None] = [None] * len(adjacency)
     children: list[tuple[int, ...]] = [()] * len(adjacency)
+    order: list[int] = []
     seen, stack = {root}, [root]
     while stack:
         i = stack.pop()
+        order.append(i)
         kids = children[i] = tuple(j for j in adjacency[i] if j not in seen)
         seen.update(kids)
         for j in kids:
             parent[j] = i
         stack += kids
-    return tuple(parent), tuple(children)
+    return tuple(parent), tuple(children), tuple(order)
 
 
 # -- construction -------------------------------------------------------------
@@ -339,7 +340,7 @@ def ensure_value_leaves(d: InfluenceDiagram, t: TreeDecomposition) -> TreeDecomp
     # orient at a low-degree node so splits never push a degree past three
     adjacency = t._adjacency
     orient = min(i for i, nb in enumerate(adjacency) if len(nb) <= 2) if t.n > 1 else 0
-    parents, kids = _orient(adjacency, orient)
+    parents, kids, _ = _orient(adjacency, orient)
     parent = dict(enumerate(parents))
     children = {i: list(c) for i, c in enumerate(kids)}
 

@@ -607,6 +607,23 @@ def sighted_document(clusters, edges) -> dict:
             "decomposition": {"clusters": clusters, "edges": edges}}
 
 
+@pytest.mark.parametrize("rewards", [{}, {"v": {"parents": ["x"], "table": [0.0, 1.0]}}])
+def test_a_bad_decomposition_is_refused_with_or_without_a_reward(capsys, tmp_path, rewards):
+    # two nodes and no edge, a stray zz, and no cluster holds d's family {d, x}
+    doc = {"variables": [{"id": "x", "kind": "chance", "cardinality": 2},
+                         {"id": "d", "kind": "decision", "cardinality": 2}]
+                        + [{"id": v, "kind": "value"} for v in rewards],
+           "arcs": [["x", "d"]] + [["x", v] for v in rewards],
+           "cpts": {"x": {"parents": [], "table": [0.5, 0.5]}}, "rewards": rewards,
+           "decomposition": {"clusters": [["x"], ["x", "zz"]], "edges": []}}
+    path = write(tmp_path, "bad.json", json.dumps(doc))
+    code, out, err = run(capsys, "solve", "--exact", path)
+    assert code == 1 and out == ""
+    assert err == ("limid: invalid decomposition: decomposition edges do not form a tree; "
+                   "cluster 1 contains 'zz', which is not a chance or decision variable of "
+                   "the diagram; family of 'd' not covered by any cluster\n")
+
+
 def test_a_supplied_decomposition_naming_dropped_variables_solves(capsys, tmp_path):
     # restricted to the kept variables, the clusters ["n"] and ["b"] are empty
     doc = sighted_document([["d", "n", "x"], ["n"], ["b"]], [[0, 1], [1, 2]])

@@ -67,6 +67,21 @@ def test_potential_rejects_bad_entries():
         PotentialSet(("b", "a"), (2, 2), np.ones((1, 2, 2)))
 
 
+@pytest.mark.parametrize("cards", [(2,), (2, 2, 1), (-1, 2), (2.5, 2), (True, 2), (0, 2),
+                                   (2, 2.0), (2, None)])
+def test_cards_that_do_not_describe_the_scope_are_refused(cards):
+    # (2,) once dropped b from the scope, -1 was inferred by reshape, 2.5 became 2
+    # and 0 broke covering with a bare "range() arg 3 must not be zero"
+    with pytest.raises(ValueError, match=re.escape(f"potential set cards {cards!r} are not "
+                                                   "one positive integer per scope variable")):
+        PotentialSet(("a", "b"), cards, np.full((1, 2, 2), 0.25))
+
+
+def test_numpy_integer_cards_are_stored_as_python_ints():
+    k = PotentialSet(("a", "b"), (np.int64(2), np.int32(1)), np.ones((1, 2, 1)))
+    assert k.cards == (2, 1) and all(type(c) is int for c in k.cards)
+
+
 def test_multiply_examples():
     p = single({"a": 2}, [0.4, 0.6])
     assert np.array_equal(combine_sets([p, single({"a": 2}, [1.0, 1.0])]).values, p.values)

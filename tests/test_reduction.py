@@ -308,6 +308,27 @@ def test_normalize_examples():
     assert np.array_equal(d.reward("v"), [0.0, 0.0])
 
 
+@pytest.mark.parametrize("reward, scale", [(3.0, 1.0), (2.0**53, 2.0),
+                                           (1.5 + 2.0**-52, 0.9999999999999998)])
+def test_a_constant_reward_normalizes_to_zeros_over_its_utility_bounds(reward, scale):
+    const = normalizable([reward, reward])
+    lo, hi = utility_bounds(const)
+    d, offset, got, unit = normalize_utilities(const)
+    assert (offset, got, unit) == (reward, scale, 1.0) and got == hi - lo
+    assert np.array_equal(d.reward("v"), [0.0, 0.0])
+    assert unit * (offset + got * 0.0) == reward
+
+
+def test_a_constant_reward_at_the_largest_float_widens_down_and_solves_to_itself():
+    top = np.finfo(float).max
+    d = normalizable([top, top])
+    assert utility_bounds(d) == (np.nextafter(top, -np.inf), top)
+    t = shaped_decomposition(d)
+    for epsilon in (0.0, 0.5):
+        assert solve(d, t, SolverConfig(epsilon=epsilon)).value == top
+        assert solve_full(d, SolverConfig(epsilon=epsilon)).value == top
+
+
 def test_normalize_commutes_with_expectation(rng):
     for seed in range(6):
         base = small_random_diagram(seed)

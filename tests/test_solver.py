@@ -81,6 +81,14 @@ def test_config_accepts_a_positive_cap_and_refuses_none():
         SolverConfig(max_set_size=None)
 
 
+@pytest.mark.parametrize("cap", [np.int64(5), np.int32(5), np.uint8(5)])
+def test_config_takes_a_numpy_integer_cap_as_a_python_int(cap):
+    got = SolverConfig(max_set_size=cap).max_set_size
+    assert got == 5 and type(got) is int
+    with pytest.raises(ValueError, match="must be an integer of at least 1, got"):
+        SolverConfig(max_set_size=cap - cap)
+
+
 # -- solve on a prepared diagram -------------------------------------------------------
 
 def test_two_strategy_diagram_exact_and_approximate():
