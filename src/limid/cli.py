@@ -112,12 +112,12 @@ def _parse_table(d_vars: dict[str, Variable], owner: str, spec: Any,
     perm = sorted(range(len(listed)), key=lambda i: listed[i])
     offset = len(lead)
     axes = tuple(range(offset)) + tuple(offset + i for i in perm)
-    return tuple(sorted(listed)), np.ascontiguousarray(arr.transpose(axes))
+    # a view: the diagram makes the one copy of every table it is given
+    return tuple(sorted(listed)), arr.transpose(axes)
 
 
 def _emit_table(parents: tuple[str, ...], arr: np.ndarray) -> dict[str, Any]:
-    return {"parents": list(parents),
-            "table": [float(x) for x in np.asarray(arr).ravel(order="F")]}
+    return {"parents": list(parents), "table": arr.ravel(order="F").tolist()}
 
 
 # -- documents ----------------------------------------------------------------
@@ -150,16 +150,20 @@ def document_to_diagram(doc: Any) -> tuple[InfluenceDiagram, TreeDecomposition |
     for arc in _expect(doc.get("arcs", []), list, "'arcs'"):
         if not isinstance(arc, (list, tuple)) or len(arc) != 2:
             raise DocumentError(f"arcs must be [from, to] pairs, got {arc!r}")
-        arcs.append((str(arc[0]), str(arc[1])))
-    arc_parents: dict[str, tuple[str, ...]] = {v.id: () for v in variables}
+        a, b = str(arc[0]), str(arc[1])
+        if a == b:
+            raise DocumentError(f"self-arc on {a!r}")
+        arcs.append((a, b))
+    arc_parents: dict[str, list[str]] = {v.id: [] for v in variables}
     for a, b in arcs:
         if b in by_id and a in by_id and by_id[a].kind != VALUE:
-            arc_parents[b] = tuple(sorted(arc_parents[b] + (a,)))
+            arc_parents[b].append(a)
 
     def check_parents(var: str, declared: tuple[str, ...]) -> None:
-        if declared != arc_parents.get(var, ()):
+        given = sorted(arc_parents[var])
+        if list(declared) != given:
             raise DocumentError(f"table for {var!r} declares parents {list(declared)}, "
-                                f"arcs give {list(arc_parents.get(var, ()))}")
+                                f"arcs give {given}")
 
     cpts: dict[str, np.ndarray] = {}
     for var, spec in _expect(doc.get("cpts", {}), dict, "'cpts'").items():

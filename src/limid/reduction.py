@@ -100,26 +100,29 @@ def _fresh_names(d: InfluenceDiagram, q: int) -> tuple[list[str], str]:
         prefix += "_"
 
 
-def reduce_to_single_value(d: InfluenceDiagram, t: TreeDecomposition) -> ReductionResult:
+def reduce_to_single_value(d: InfluenceDiagram, t: TreeDecomposition,
+                           leaves: dict[str, int]) -> ReductionResult:
     """Build the single-value diagram and its widened decomposition.
 
-    ``t`` must be rooted, binary, and carry a value leaf (cluster equal to
-    the parent set) for every value variable of ``d``.  Each chain table is
-    written once, in its final axis order; the other tables are ``d``'s own.
-    The widened decomposition shares ``t``'s edges, root, adjacency and
-    orientation; only its clusters are new.
+    ``t`` must be rooted and binary, and ``leaves`` (the map
+    :func:`~limid.treedecomp.ensure_value_leaves` returns) must send every
+    value variable of ``d`` to a node of ``t`` whose cluster equals its
+    parent set.  Each chain table is written once, in its final axis order;
+    the other tables are ``d``'s own.  The widened decomposition shares
+    ``t``'s edges, root, adjacency and orientation; only its clusters are
+    new.
     """
     if not t.is_binary():
         raise ValueError("decomposition must be binary")
-    leaf_map = t.value_leaf_map
     for v in d.value_ids:
-        if v not in leaf_map:
+        # a node id off the tree names no leaf of it
+        if leaves.get(v) not in range(t.n):
             raise ValueError(f"decomposition has no value leaf for {v!r}")
-        if set(t.clusters[leaf_map[v]]) != set(d.parents(v)):
+        if set(t.clusters[leaves[v]]) != set(d.parents(v)):
             raise ValueError(f"value leaf cluster for {v!r} does not equal its parent set")
 
     tour = t.euler_tour()
-    first = {v: tour.index(leaf_map[v]) for v in d.value_ids}  # each leaf's first visit
+    first = {v: tour.index(leaves[v]) for v in d.value_ids}  # each leaf's first visit
     value_order = tuple(sorted(d.value_ids, key=lambda v: (first[v], v)))
     q = len(value_order)
     lo, hi = utility_bounds(d)
@@ -161,13 +164,13 @@ def reduce_to_single_value(d: InfluenceDiagram, t: TreeDecomposition) -> Reducti
 
     clusters = [set(c) for c in t.clusters]
     for orig, o in zip(value_order, o_names):
-        clusters[leaf_map[orig]].add(o)
+        clusters[leaves[orig]].add(o)
     # the tour from leaf i - 1 through leaf i carries O_{i-1} to both leaves
     for i in range(2, q + 1):
         for node in tour[first[value_order[i - 2]]:first[value_order[i - 1]] + 1]:
             clusters[node].add(o_names[i - 2])
     widened = t._sharing(("_adjacency", "_orientation"),
-                         clusters=tuple(tuple(sorted(c)) for c in clusters), value_leaves=())
+                         clusters=tuple(tuple(sorted(c)) for c in clusters))
 
     return ReductionResult(reduced, widened, (lo, hi), tuple(o_names), value_order)
 

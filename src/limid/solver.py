@@ -332,9 +332,9 @@ def shape_and_reduce(d: InfluenceDiagram,
     else:
         _check_decomposition(d, decomposition)
         base = decomposition
-    shaped = ensure_value_leaves(d, binarize(base))
-    rooted = root_and_order(shaped, default_root(shaped))
-    return reduce_to_single_value(d, rooted)
+    shaped, leaves = ensure_value_leaves(d, binarize(base))
+    rooted = root_and_order(shaped, default_root(shaped, leaves))
+    return reduce_to_single_value(d, rooted, leaves)
 
 
 def _restrict(t: TreeDecomposition, d: InfluenceDiagram) -> TreeDecomposition:

@@ -21,25 +21,17 @@ from functools import cached_property
 from .model import InfluenceDiagram, VALUE, _integer
 
 
-#: the fields of :class:`TreeDecomposition`
-_FIELDS = ("clusters", "edges", "root", "value_leaves")
-
-
 @dataclass(frozen=True)
 class TreeDecomposition:
-    """A tree of variable clusters, optionally rooted.
-
-    ``value_leaves`` maps value variable ids to leaf nodes whose cluster
-    equals the variable's parent set (populated by
-    :func:`ensure_value_leaves`).  Instances are canonical: cluster
-    contents, edges and the leaf map are sorted, so equal decompositions
-    compare equal.
+    """A tree of variable clusters, optionally rooted: what a document's
+    ``decomposition`` block holds.  Instances are canonical: cluster
+    contents and edges are sorted, so two decompositions compare equal
+    exactly when their documents do.
     """
 
     clusters: tuple[tuple[str, ...], ...]
     edges: tuple[tuple[int, int], ...]
     root: int | None = None
-    value_leaves: tuple[tuple[str, int], ...] = ()
 
     def __post_init__(self) -> None:
         def node(i: object, field: str) -> int:
@@ -58,12 +50,8 @@ class TreeDecomposition:
         root = None if self.root is None else node(self.root, "root")
         if root is not None and not 0 <= root < n:
             raise ValueError(f"unknown node id {root}")
-        leaves = tuple(sorted((str(v), node(i, "value_leaves")) for v, i in self.value_leaves))
-        for _, i in leaves:
-            if not 0 <= i < n:
-                raise ValueError(f"value leaf index {i} out of range")
         # the fields of a frozen dataclass, written past its __setattr__
-        vars(self).update(clusters=clusters, edges=edges, root=root, value_leaves=leaves)
+        vars(self).update(clusters=clusters, edges=edges, root=root)
 
     def _sharing(self, caches: tuple[str, ...], **fields: object) -> TreeDecomposition:
         """This decomposition with ``fields`` replaced by values already in
@@ -72,7 +60,8 @@ class TreeDecomposition:
         out = object.__new__(TreeDecomposition)
         mine = vars(self)
         # the fields of a frozen dataclass, written past its __setattr__
-        vars(out).update({name: mine[name] for name in _FIELDS + caches if name in mine},
+        vars(out).update({name: mine[name] for name in ("clusters", "edges", "root") + caches
+                          if name in mine},
                          **fields)
         return out
 
@@ -114,10 +103,6 @@ class TreeDecomposition:
             for v in c:
                 holders.setdefault(v, set()).add(i)
         return holders
-
-    @property
-    def value_leaf_map(self) -> dict[str, int]:
-        return dict(self.value_leaves)
 
     # -- rooted structure ---------------------------------------------------
 
@@ -322,20 +307,23 @@ def binarize(t: TreeDecomposition) -> TreeDecomposition:
         # the twin may still exceed the degree bound; revisit it later
     edges = {(min(a, b), max(a, b)) for a, nbset in enumerate(adj) for b in nbset}
     return TreeDecomposition(tuple(tuple(sorted(c)) for c in clusters), tuple(sorted(edges)),
-                             root=t.root, value_leaves=t.value_leaves)
+                             root=t.root)
 
 
-def ensure_value_leaves(d: InfluenceDiagram, t: TreeDecomposition) -> TreeDecomposition:
+def ensure_value_leaves(d: InfluenceDiagram, t: TreeDecomposition
+                        ) -> tuple[TreeDecomposition, dict[str, int]]:
     """Give every value variable its own leaf whose cluster equals its parents.
 
-    Unmet requirements are fixed by splitting a covering node i: a twin j
-    takes over i's children and a fresh leaf k with cluster Pa(V) hangs off
-    i.  Widths and degrees stay within the binary bound.
+    Returns the reshaped tree and the map from each value variable to its
+    leaf; without value variables that is ``(t, {})``.  Unmet requirements
+    are fixed by splitting a covering node i: a twin j takes over i's
+    children and a fresh leaf k with cluster Pa(V) hangs off i.  Widths and
+    degrees stay within the binary bound.
     """
     if not t.is_binary():
         raise ValueError("decomposition must be binary")
     if not d.value_ids:
-        return t
+        return t, {}
 
     # orient at a low-degree node so splits never push a degree past three
     adjacency = t._adjacency
@@ -389,7 +377,7 @@ def ensure_value_leaves(d: InfluenceDiagram, t: TreeDecomposition) -> TreeDecomp
 
     edges = sorted((min(i, p), max(i, p)) for i, p in parent.items() if p is not None)
     return t._sharing((), clusters=tuple(tuple(sorted(c)) for c in clusters),
-                      edges=tuple(edges), value_leaves=tuple(sorted(leaf_of.items())))
+                      edges=tuple(edges)), leaf_of
 
 
 def root_and_order(t: TreeDecomposition, r: int) -> TreeDecomposition:
@@ -402,14 +390,15 @@ def root_and_order(t: TreeDecomposition, r: int) -> TreeDecomposition:
     return t._sharing(("_adjacency", "_holders"), root=r)
 
 
-def default_root(t: TreeDecomposition) -> int:
-    """Root choice for the solving pipeline.
+def default_root(t: TreeDecomposition, leaves: dict[str, int]) -> int:
+    """Root choice for the solving pipeline, given :func:`ensure_value_leaves`'
+    map ``leaves`` from value variables to their leaves.
 
     A single value leaf becomes the root; otherwise the smallest node of
     degree at most two that is not a value leaf (such a root keeps every
     node at two children or fewer).
     """
-    leaf_nodes = {i for _, i in t.value_leaves}
+    leaf_nodes = set(leaves.values())
     if len(leaf_nodes) == 1:
         return next(iter(leaf_nodes))
     candidates = [i for i in range(t.n) if t.degree(i) <= 2 and i not in leaf_nodes]

@@ -98,9 +98,9 @@ def merge_runs():
     records = []
     for seed in range(MERGE_CORPUS):
         diagram = merge_corpus_diagram(seed)
-        shaped = ensure_value_leaves(diagram, binarize(build_decomposition(diagram)))
-        rooted = root_and_order(shaped, default_root(shaped))
-        reduced = reduce_to_single_value(diagram, rooted)
+        shaped, leaves = ensure_value_leaves(diagram, binarize(build_decomposition(diagram)))
+        rooted = root_and_order(shaped, default_root(shaped, leaves))
+        reduced = reduce_to_single_value(diagram, rooted, leaves)
         records.append({"seed": seed, "diagram": diagram, "rooted": rooted,
                         "reduced": reduced})
     return records
@@ -191,8 +191,8 @@ def test_7_decomposition_validity(solver_runs, merge_runs):
         diagram = r["diagram"]
         stage0 = build_decomposition(diagram)
         stage1 = binarize(stage0)
-        stage2 = ensure_value_leaves(diagram, stage1)
-        stage3 = root_and_order(stage2, default_root(stage2))
+        stage2, leaves = ensure_value_leaves(diagram, stage1)
+        stage3 = root_and_order(stage2, default_root(stage2, leaves))
         for stage in (stage0, stage1, stage2, stage3):
             violations += len(validate_decomposition(diagram, stage))
         if stage1.width() > stage0.width() or stage2.width() > stage1.width():

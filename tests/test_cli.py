@@ -1,5 +1,6 @@
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -510,6 +511,71 @@ def test_loose_document_values_are_rejected_naming_the_field(capsys, tmp_path, d
     assert code == 1
     assert out == ""
     assert err.startswith(f"limid: {where} ") and err.count("\n") == 1
+
+
+def value_parent_document() -> dict:
+    doc = one_reward_document()
+    doc["variables"].append({"id": "w", "kind": "value"})
+    doc["rewards"]["v"]["parents"] = ["w"]
+    return doc
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([], "document must be a JSON object"),
+    ({**one_reward_document(), "variables": [{"id": "c"}]},
+     "every variable needs 'id' and 'kind'"),
+    ({**one_reward_document(),
+      "variables": [{"id": "c", "kind": "chance", "cardinality": 2}] * 2},
+     "duplicate variable ids"),
+    ({**one_reward_document(), "arcs": [["c"]]}, "arcs must be [from, to] pairs, got ['c']"),
+    ({**one_reward_document(), "arcs": [["c", "v"], ["c", "z"]]},
+     "arc ('c', 'z') references an unknown variable"),
+    ({**one_reward_document(), "cpts": {"c": {"parents": []}}},
+     "table for 'c' needs 'parents' and 'table' keys"),
+    ({**one_reward_document(), "rewards": {"v": {"parents": ["c", "c"], "table": [0.0] * 4}}},
+     "table for 'v' lists a parent twice"),
+    ({**one_reward_document(), "rewards": {"v": {"parents": ["z"], "table": [0.0]}}},
+     "table for 'v' references unknown parent 'z'"),
+    (value_parent_document(), "table for 'v' uses value variable 'w' as parent"),
+    ({**one_reward_document(), "cpts": {"z": {"parents": [], "table": [1.0]}}},
+     "cpt for unknown variable 'z'"),
+    ({**one_reward_document(), "cpts": {"v": {"parents": [], "table": [1.0]}}},
+     "cpt given for value variable 'v'"),
+    ({**one_reward_document(), "rewards": {"z": {"parents": [], "table": [1.0]}}},
+     "reward table for unknown variable 'z'"),
+    ({**decomposed_document(), "decomposition": {"edges": []}},
+     "decomposition needs a 'clusters' key"),
+    (decomposed_document(edges=[[0]]), "'edges' must hold [i, j] pairs, got [0]"),
+    (decomposed_document(edges=[[0, 5]]), "bad decomposition: bad edge (0, 5)"),
+    (decomposed_document(root=5), "bad decomposition: unknown node id 5"),
+], ids=["not-an-object", "no-kind", "duplicate-id", "short-arc", "unknown-arc-end",
+        "no-table-key", "twice-listed-parent", "unknown-parent", "value-parent",
+        "unknown-cpt", "value-cpt", "unknown-reward", "no-clusters", "short-edge",
+        "edge-out-of-range", "root-out-of-range"])
+def test_each_document_fault_is_refused_with_its_message(doc, message):
+    with pytest.raises(DocumentError, match=f"^{re.escape(message)}$"):
+        document_to_diagram(doc)
+
+
+@pytest.mark.parametrize("listed", [[], ["a"]], ids=["table-without-a", "table-with-a"])
+def test_a_self_arc_is_refused_whatever_the_table_lists(capsys, tmp_path, listed):
+    # the arc itself is the fault, named before the table is compared with the arcs
+    doc = {"variables": [{"id": "a", "kind": "chance", "cardinality": 2}],
+           "arcs": [["a", "a"]],
+           "cpts": {"a": {"parents": listed, "table": [0.5] * 2 ** (1 + len(listed))}}}
+    code, out, err = run(capsys, "validate", write(tmp_path, "self.json", json.dumps(doc)))
+    assert (code, out, err) == (1, "", "limid: self-arc on 'a'\n")
+
+
+@pytest.mark.parametrize("card, counts, message", [
+    (1, (1, 1, 1, 1), "card must be at least 2"),
+    (2, (-1, 1, 1, 1), "counts must be nonnegative"),
+    (2, (1, 1, 1, -1), "counts must be nonnegative"),
+])
+def test_generator_arguments_are_checked(card, counts, message):
+    n_chance, n_decisions, max_parents, n_values = counts
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        generate_diagram(n_chance, n_decisions, card, max_parents, n_values, 0)
 
 
 def labelled_document(states) -> dict:

@@ -1,4 +1,5 @@
 import itertools
+import re
 from graphlib import CycleError, TopologicalSorter
 
 import numpy as np
@@ -18,7 +19,7 @@ from limid import (
 )
 from limid.model import CHANCE, DECISION, PROB_TOL, VALUE
 from limid.reduction import minimal_diagram, normalize_utilities
-from limid.solver import shape_and_reduce
+from limid.solver import SolverConfig, shape_and_reduce, solve_full
 
 from conftest import (
     is_pure,
@@ -65,6 +66,36 @@ def test_variable_invariants():
         with pytest.raises(ValueError, match="'x': cardinality must be an integer"):
             Variable("x", "chance", flag)
     assert Variable("x", "chance", np.int64(3)).cardinality == 3
+
+
+X = Variable("x", "chance", 2)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Variable("x", "chance", 2, ("a", "b", "c")),
+     "variable 'x': 3 labels for cardinality 2"),
+    (lambda: InfluenceDiagram([X, X], []), "duplicate variable ids"),
+    (lambda: InfluenceDiagram([X], [("x", "z")]), "arc ('x', 'z') references an unknown variable"),
+    (lambda: InfluenceDiagram([X], [("x", "x")]), "self-arc on 'x'"),
+    (lambda: InfluenceDiagram([X], [], cpts={"z": [1.0]}), "cpt for unknown variable 'z'"),
+    (lambda: InfluenceDiagram([X], [], rewards={"z": 1.0}),
+     "reward table for unknown variable 'z'"),
+    (lambda: pick_diagram().cardinality("v"), "'v' is a value variable and has no cardinality"),
+    (lambda: pure_policy(pick_diagram(), "d", 2), "policy index 2 out of range for 'd'"),
+    (lambda: Strategy([pure_policy(pick_diagram(), "d", 0)] * 2),
+     "strategy assigns several policies to one decision"),
+    (lambda: expected_utility(pick_diagram(), Strategy([Policy("d", (), [0.5, 0.25, 0.25])])),
+     "policy table for 'd' has shape (3,), expected (2,)"),
+], ids=["labels", "duplicate-id", "unknown-arc-end", "self-arc", "unknown-cpt",
+        "unknown-reward", "value-cardinality", "policy-index", "two-policies", "policy-shape"])
+def test_each_model_fault_is_refused_with_its_message(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_a_strategy_has_no_policy_for_a_decision_it_lacks():
+    with pytest.raises(KeyError, match="^'z'$"):
+        Strategy([pure_policy(pick_diagram(), "d", 0)]).policy_for("z")
 
 
 def test_cycle_check_matches_a_topological_sort(rng):
@@ -249,6 +280,17 @@ def test_validate_reports_missing_tables_and_cycles():
     assert any("'a'" in line and "no cpt" in line for line in report)
 
 
+@pytest.mark.parametrize("cpts, rewards, violation", [
+    ({"d": [0.5, 0.5]}, {}, "'d' is not a chance variable but has a cpt"),
+    ({}, {"c": [1.0, 0.0]}, "'c' is not a value variable but has a reward table"),
+    ({}, {"v": [np.nan, 0.0]}, "reward table of 'v' has non-finite entries"),
+], ids=["decision-cpt", "chance-reward", "nan-reward"])
+def test_validate_names_a_misplaced_table_or_a_non_finite_reward(cpts, rewards, violation):
+    d = pick_diagram()
+    d = InfluenceDiagram(d.variables, d.arcs, {**d.cpts, **cpts}, {**d.rewards, **rewards})
+    assert validate_diagram(d) == [violation]
+
+
 # -- pure policy enumeration ---------------------------------------------------
 
 def binary_decision_diagram(card=2, parent_cards=()):
@@ -398,6 +440,22 @@ def test_brute_force_no_decisions():
     assert strategy.policies == ()
     assert value == pytest.approx(expected_utility(d, strategy), abs=1e-12)
     assert value == pytest.approx(0.2 + 1.0 + 1.2, abs=1e-12)
+
+
+@pytest.mark.parametrize("d, want", [
+    # a reward without parents adds its one entry under every assignment
+    (InfluenceDiagram([Variable("d", "decision", 2), Variable("v1", "value"),
+                       Variable("v2", "value")],
+                      [("d", "v1")], rewards={"v1": [1.0, 2.0], "v2": 1.5}), 3.5),
+    # no chance or decision variable: one empty joint assignment
+    (InfluenceDiagram([Variable("v", "value")], [], rewards={"v": 3.0}), 3.0),
+], ids=["parentless-reward", "rewards-alone"])
+def test_the_oracles_and_the_solver_agree_without_reward_parents(d, want):
+    value, strategy = brute_force_meu(d)
+    assert value == want
+    assert expected_utility(d, strategy) == want
+    for epsilon in (0.0, 0.5):
+        assert solve_full(d, SolverConfig(epsilon=epsilon)).value == want
 
 
 def test_brute_force_constant_reward_is_strategy_independent(rng):

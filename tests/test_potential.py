@@ -77,6 +77,12 @@ def test_cards_that_do_not_describe_the_scope_are_refused(cards):
         PotentialSet(("a", "b"), cards, np.full((1, 2, 2), 0.25))
 
 
+@pytest.mark.parametrize("policies", [np.zeros((2, 2)), np.zeros((1, 1)), np.zeros(2)])
+def test_policies_need_one_index_per_member_and_decision(policies):
+    with pytest.raises(ValueError, match="^one policy index per member and decision required$"):
+        PotentialSet(("a",), (2,), np.ones((2, 2)), ("d",), policies)
+
+
 def test_numpy_integer_cards_are_stored_as_python_ints():
     k = PotentialSet(("a", "b"), (np.int64(2), np.int32(1)), np.ones((1, 2, 1)))
     assert k.cards == (2, 1) and all(type(c) is int for c in k.cards)

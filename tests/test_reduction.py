@@ -43,12 +43,13 @@ from conftest import (
 
 
 def shaped_decomposition(d):
-    shaped = ensure_value_leaves(d, binarize(build_decomposition(d)))
-    return root_and_order(shaped, default_root(shaped))
+    """The rooted value-leaf tree of ``d`` and its map of value leaves."""
+    shaped, leaves = ensure_value_leaves(d, binarize(build_decomposition(d)))
+    return root_and_order(shaped, default_root(shaped, leaves)), leaves
 
 
 def reduce_diagram(d):
-    return reduce_to_single_value(d, shaped_decomposition(d))
+    return reduce_to_single_value(d, *shaped_decomposition(d))
 
 
 # -- bounds ---------------------------------------------------------------------
@@ -102,9 +103,10 @@ def test_rewards_too_wide_to_rescale_name_their_range():
 def test_a_non_finite_reward_is_named_as_such(bad):
     d = InfluenceDiagram([Variable("c", "chance", 2), Variable("v", "value")], [("c", "v")],
                          {"c": [0.5, 0.5]}, {"v": [bad, 0.0]})
-    t = shaped_decomposition(d)
+    t, leaves = shaped_decomposition(d)
     for call in (lambda: utility_bounds(d), lambda: normalize_utilities(d),
-                 lambda: reduce_to_single_value(d, t), lambda: solve(d, t, SolverConfig())):
+                 lambda: reduce_to_single_value(d, t, leaves),
+                 lambda: solve(d, t, SolverConfig())):
         with pytest.raises(ValueError, match="^reward tables hold a non-finite entry$"):
             call()
 
@@ -171,8 +173,8 @@ def test_equivalence_on_random_diagrams(rng):
 def test_width_bound_and_decomposition_validity():
     for seed in range(12):
         d = small_random_diagram(seed, max_values=3)
-        rooted = shaped_decomposition(d)
-        red = reduce_to_single_value(d, rooted)
+        rooted, leaves = shaped_decomposition(d)
+        red = reduce_to_single_value(d, rooted, leaves)
         assert red.decomposition.width() <= rooted.width() + 3
         assert validate_decomposition(red.diagram, red.decomposition) == []
         assert red.decomposition.root == rooted.root
@@ -180,15 +182,33 @@ def test_width_bound_and_decomposition_validity():
 
 def test_reduction_preconditions():
     d = pick_diagram()
-    unrooted = ensure_value_leaves(d, binarize(build_decomposition(d)))
+    unrooted, leaves = ensure_value_leaves(d, binarize(build_decomposition(d)))
     with pytest.raises(ValueError, match="rooted"):
-        reduce_to_single_value(d, unrooted)
-    no_leaves = root_and_order(binarize(build_decomposition(d)), 0)
-    with pytest.raises(ValueError, match="no value leaf"):
-        reduce_to_single_value(d, no_leaves)
+        reduce_to_single_value(d, unrooted, leaves)
+    rooted = root_and_order(binarize(build_decomposition(d)), 0)
+    for leaves in ({}, {"v": rooted.n}, {"v": -1}):
+        with pytest.raises(ValueError, match="^decomposition has no value leaf for 'v'$"):
+            reduce_to_single_value(d, rooted, leaves)
+    # pick_diagram's one cluster is {c, d}, wider than v's parents {c}
+    with pytest.raises(ValueError, match="^value leaf cluster for 'v' does not equal its "
+                                         "parent set$"):
+        reduce_to_single_value(d, rooted, {"v": 0})
     star = TreeDecomposition((("c", "d"),) * 5, tuple((0, j) for j in range(1, 5)), root=0)
     with pytest.raises(ValueError, match="decomposition must be binary"):
-        reduce_to_single_value(d, star)
+        reduce_to_single_value(d, star, {"v": 0})
+
+
+def test_chain_names_step_past_ids_the_diagram_holds():
+    # "_o1" and "_v" are taken, so the chain takes "__o1" and "__v"
+    d = InfluenceDiagram(
+        [Variable("_o1", "decision", 2), Variable("c", "chance", 2), Variable("_v", "value")],
+        [("_o1", "_v"), ("c", "_v")], {"c": [0.5, 0.5]}, {"_v": [[1.0, 2.0], [2.6, 2.0]]})
+    red = reduce_diagram(d)
+    assert red.o_vars == ("__o1",) and red.diagram.value_ids == ("__v",)
+    meu = brute_force_meu(d)[0]
+    assert meu == pytest.approx(2.3, abs=1e-12)
+    for epsilon in (0.0, 0.5):
+        assert solve_full(d, SolverConfig(epsilon=epsilon)).value == pytest.approx(meu, abs=1e-12)
 
 
 def renamed(d, names):
@@ -215,8 +235,8 @@ def test_chain_tables_follow_the_mixture_and_leaves_hold_the_chain():
         # "A" and "9" sort before "_", so O_{i-1} is not always the first axis
         d = renamed(base, {"c0": "A", "c1": "9"})
         assert validate_diagram(d) == []
-        rooted = shaped_decomposition(d)
-        red = reduce_to_single_value(d, rooted)
+        rooted, leaves = shaped_decomposition(d)
+        red = reduce_to_single_value(d, rooted, leaves)
         lo, hi = utility_bounds(d)
         for i, (orig, o) in enumerate(zip(red.value_order, red.o_vars), start=1):
             prev = red.o_vars[i - 2] if i > 1 else None
@@ -231,7 +251,7 @@ def test_chain_tables_follow_the_mixture_and_leaves_hold_the_chain():
                 want = ((i - 1) * (at.get(prev) == 0) + u) / i
                 assert table[(0,) + idx] == pytest.approx(want, abs=1e-15)
                 assert table[(1,) + idx] == pytest.approx(1.0 - want, abs=1e-15)
-            leaf = red.decomposition.clusters[rooted.value_leaf_map[orig]]
+            leaf = red.decomposition.clusters[leaves[orig]]
             assert set(leaf) == set(d.parents(orig)) | {o} | ({prev} if prev else set())
     assert moved > 0
 
@@ -323,7 +343,7 @@ def test_a_constant_reward_at_the_largest_float_widens_down_and_solves_to_itself
     top = np.finfo(float).max
     d = normalizable([top, top])
     assert utility_bounds(d) == (np.nextafter(top, -np.inf), top)
-    t = shaped_decomposition(d)
+    t, _ = shaped_decomposition(d)
     for epsilon in (0.0, 0.5):
         assert solve(d, t, SolverConfig(epsilon=epsilon)).value == top
         assert solve_full(d, SolverConfig(epsilon=epsilon)).value == top
@@ -367,8 +387,8 @@ def test_normalize_swaps_the_reward_table_and_shares_the_rest():
 def test_the_widened_tree_is_canonical_and_shares_its_parent_tree():
     for seed in range(20):
         d = small_random_diagram(seed, max_values=3)
-        t = shaped_decomposition(d)
-        widened = reduce_to_single_value(d, t).decomposition
+        t, leaves = shaped_decomposition(d)
+        widened = reduce_to_single_value(d, t, leaves).decomposition
         fresh = TreeDecomposition(widened.clusters, t.edges, root=t.root)
         assert widened == fresh
         assert widened.edges is t.edges and widened._adjacency is t._adjacency

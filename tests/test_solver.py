@@ -29,8 +29,8 @@ from conftest import is_pure, pick_diagram, small_random_diagram, two_agent_diag
 
 
 def rooted_decomposition(d):
-    shaped = ensure_value_leaves(d, binarize(build_decomposition(d)))
-    return root_and_order(shaped, default_root(shaped))
+    shaped, leaves = ensure_value_leaves(d, binarize(build_decomposition(d)))
+    return root_and_order(shaped, default_root(shaped, leaves))
 
 
 # -- configuration ------------------------------------------------------------------
@@ -144,7 +144,7 @@ def test_solve_preconditions(monkeypatch):
         raise AssertionError("policy set built for an unrooted decomposition")
 
     monkeypatch.setattr(limid.solver, "_policy_potential_set", refuse)
-    unrooted = ensure_value_leaves(d, binarize(build_decomposition(d)))
+    unrooted, _ = ensure_value_leaves(d, binarize(build_decomposition(d)))
     with pytest.raises(ValueError, match="rooted"):
         solve(d, unrooted, cfg)
 
@@ -276,8 +276,7 @@ def test_solve_places_every_table_at_its_home():
     d = pick_diagram()
     # a value leaf that does not hold v's parent c: the reward table still
     # goes to its home, node 1, and the root message carries no variable
-    wrong_leaf = TreeDecomposition((("d",), ("c", "d")), ((0, 1),), root=0,
-                                   value_leaves=(("v", 0),))
+    wrong_leaf = TreeDecomposition((("d",), ("c", "d")), ((0, 1),), root=0)
     got = solve(d, wrong_leaf, SolverConfig(epsilon=0.0))
     assert got.value == pytest.approx(brute_force_meu(d)[0], abs=1e-12)
     assert got.value == pytest.approx(0.8, abs=1e-12)

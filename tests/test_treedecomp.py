@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -37,18 +38,17 @@ def clique_diagram(k=4):
 
 
 def pipeline(d):
-    shaped = ensure_value_leaves(d, binarize(build_decomposition(d)))
-    return root_and_order(shaped, default_root(shaped))
+    shaped, leaves = ensure_value_leaves(d, binarize(build_decomposition(d)))
+    return root_and_order(shaped, default_root(shaped, leaves))
 
 
 # -- construction ----------------------------------------------------------------
 
 def test_numpy_integer_node_ids_are_stored_as_python_ints():
-    t = TreeDecomposition([["x"], ["x"]], [(np.int64(1), np.int32(0))], root=np.int64(1),
-                          value_leaves=[("v", np.int64(0))])
-    assert t == TreeDecomposition([["x"], ["x"]], [(0, 1)], root=1, value_leaves=[("v", 0)])
-    ids = [*t.edges[0], t.root, t.value_leaves[0][1]]
-    assert [type(i) for i in ids] == [int] * 4
+    t = TreeDecomposition([["x"], ["x"]], [(np.int64(1), np.int32(0))], root=np.int64(1))
+    assert t == TreeDecomposition([["x"], ["x"]], [(0, 1)], root=1)
+    ids = [*t.edges[0], t.root]
+    assert [type(i) for i in ids] == [int] * 3
 
 
 @pytest.mark.parametrize("field, fields", [
@@ -57,11 +57,27 @@ def test_numpy_integer_node_ids_are_stored_as_python_ints():
     ("edges", {"edges": [(0, 1), (True, 0)]}),
     ("root", {"root": 1.0}),
     ("root", {"root": True}),
-    ("value_leaves", {"value_leaves": [("v", 0.0)]}),
 ])
 def test_a_float_or_bool_node_id_is_refused_naming_its_field(field, fields):
     with pytest.raises(ValueError, match=f"^{field} takes integer node ids, got "):
         TreeDecomposition(**{"clusters": [["x"], ["x"]], "edges": [(0, 1)], **fields})
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"edges": [(0, 0)]}, "bad edge (0, 0)"),
+    ({"edges": [(0, 2)]}, "bad edge (0, 2)"),
+    ({"edges": [(-1, 0)]}, "bad edge (-1, 0)"),
+    ({"root": 2}, "unknown node id 2"),
+    ({"root": -1}, "unknown node id -1"),
+])
+def test_an_edge_or_root_off_the_nodes_is_refused(fields, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TreeDecomposition(**{"clusters": [["x"], ["x"]], "edges": [(0, 1)], **fields})
+
+
+def test_a_decomposition_without_nodes_is_reported():
+    assert validate_decomposition(chain_diagram(), TreeDecomposition((), ())) == \
+        ["decomposition has no nodes"]
 
 
 def test_chain_has_width_one():
@@ -232,9 +248,9 @@ def test_value_leaf_already_met():
         [Variable("d", "decision", 2), Variable("v", "value")],
         [("d", "v")], {}, {"v": [0.0, 1.0]})
     t = build_decomposition(d)
-    got = ensure_value_leaves(d, t)
+    got, leaves = ensure_value_leaves(d, t)
     assert got.clusters == t.clusters
-    assert got.value_leaf_map == {"v": 0}
+    assert leaves == {"v": 0}
 
 
 def test_two_value_nodes_sharing_a_covering_node():
@@ -243,10 +259,11 @@ def test_two_value_nodes_sharing_a_covering_node():
         [("c", "v1"), ("c", "v2")],
         {"c": [0.5, 0.5]}, {"v1": [0.0, 1.0], "v2": [1.0, 0.0]})
     t = build_decomposition(d)
-    got = ensure_value_leaves(d, t)
+    got, leaves = ensure_value_leaves(d, t)
     assert got.n == t.n + 2
     assert got.width() == t.width()
-    leaves = got.value_leaf_map
+    # the leaf map rides beside the tree, which equals the tree its document gives
+    assert got == TreeDecomposition(got.clusters, got.edges)
     assert set(leaves) == {"v1", "v2"}
     assert len(set(leaves.values())) == 2
     for v, leaf in leaves.items():
@@ -264,16 +281,17 @@ def test_a_twin_left_by_a_split_becomes_a_later_free_leaf():
         [("a", "v1"), ("a", "v2"), ("b", "v2")],
         {"a": [0.5, 0.5], "b": [0.5, 0.5]}, {"v1": [0.0, 1.0], "v2": np.eye(2)})
     t = TreeDecomposition((("a", "b"),), ())
-    got = ensure_value_leaves(d, t)
+    got, leaves = ensure_value_leaves(d, t)
     assert got.clusters == (("a", "b"), ("a", "b"), ("a",))
-    assert got.value_leaf_map == {"v1": 2, "v2": 1}
+    assert leaves == {"v1": 2, "v2": 1}
     assert validate_decomposition(d, got) == []
 
 
 def test_no_value_variables_is_identity():
     d = chain_diagram()
     t = build_decomposition(d)
-    assert ensure_value_leaves(d, t) is t
+    got, leaves = ensure_value_leaves(d, t)
+    assert got is t and leaves == {}
 
 
 def test_value_leaves_require_binary_input():
@@ -281,6 +299,13 @@ def test_value_leaves_require_binary_input():
     star = TreeDecomposition((("c0", "c1"),) * 5, tuple((0, j) for j in range(1, 5)))
     with pytest.raises(ValueError, match="decomposition must be binary"):
         ensure_value_leaves(d, star)
+
+
+def test_a_value_leaf_needs_a_cluster_covering_its_parents():
+    d = clique_diagram(2)
+    t = TreeDecomposition((("c0",), ("c1",)), ((0, 1),))
+    with pytest.raises(ValueError, match="^no cluster covers the parents of value variable 'v'$"):
+        ensure_value_leaves(d, t)
 
 
 # -- rooting and tours ---------------------------------------------------------------
@@ -355,8 +380,14 @@ def test_default_root_prefers_unique_value_leaf():
     d = InfluenceDiagram(
         [Variable("d", "decision", 2), Variable("v", "value")],
         [("d", "v")], {}, {"v": [0.0, 1.0]})
-    shaped = ensure_value_leaves(d, binarize(build_decomposition(d)))
-    assert default_root(shaped) == shaped.value_leaf_map["v"]
+    shaped, leaves = ensure_value_leaves(d, binarize(build_decomposition(d)))
+    assert default_root(shaped, leaves) == leaves["v"]
+
+
+def test_default_root_falls_back_to_a_value_leaf_when_every_candidate_is_one():
+    # both nodes of the path are value leaves, and no other node has degree two or less
+    t = TreeDecomposition((("a",), ("b",)), ((0, 1),))
+    assert default_root(t, {"v1": 1, "v2": 0}) == 0
 
 
 # -- pipeline properties ----------------------------------------------------------------
@@ -369,10 +400,10 @@ def test_pipeline_round_trip_validates():
         t1 = binarize(t0)
         assert validate_decomposition(d, t1) == []
         assert t1.width() <= t0.width()
-        t2 = ensure_value_leaves(d, t1)
+        t2, leaves = ensure_value_leaves(d, t1)
         assert validate_decomposition(d, t2) == []
         assert t2.width() <= t1.width()
-        t3 = root_and_order(t2, default_root(t2))
+        t3 = root_and_order(t2, default_root(t2, leaves))
         assert validate_decomposition(d, t3) == []
         assert max(t3.degree(i) for i in range(t3.n)) <= 3
         assert all(len(t3.children(i)) <= 2 for i in range(t3.n))
