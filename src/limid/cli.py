@@ -137,7 +137,6 @@ def document_to_diagram(doc: Any) -> tuple[InfluenceDiagram, TreeDecomposition |
         if states is not None:
             if not isinstance(states, list) or any(type(x) is not str for x in states):
                 raise DocumentError(f"'states' of {vid!r} must be a JSON array of strings")
-            states = tuple(states)
         try:
             variables.append(Variable(vid, str(entry["kind"]), card, states))
         except ValueError as exc:
@@ -147,6 +146,8 @@ def document_to_diagram(doc: Any) -> tuple[InfluenceDiagram, TreeDecomposition |
         raise DocumentError("duplicate variable ids")
 
     arcs = []
+    # sets, so a repeated arc counts once, as in the diagram's arc set
+    arc_parents: dict[str, set[str]] = {v.id: set() for v in variables}
     for arc in _expect(doc.get("arcs", []), list, "'arcs'"):
         if not isinstance(arc, (list, tuple)) or len(arc) != 2:
             raise DocumentError(f"arcs must be [from, to] pairs, got {arc!r}")
@@ -154,10 +155,8 @@ def document_to_diagram(doc: Any) -> tuple[InfluenceDiagram, TreeDecomposition |
         if a == b:
             raise DocumentError(f"self-arc on {a!r}")
         arcs.append((a, b))
-    arc_parents: dict[str, list[str]] = {v.id: [] for v in variables}
-    for a, b in arcs:
         if b in by_id and a in by_id and by_id[a].kind != VALUE:
-            arc_parents[b].append(a)
+            arc_parents[b].add(a)
 
     def check_parents(var: str, declared: tuple[str, ...]) -> None:
         given = sorted(arc_parents[var])
@@ -370,8 +369,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_reduce(args: argparse.Namespace) -> int:
     diagram, decomposition = parse(_read_input(args.file))
     _require_valid(diagram)
-    if not diagram.value_ids:
-        raise DocumentError("diagram has no value variables to merge")
     reduced = shape_and_reduce(diagram, decomposition)
     doc = diagram_to_document(reduced.diagram, reduced.decomposition)
     doc["reduction"] = {
@@ -415,9 +412,10 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="compute a provably good strategy")
-    p.add_argument("--epsilon", type=float, default=None,
-                   help="approximation factor (MEU <= (1+epsilon) * value)")
-    p.add_argument("--exact", action="store_true", help="disable pruning")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--epsilon", type=float,
+                      help="approximation factor (MEU <= (1+epsilon) * value)")
+    mode.add_argument("--exact", action="store_true", help="disable pruning")
     p.add_argument("--stats", action="store_true", help="emit per-node statistics")
     p.add_argument("file", help="diagram document, or - for stdin")
     p.set_defaults(handler=_cmd_solve)
@@ -446,12 +444,7 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "solve" and not args.exact and args.epsilon is None:
-        parser.error("solve needs --epsilon or --exact")
-    if args.command == "solve" and args.exact and args.epsilon is not None:
-        parser.error("solve takes --epsilon or --exact, not both")
+    args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except InstanceTooLargeError as exc:

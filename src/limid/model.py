@@ -379,11 +379,17 @@ def pure_policy(d: InfluenceDiagram, decision: str, index: int) -> Policy:
     gamma = math.prod(shape[1:])
     if not 0 <= index < card ** gamma:
         raise ValueError(f"policy index {index} out of range for {decision!r}")
+    # index's base-card digits, the last parent assignment least significant
+    # (pure_policy_tables' rule), in Python ints so a count past int64 still
+    # indexes; only its nonzero low digits are divided out, so a large family
+    # costs one pass over its table
+    actions = np.zeros(gamma, dtype=np.int64)
+    j = gamma
+    while index:
+        j -= 1
+        index, actions[j] = divmod(index, card)
     table = np.zeros(shape)
-    # pure_policy_tables' rule, in Python ints: a count past int64 still indexes;
-    # parent assignment j takes action a at flat entry a * gamma + j
-    table.reshape(-1)[[index // card ** (gamma - 1 - j) % card * gamma + j
-                       for j in range(gamma)]] = 1.0
+    table.reshape(card, gamma)[actions, np.arange(gamma)] = 1.0
     return Policy(decision, parents, table)
 
 

@@ -133,6 +133,10 @@ def _derived(scope: tuple[str, ...], cards: tuple[int, ...], values: np.ndarray,
     return _take(object.__new__(PotentialSet), scope, cards, values, decisions, policies)
 
 
+#: the empty product: one scalar member of no decision
+_UNIT = _derived((), (), np.ones((1,)))
+
+
 def check_entries(values: np.ndarray) -> None:
     """Raise ``ValueError`` unless every entry of ``values`` is nonnegative and finite."""
     # min and max propagate NaN, so two reductions check every entry
@@ -167,7 +171,7 @@ def combine_sets(sets: Sequence[PotentialSet], sum_out: Iterable[str] = ()) -> P
     if not zs <= card_by_var.keys():
         raise ValueError(f"cannot sum out {sorted(zs - card_by_var.keys())}: not in scope")
     if not sets:
-        return _derived((), (), np.ones((1,)))
+        return _UNIT
     m = len(sets)
     scope = sorted(card_by_var)
     axis = {v: i for i, v in enumerate(scope, m)}

@@ -41,6 +41,7 @@ from .model import (
     Strategy,
     Variable,
     _freeze,
+    pure_policy,
 )
 from .treedecomp import TreeDecomposition
 
@@ -288,15 +289,12 @@ def minimal_diagram(d: InfluenceDiagram
         policies = []
         for dec in d.decision_ids:
             full = d.parents(dec)
-            cards = (d.cardinality(dec),) + tuple(map(d.cardinality, full))
             if dec not in parents:
-                # the first pure policy: action 0 under every parent assignment
-                table = np.zeros(cards)
-                table[0] = 1.0
-                policies.append(Policy(dec, full, table))
+                policies.append(pure_policy(d, dec, 0))
             elif len(parents[dec]) == len(full):
                 policies.append(s.policy_for(dec))
             else:
+                cards = (d.cardinality(dec),) + tuple(map(d.cardinality, full))
                 kept = (cards[0],) + tuple(c if q in parents[dec] else 1
                                            for q, c in zip(full, cards[1:]))
                 table = np.broadcast_to(s.policy_for(dec).table.reshape(kept), cards)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -41,6 +41,7 @@ from .model import (
 from .potential import (
     CoveringStats,
     PotentialSet,
+    _UNIT,
     _derived,
     check_entries,
     combine_sets,
@@ -70,10 +71,6 @@ DEFAULT_MAX_SET_SIZE = 1_000_000
 #: bytes of cluster-scope tables and policy rows one block of a node's product
 #: members may take; the product is never built whole beyond one block
 BLOCK_BYTES = 1 << 23
-
-#: the message of a node with no table and no child: the empty product
-_UNIT = _derived((), (), np.ones((1,)))
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -386,6 +383,5 @@ def solve_full(d: InfluenceDiagram, cfg: SolverConfig,
         decomposition = _restrict(decomposition, minimal)
     reduced = shape_and_reduce(minimal, decomposition)
     result = solve(reduced.diagram, reduced.decomposition, cfg)
-    stats = SolveStats(result.stats.m, result.stats.alpha, time.perf_counter() - started,
-                       result.stats.nodes)
+    stats = replace(result.stats, wall_time=time.perf_counter() - started)
     return SolverResult(result.value, lift(result.strategy), stats)

@@ -334,7 +334,6 @@ def ensure_value_leaves(d: InfluenceDiagram, t: TreeDecomposition
 
     clusters = [set(c) for c in t.clusters]
     claimed: dict[int, str] = {}
-    leaf_of: dict[str, int] = {}
     # childless, unclaimed nodes by cluster in ascending id order; a node is claimed
     # only when taken from its queue, and one that gained children is dropped there
     free: defaultdict[frozenset[str], deque[int]] = defaultdict(deque)
@@ -366,18 +365,15 @@ def ensure_value_leaves(d: InfluenceDiagram, t: TreeDecomposition
             parent[leaf] = i
             children[i] = [twin, leaf]
             if i in claimed:
-                moved = claimed.pop(i)
-                claimed[twin] = moved
-                leaf_of[moved] = twin
+                claimed[twin] = claimed.pop(i)
             elif not children[twin]:
                 # the largest id yet, so its queue stays in ascending order
                 free[frozenset(clusters[twin])].append(twin)
         claimed[leaf] = v
-        leaf_of[v] = leaf
 
     edges = sorted((min(i, p), max(i, p)) for i, p in parent.items() if p is not None)
     return t._sharing((), clusters=tuple(tuple(sorted(c)) for c in clusters),
-                      edges=tuple(edges)), leaf_of
+                      edges=tuple(edges)), {v: i for i, v in claimed.items()}
 
 
 def root_and_order(t: TreeDecomposition, r: int) -> TreeDecomposition:

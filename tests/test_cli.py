@@ -567,6 +567,23 @@ def test_a_self_arc_is_refused_whatever_the_table_lists(capsys, tmp_path, listed
     assert (code, out, err) == (1, "", "limid: self-arc on 'a'\n")
 
 
+def test_a_repeated_arc_counts_once(capsys, tmp_path):
+    # the diagram keeps one copy of an arc, and the table check counts it once
+    once = {"variables": [{"id": "c", "kind": "chance", "cardinality": 2},
+                          {"id": "d", "kind": "decision", "cardinality": 2},
+                          {"id": "v", "kind": "value"}],
+            "arcs": [["c", "d"], ["c", "v"], ["d", "v"]],
+            "cpts": {"c": {"parents": [], "table": [0.3, 0.7]}},
+            "rewards": {"v": {"parents": ["c", "d"], "table": [1.0, 0.0, 0.0, 2.0]}}}
+    twice = {**once, "arcs": once["arcs"] + [["c", "v"]]}
+    path = write(tmp_path, "twice.json", json.dumps(twice))
+    assert run(capsys, "validate", path) == (0, '{\n  "violations": []\n}\n', "")
+    code, out, err = run(capsys, "solve", "--exact", path)
+    assert (code, err) == (0, "")
+    assert out == run(capsys, "solve", "--exact", write(tmp_path, "once.json", json.dumps(once)))[1]
+    assert json.loads(serialize(*parse(json.dumps(twice))))["arcs"] == once["arcs"]
+
+
 @pytest.mark.parametrize("card, counts, message", [
     (1, (1, 1, 1, 1), "card must be at least 2"),
     (2, (-1, 1, 1, 1), "counts must be nonnegative"),

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -292,6 +293,17 @@ def test_solve_full_matches_direct_solve():
     direct = solve(d, rooted_decomposition(d), SolverConfig(epsilon=0.0))
     full = solve_full(d, SolverConfig(epsilon=0.0))
     assert full.value == pytest.approx(direct.value, abs=1e-12)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.5])
+def test_solve_full_reports_its_solve_stats_with_its_own_wall_time(epsilon):
+    cfg = SolverConfig(epsilon=epsilon)
+    for seed in range(4):
+        d = generate_diagram(12, 5, 3, 2, 3, seed, decision_max_parents=2)
+        r = shape_and_reduce(minimal_diagram(d)[0])
+        full = solve_full(d, cfg).stats
+        direct = solve(r.diagram, r.decomposition, cfg).stats
+        assert replace(full, wall_time=0.0) == replace(direct, wall_time=0.0)
 
 
 def test_solve_full_exact_matches_oracle():
