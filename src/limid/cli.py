@@ -79,21 +79,17 @@ def _integer(value: Any, what: str) -> int:
 
 # -- table layout -------------------------------------------------------------
 
-def _parse_table(d_vars: dict[str, Variable], owner: str, spec: Any,
-                 lead_card: int | None) -> tuple[tuple[str, ...], np.ndarray]:
+def _parse_table(skeleton: InfluenceDiagram, owner: str, spec: Any,
+                 lead_card: int | None) -> np.ndarray:
     if not isinstance(spec, dict) or "parents" not in spec or "table" not in spec:
         raise DocumentError(f"table for {owner!r} needs 'parents' and 'table' keys")
     listed = [str(p) for p in _expect(spec["parents"], list, f"'parents' of {owner!r}")]
-    if len(listed) != len(set(listed)):
-        raise DocumentError(f"table for {owner!r} lists a parent twice")
-    for p in listed:
-        if p not in d_vars:
-            raise DocumentError(f"table for {owner!r} references unknown parent {p!r}")
-        if d_vars[p].kind == VALUE:
-            raise DocumentError(f"table for {owner!r} uses value variable {p!r} as parent")
-    cards = [d_vars[p].cardinality for p in listed]
+    parents = list(skeleton.parents(owner))
+    if sorted(listed) != parents:
+        raise DocumentError(f"table for {owner!r} declares parents {sorted(listed)}, "
+                            f"arcs give {parents}")
     lead = () if lead_card is None else (lead_card,)
-    shape = lead + tuple(cards)
+    shape = lead + tuple(skeleton.cardinality(p) for p in listed)
     table = spec["table"]
     kind = "reward" if lead_card is None else "cpt"
     # numpy would also read nested arrays, booleans and numeric strings
@@ -113,7 +109,7 @@ def _parse_table(d_vars: dict[str, Variable], owner: str, spec: Any,
     offset = len(lead)
     axes = tuple(range(offset)) + tuple(offset + i for i in perm)
     # a view: the diagram makes the one copy of every table it is given
-    return tuple(sorted(listed)), arr.transpose(axes)
+    return arr.transpose(axes)
 
 
 def _emit_table(parents: tuple[str, ...], arr: np.ndarray) -> dict[str, Any]:
@@ -141,50 +137,34 @@ def document_to_diagram(doc: Any) -> tuple[InfluenceDiagram, TreeDecomposition |
             variables.append(Variable(vid, str(entry["kind"]), card, states))
         except ValueError as exc:
             raise DocumentError(str(exc)) from None
-    by_id = {v.id: v for v in variables}
-    if len(by_id) != len(variables):
-        raise DocumentError("duplicate variable ids")
 
     arcs = []
-    # sets, so a repeated arc counts once, as in the diagram's arc set
-    arc_parents: dict[str, set[str]] = {v.id: set() for v in variables}
     for arc in _expect(doc.get("arcs", []), list, "'arcs'"):
         if not isinstance(arc, (list, tuple)) or len(arc) != 2:
             raise DocumentError(f"arcs must be [from, to] pairs, got {arc!r}")
-        a, b = str(arc[0]), str(arc[1])
-        if a == b:
-            raise DocumentError(f"self-arc on {a!r}")
-        arcs.append((a, b))
-        if b in by_id and a in by_id and by_id[a].kind != VALUE:
-            arc_parents[b].add(a)
-
-    def check_parents(var: str, declared: tuple[str, ...]) -> None:
-        given = sorted(arc_parents[var])
-        if list(declared) != given:
-            raise DocumentError(f"table for {var!r} declares parents {list(declared)}, "
-                                f"arcs give {given}")
+        arcs.append((str(arc[0]), str(arc[1])))
+    # the diagram's own rules refuse duplicate ids, unknown arc ends and
+    # self-arcs, and fix each table's parents before any table is read
+    try:
+        skeleton = InfluenceDiagram(variables, arcs)
+    except ValueError as exc:
+        raise DocumentError(str(exc)) from None
 
     cpts: dict[str, np.ndarray] = {}
     for var, spec in _expect(doc.get("cpts", {}), dict, "'cpts'").items():
         var = str(var)
-        if var not in by_id:
+        if not skeleton.has_variable(var):
             raise DocumentError(f"cpt for unknown variable {var!r}")
-        if by_id[var].kind == VALUE:
+        if skeleton.kind(var) == VALUE:
             raise DocumentError(f"cpt given for value variable {var!r}")
-        parents, cpts[var] = _parse_table(by_id, var, spec, by_id[var].cardinality)
-        check_parents(var, parents)
+        cpts[var] = _parse_table(skeleton, var, spec, skeleton.cardinality(var))
     rewards: dict[str, np.ndarray] = {}
     for var, spec in _expect(doc.get("rewards", {}), dict, "'rewards'").items():
         var = str(var)
-        if var not in by_id:
+        if not skeleton.has_variable(var):
             raise DocumentError(f"reward table for unknown variable {var!r}")
-        parents, rewards[var] = _parse_table(by_id, var, spec, None)
-        check_parents(var, parents)
-
-    try:
-        diagram = InfluenceDiagram(variables, arcs, cpts, rewards)
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from None
+        rewards[var] = _parse_table(skeleton, var, spec, None)
+    diagram = InfluenceDiagram(skeleton.variables, skeleton.arcs, cpts, rewards)
 
     decomposition = None
     if "decomposition" in doc:
@@ -336,7 +316,7 @@ def _solver_config(args: argparse.Namespace) -> SolverConfig:
             raise ValueError(bad) from None
         if cap < 1:
             raise ValueError(bad)
-    return SolverConfig(epsilon=0.0 if args.exact else float(args.epsilon),
+    return SolverConfig(epsilon=0.0 if args.exact else args.epsilon,
                         max_set_size=cap)
 
 

@@ -76,7 +76,8 @@ BLOCK_BYTES = 1 << 23
 class SolverConfig:
     """Solver knobs.
 
-    ``epsilon`` is the approximation factor; ``epsilon == 0`` means exact
+    ``epsilon`` is the approximation factor, a real number stored as a
+    ``float`` (a bool or a string is refused); ``epsilon == 0`` means exact
     mode (no pruning), and so does an ``epsilon`` too small to move
     ``alpha`` off 1.  ``max_set_size`` (an integer of at least 1) caps each
     decision's pure-policy count and each node's product, of its own tables
@@ -87,6 +88,11 @@ class SolverConfig:
     max_set_size: int = DEFAULT_MAX_SET_SIZE
 
     def __post_init__(self) -> None:
+        eps = self.epsilon
+        # a bool is an int to isinstance, but no approximation factor
+        if isinstance(eps, bool) or not isinstance(eps, (int, float, np.integer, np.floating)):
+            raise ValueError(f"epsilon must be a real number, got {eps!r}")
+        object.__setattr__(self, "epsilon", float(eps))
         if not math.isfinite(self.epsilon):
             raise ValueError(f"epsilon must be finite, got {self.epsilon!r}")
         if self.epsilon < 0:

@@ -533,10 +533,10 @@ def value_parent_document() -> dict:
     ({**one_reward_document(), "cpts": {"c": {"parents": []}}},
      "table for 'c' needs 'parents' and 'table' keys"),
     ({**one_reward_document(), "rewards": {"v": {"parents": ["c", "c"], "table": [0.0] * 4}}},
-     "table for 'v' lists a parent twice"),
+     "table for 'v' declares parents ['c', 'c'], arcs give ['c']"),
     ({**one_reward_document(), "rewards": {"v": {"parents": ["z"], "table": [0.0]}}},
-     "table for 'v' references unknown parent 'z'"),
-    (value_parent_document(), "table for 'v' uses value variable 'w' as parent"),
+     "table for 'v' declares parents ['z'], arcs give ['c']"),
+    (value_parent_document(), "table for 'v' declares parents ['w'], arcs give ['c']"),
     ({**one_reward_document(), "cpts": {"z": {"parents": [], "table": [1.0]}}},
      "cpt for unknown variable 'z'"),
     ({**one_reward_document(), "cpts": {"v": {"parents": [], "table": [1.0]}}},
@@ -548,10 +548,14 @@ def value_parent_document() -> dict:
     (decomposed_document(edges=[[0]]), "'edges' must hold [i, j] pairs, got [0]"),
     (decomposed_document(edges=[[0, 5]]), "bad decomposition: bad edge (0, 5)"),
     (decomposed_document(root=5), "bad decomposition: unknown node id 5"),
+    # an arc fault is named before a table is compared with the arcs
+    ({**one_reward_document(), "arcs": [["c", "v"], ["c", "z"]],
+      "rewards": {"v": {"parents": [], "table": [0.0]}}},
+     "arc ('c', 'z') references an unknown variable"),
 ], ids=["not-an-object", "no-kind", "duplicate-id", "short-arc", "unknown-arc-end",
         "no-table-key", "twice-listed-parent", "unknown-parent", "value-parent",
         "unknown-cpt", "value-cpt", "unknown-reward", "no-clusters", "short-edge",
-        "edge-out-of-range", "root-out-of-range"])
+        "edge-out-of-range", "root-out-of-range", "unknown-arc-end-before-table"])
 def test_each_document_fault_is_refused_with_its_message(doc, message):
     with pytest.raises(DocumentError, match=f"^{re.escape(message)}$"):
         document_to_diagram(doc)

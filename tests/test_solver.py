@@ -70,6 +70,24 @@ def test_config_rejects_non_finite_epsilon(epsilon):
         SolverConfig(epsilon=epsilon)
 
 
+@pytest.mark.parametrize("epsilon", [True, False, "0.5", None, [0.5]],
+                         ids=["true", "false", "string", "none", "list"])
+def test_config_rejects_an_epsilon_that_is_no_real_number(epsilon):
+    with pytest.raises(ValueError, match="^epsilon must be a real number, got "):
+        SolverConfig(epsilon=epsilon)
+
+
+@pytest.mark.parametrize("epsilon", [1, np.int64(1), np.float32(0.5), np.float64(0.5)],
+                         ids=["int", "numpy-int", "float32", "float64"])
+def test_config_stores_a_real_epsilon_as_a_float(epsilon):
+    cfg = SolverConfig(epsilon=epsilon)
+    assert type(cfg.epsilon) is float and cfg.epsilon == float(epsilon)
+    # the solve's alpha is the one a plain float epsilon gives
+    alpha = solve_full(pick_diagram(), cfg).stats.alpha
+    assert type(alpha) is float
+    assert alpha == solve_full(pick_diagram(), SolverConfig(epsilon=float(epsilon))).stats.alpha
+
+
 @pytest.mark.parametrize("cap", [0, -3, 1.5, "10", True])
 def test_config_rejects_bad_max_set_size(cap):
     with pytest.raises(ValueError, match="max_set_size"):
