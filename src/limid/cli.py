@@ -216,7 +216,8 @@ def parse(text: str) -> tuple[InfluenceDiagram, TreeDecomposition | None]:
     (see :func:`~limid.model.validate_diagram`)."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # a document nested past the interpreter's recursion limit is malformed too
         raise DocumentError(f"malformed JSON: {exc}") from None
     return document_to_diagram(doc)
 
@@ -250,6 +251,8 @@ def generate_diagram(n_chance: int, n_decisions: int, card: int, max_parents: in
         raise ValueError("card must be at least 2")
     if min(n_chance, n_decisions, n_values, max_parents) < 0:
         raise ValueError("counts must be nonnegative")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
     rng = np.random.default_rng(seed)
     chance = [f"c{i}" for i in range(n_chance)]
     decisions = [f"d{i}" for i in range(n_decisions)]

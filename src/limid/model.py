@@ -101,13 +101,15 @@ class InfluenceDiagram:
 
     ``cpts`` maps each chance variable to an array of shape
     ``(card, *parent cards)`` and ``rewards`` maps each value variable to an
-    array of shape ``(*parent cards)``, parents sorted by id.  Flat inputs
-    are reshaped.  Every table given is copied into a read-only array, even
-    another diagram's.  A diagram derived by :meth:`with_reward` or by
-    :mod:`limid.reduction` shares its source's tables, and a table the
-    library allocates is made read-only where it is made.  Construction
-    enforces structure only (known ids, table shapes); semantic invariants
-    are reported by :func:`validate_diagram`.
+    array of shape ``(*parent cards)``, parents sorted by id;
+    ``chance_ids``, ``decision_ids`` and ``value_ids`` list each kind's
+    ids in id order.  Flat inputs are reshaped.  Every table given is
+    copied into a read-only array, even another diagram's.  A diagram
+    derived by :meth:`with_reward` or by :mod:`limid.reduction` shares its
+    source's tables, and a table the library allocates is made read-only
+    where it is made.  Construction enforces structure only (known ids,
+    table shapes); semantic invariants are reported by
+    :func:`validate_diagram`.
     """
 
     variables: tuple[Variable, ...]
@@ -162,7 +164,8 @@ class InfluenceDiagram:
         # the fields of a frozen dataclass, written past its __setattr__
         vars(self).update(variables=variables, arcs=arcs, _by_id={v.id: v for v in variables},
                           _table_parents=parents, _families=families, cpts=cpts,
-                          rewards=rewards, _ids={kind: tuple(xs) for kind, xs in ids.items()})
+                          rewards=rewards, chance_ids=tuple(ids[CHANCE]),
+                          decision_ids=tuple(ids[DECISION]), value_ids=tuple(ids[VALUE]))
         return self
 
     def _shaped(self, tag: str, var: str, table: object, lead: tuple[int, ...]) -> np.ndarray:
@@ -210,18 +213,6 @@ class InfluenceDiagram:
         """Sorted scope of ``var``'s table: its parents, plus ``var`` unless it is a value."""
         return self._families[var]
 
-    @property
-    def chance_ids(self) -> tuple[str, ...]:
-        return self._ids[CHANCE]
-
-    @property
-    def decision_ids(self) -> tuple[str, ...]:
-        return self._ids[DECISION]
-
-    @property
-    def value_ids(self) -> tuple[str, ...]:
-        return self._ids[VALUE]
-
     def cpt(self, var: str) -> np.ndarray:
         return self.cpts[var]
 
@@ -262,12 +253,7 @@ def validate_diagram(d: InfluenceDiagram) -> list[str]:
         # the tables checked one by one, naming each fault
         if not _probability_tables([table for _, table in cpts]):
             for var, table in cpts:
-                # NaN fails both comparisons, so it is reported here too
-                if not np.all((table >= 0.0) & (table <= 1.0)):
-                    report.append(f"cpt of {var!r} has entries outside [0, 1]")
-                sums = table.sum(axis=0)
-                if np.any(np.abs(sums - 1.0) > PROB_TOL):
-                    report.append(f"cpt of {var!r} has columns not summing to 1")
+                report += [f"cpt of {var!r} {fault}" for fault in _distribution_faults(table)]
         for var, table in sorted(d.rewards.items()):
             if not np.all(np.isfinite(table)):
                 report.append(f"reward table of {var!r} has non-finite entries")
@@ -293,32 +279,40 @@ def _acyclic(arcs: tuple[tuple[str, str], ...]) -> bool:
     return not left
 
 
-def _probability_tables(tables: list[np.ndarray]) -> bool:
-    """Whether every entry of the conditional ``tables`` lies in [0, 1] and
-    every column sums to one within ``PROB_TOL``, in one pass over all of them.
-
-    Each entry adds into its column's sum in ``np.bincount``, in an order
-    that may differ from ``table.sum(axis=0)``.  Two orders of summing ``c``
-    entries in [0, 1] whose sum is near one differ by less than ``c``
-    machine epsilons, so a column passes here only that far inside the
-    tolerance, and a pass here is a pass of every table's own check.
-    """
-    if not tables:
-        return True
-    flat = np.concatenate([t.ravel() for t in tables])
+def _distribution_faults(table: np.ndarray) -> list[str]:
+    """What keeps ``table`` from being a conditional distribution over its
+    first axis: entries outside [0, 1], NaN among them, and columns that do
+    not sum to one within ``PROB_TOL``; empty for a distribution."""
+    faults = []
     # NaN fails both comparisons
-    if not ((flat >= 0.0) & (flat <= 1.0)).all():
-        return False
-    sizes = np.array([t.size for t in tables])
-    columns = np.array([t.size // t.shape[0] for t in tables])
-    # an entry's column: its table's first column, plus its own flat index in
-    # the table modulo the table's column count
-    start = np.repeat(np.cumsum(sizes) - sizes, sizes)
-    first = np.repeat(np.cumsum(columns) - columns, sizes)
-    column = first + (np.arange(flat.size) - start) % np.repeat(columns, sizes)
-    sums = np.bincount(column, weights=flat)
-    slack = max(t.shape[0] for t in tables) * np.finfo(float).eps
-    return bool((np.abs(sums - 1.0) <= PROB_TOL - slack).all())
+    if not np.all((table >= 0.0) & (table <= 1.0)):
+        faults.append("has entries outside [0, 1]")
+    if np.any(np.abs(table.sum(axis=0) - 1.0) > PROB_TOL):
+        faults.append("has columns not summing to 1")
+    return faults
+
+
+def _probability_tables(tables: list[np.ndarray]) -> bool:
+    """Whether every one of the conditional ``tables`` passes
+    :func:`_distribution_faults`, in one pass per child cardinality.
+
+    The tables of child cardinality ``c`` are laid side by side as columns
+    and each column summed in row order, an order that may differ from
+    ``table.sum(axis=0)``.  Two orders of summing ``c`` entries in [0, 1]
+    whose sum is near one differ by less than ``c`` machine epsilons, so a
+    column passes here only that far inside the tolerance, and a pass here
+    is a pass of every table's own check.
+    """
+    by_card: dict[int, list[np.ndarray]] = {}
+    for t in tables:
+        by_card.setdefault(t.shape[0], []).append(t.reshape(t.shape[0], -1))
+    for card, group in by_card.items():
+        columns = np.concatenate(group, axis=1)
+        # min and max return NaN if any entry is NaN, and NaN fails both comparisons
+        if not (columns.min() >= 0.0 and columns.max() <= 1.0 and (
+                np.abs(columns.sum(axis=0) - 1.0) <= PROB_TOL - card * np.finfo(float).eps).all()):
+            return False
+    return True
 
 
 # -- policies and strategies -------------------------------------------------
@@ -441,8 +435,9 @@ def _check_strategy(d: InfluenceDiagram, s: Strategy) -> None:
         if p.table.shape != shape:
             raise ValueError(f"policy table for {p.decision!r} has shape {p.table.shape}, "
                              f"expected {shape}")
-        if np.any(np.abs(p.table.sum(axis=0) - 1.0) > PROB_TOL):
-            raise ValueError(f"policy table for {p.decision!r} has columns not summing to 1")
+        faults = _distribution_faults(p.table)
+        if faults:
+            raise ValueError(f"policy table for {p.decision!r} {faults[0]}")
 
 
 def expected_utility(d: InfluenceDiagram, s: Strategy) -> float:

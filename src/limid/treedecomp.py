@@ -391,13 +391,10 @@ def default_root(t: TreeDecomposition, leaves: dict[str, int]) -> int:
     map ``leaves`` from value variables to their leaves.
 
     A single value leaf becomes the root; otherwise the smallest node of
-    degree at most two that is not a value leaf (such a root keeps every
-    node at two children or fewer).
+    degree at most two, preferring one that is not a value leaf (such a
+    root keeps every node at two children or fewer).
     """
     leaf_nodes = set(leaves.values())
     if len(leaf_nodes) == 1:
         return next(iter(leaf_nodes))
-    candidates = [i for i in range(t.n) if t.degree(i) <= 2 and i not in leaf_nodes]
-    if not candidates:
-        candidates = [i for i in range(t.n) if t.degree(i) <= 2]
-    return min(candidates)
+    return min((i for i in range(t.n) if t.degree(i) <= 2), key=lambda i: (i in leaf_nodes, i))

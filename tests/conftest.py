@@ -56,6 +56,16 @@ def pick_diagram() -> InfluenceDiagram:
     )
 
 
+def policy_cells_diagram() -> InfluenceDiagram:
+    """Three one-action decisions over two 20-state chance parents: one pure
+    strategy, but 400 ** 3 policy cells for the oracle to group on."""
+    chance = [Variable(p, "chance", 20) for p in ("p", "q")]
+    decisions = [Variable(f"d{i}", "decision", 1) for i in range(3)]
+    arcs = [(p.id, dec.id) for p in chance for dec in decisions] + [("p", "v")]
+    return InfluenceDiagram(chance + decisions + [Variable("v", "value")], arcs,
+                            {p.id: np.full(20, 0.05) for p in chance}, {"v": np.arange(20.0)})
+
+
 def small_random_diagram(seed: int, *, max_values: int = 2) -> InfluenceDiagram:
     """Desk-scale random diagram; decision parents capped so every pure
     strategy space stays brute-forceable."""

@@ -23,7 +23,7 @@ from limid.cli import (
 )
 from limid.treedecomp import TreeDecomposition
 
-from conftest import pick_diagram, two_agent_diagram
+from conftest import pick_diagram, policy_cells_diagram, two_agent_diagram
 
 
 def run(capsys, *argv):
@@ -336,6 +336,12 @@ def test_oracle_resource_cap_exits_2(capsys, tmp_path):
     assert "instance too large" in err
 
 
+def test_oracle_policy_cell_cap_exits_2(capsys, tmp_path):
+    path = write(tmp_path, "cells.json", serialize(policy_cells_diagram()))
+    assert run(capsys, "oracle", path) == (2, "", "limid: instance too large: "
+                                                  "64000000 policy cells\n")
+
+
 def test_solver_cap_env_override_exits_2(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("LIMID_MAX_SET_SIZE", "1")
     path = write(tmp_path, "d.json", serialize(pick_diagram()))
@@ -386,6 +392,16 @@ def test_malformed_fields_exit_1_with_one_message(capsys, tmp_path, doc, field):
     assert "Traceback" not in err
     assert err.startswith("limid: ") and err.count("\n") == 1
     assert repr(field) in err
+
+
+@pytest.mark.parametrize("command", [["validate"], ["solve", "--exact"], ["reduce"], ["oracle"]])
+def test_deeply_nested_json_exits_1_as_malformed(capsys, tmp_path, command):
+    # nesting past the interpreter's recursion limit is a bad document, not a crash
+    for text in ("[" * 100_000 + "]" * 100_000,
+                 '{"variables": ' + "[" * 5_000 + "]" * 5_000 + "}"):
+        code, out, err = run(capsys, *command, write(tmp_path, "deep.json", text))
+        assert (code, out) == (1, "")
+        assert err.startswith("limid: malformed JSON") and err.count("\n") == 1
 
 
 def one_reward_document(cardinality=2, cpt=(0.5, 0.5), reward=(0.0, 1.0)) -> dict:
@@ -589,14 +605,15 @@ def test_a_repeated_arc_counts_once(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("card, counts, message", [
-    (1, (1, 1, 1, 1), "card must be at least 2"),
-    (2, (-1, 1, 1, 1), "counts must be nonnegative"),
-    (2, (1, 1, 1, -1), "counts must be nonnegative"),
+    (1, (1, 1, 1, 1, 0), "card must be at least 2"),
+    (2, (-1, 1, 1, 1, 0), "counts must be nonnegative"),
+    (2, (1, 1, 1, -1, 0), "counts must be nonnegative"),
+    (2, (1, 1, 1, 1, -1), "seed must be nonnegative"),
 ])
 def test_generator_arguments_are_checked(card, counts, message):
-    n_chance, n_decisions, max_parents, n_values = counts
+    n_chance, n_decisions, max_parents, n_values, seed = counts
     with pytest.raises(ValueError, match=f"^{message}$"):
-        generate_diagram(n_chance, n_decisions, card, max_parents, n_values, 0)
+        generate_diagram(n_chance, n_decisions, card, max_parents, n_values, seed)
 
 
 def labelled_document(states) -> dict:

@@ -24,6 +24,7 @@ from limid.solver import SolverConfig, shape_and_reduce, solve_full
 from conftest import (
     is_pure,
     pick_diagram,
+    policy_cells_diagram,
     pure_policies,
     random_strategy,
     small_random_diagram,
@@ -86,8 +87,16 @@ X = Variable("x", "chance", 2)
      "strategy assigns several policies to one decision"),
     (lambda: expected_utility(pick_diagram(), Strategy([Policy("d", (), [0.5, 0.25, 0.25])])),
      "policy table for 'd' has shape (3,), expected (2,)"),
+    # a policy is a conditional distribution, as a cpt is
+    (lambda: expected_utility(pick_diagram(), Strategy([Policy("d", (), [1.5, -0.5])])),
+     "policy table for 'd' has entries outside [0, 1]"),
+    (lambda: expected_utility(pick_diagram(), Strategy([Policy("d", (), [np.nan, 1.0])])),
+     "policy table for 'd' has entries outside [0, 1]"),
+    (lambda: expected_utility(pick_diagram(), Strategy([Policy("d", (), [0.4, 0.4])])),
+     "policy table for 'd' has columns not summing to 1"),
 ], ids=["labels", "duplicate-id", "unknown-arc-end", "self-arc", "unknown-cpt",
-        "unknown-reward", "value-cardinality", "policy-index", "two-policies", "policy-shape"])
+        "unknown-reward", "value-cardinality", "policy-index", "two-policies", "policy-shape",
+        "policy-outside", "policy-nan", "policy-sum"])
 def test_each_model_fault_is_refused_with_its_message(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
@@ -506,6 +515,20 @@ def test_brute_force_cap():
     d = binary_decision_diagram(3, (3, 3))  # 3 ** 9 pure policies
     with pytest.raises(InstanceTooLargeError):
         brute_force_meu(d, cap=1000)
+
+
+def test_the_oracles_refuse_before_they_enumerate():
+    # 2 ** 26 joint assignments: a count checked before any grid is built
+    chance = [Variable(f"c{i:02d}", "chance", 2) for i in range(26)]
+    d = InfluenceDiagram(chance + [Variable("v", "value")], [("c00", "v")],
+                         {c.id: [0.5, 0.5] for c in chance}, {"v": [0.0, 1.0]})
+    for oracle in (brute_force_meu, lambda d: expected_utility(d, Strategy(()))):
+        with pytest.raises(InstanceTooLargeError,
+                           match="^67108864 joint assignments exceed the enumeration cap$"):
+            oracle(d)
+    with pytest.raises(InstanceTooLargeError,
+                       match="^instance too large: 64000000 policy cells$"):
+        brute_force_meu(policy_cells_diagram())
 
 
 def test_determinism_bit_identical():
