@@ -14,6 +14,10 @@ Everything in this module is deliberately oracle-grade: expected utilities
 are obtained by enumerating joint assignments outright, and the maximum
 expected utility by evaluating every pure strategy.  Results are therefore
 trustworthy at small scale and independent of the message-passing solver.
+The joint assignments form one array with an axis per chance and decision
+variable, in id order; each table is broadcast over those axes as a
+transposed view.  The oracles hold at most two such arrays of 8-byte
+entries, about 800 MB at ``ENUMERATION_CAP``.
 
 Table conventions: parent axes are always ordered by variable id, tables
 are dense ndarrays with one axis per variable (conditioned child first),
@@ -403,25 +407,13 @@ def pure_policy_tables(d: InfluenceDiagram, decision: str) -> np.ndarray:
 
 # -- exact evaluation ---------------------------------------------------------
 
-def _joint_states(d: InfluenceDiagram) -> tuple[dict[str, np.ndarray], int]:
-    """Grid of all joint assignments over the chance and decision variables."""
-    ids = tuple(sorted(d.chance_ids + d.decision_ids))
-    cards = tuple(d.cardinality(x) for x in ids)
-    total = math.prod(cards)
-    if total > ENUMERATION_CAP:
-        raise InstanceTooLargeError(f"{total} joint assignments exceed the enumeration cap")
-    if ids:
-        grids = np.unravel_index(np.arange(total), cards)
-        states = {x: g for x, g in zip(ids, grids)}
-    else:
-        states = {}
-    return states, total
-
-
-def _gather(table: np.ndarray, idx: tuple[np.ndarray, ...], total: int) -> np.ndarray:
-    if not idx:
-        return np.full(total, float(table))
-    return table[idx]
+def _spread(table: np.ndarray, scope: tuple[str, ...], ids: tuple[str, ...]) -> np.ndarray:
+    """``table``, whose axes follow ``scope``, as a view over the joint axes
+    ``ids`` (sorted): its axes in id order, and one of size one for each id
+    ``scope`` lacks, along which it broadcasts."""
+    cards = dict(zip(scope, table.shape))
+    order = sorted(range(len(scope)), key=scope.__getitem__)
+    return table.transpose(order).reshape([cards.get(x, 1) for x in ids])
 
 
 def _check_strategy(d: InfluenceDiagram, s: Strategy) -> None:
@@ -443,25 +435,28 @@ def _check_strategy(d: InfluenceDiagram, s: Strategy) -> None:
 def expected_utility(d: InfluenceDiagram, s: Strategy) -> float:
     """Expected utility of strategy ``s``, by full enumeration of joint assignments."""
     _check_strategy(d, s)
-    states, total = _joint_states(d)
-    weights = _base_weights(d, states, total)
+    ids, weights = _base_weights(d)
     for p in s.policies:
-        idx = (states[p.decision],) + tuple(states[q] for q in p.parents)
-        weights *= _gather(p.table, idx, total)
+        weights *= _spread(p.table, (p.decision,) + p.parents, ids)
     return float(np.sum(weights))
 
 
-def _base_weights(d: InfluenceDiagram, states: dict[str, np.ndarray], total: int) -> np.ndarray:
-    """P(chance | decisions) times total utility, per joint assignment."""
-    base = np.ones(total)
+def _base_weights(d: InfluenceDiagram) -> tuple[tuple[str, ...], np.ndarray]:
+    """The joint axes, the chance and decision ids in id order, and an array
+    over them: P(chance | decisions) times total utility, per joint assignment."""
+    ids = tuple(sorted(d.chance_ids + d.decision_ids))
+    cards = tuple(d.cardinality(x) for x in ids)
+    total = math.prod(cards)
+    if total > ENUMERATION_CAP:
+        raise InstanceTooLargeError(f"{total} joint assignments exceed the enumeration cap")
+    base = np.ones(cards)
     for var in d.chance_ids:
-        idx = (states[var],) + tuple(states[p] for p in d.parents(var))
-        base *= _gather(d.cpt(var), idx, total)
-    util = np.zeros(total)
+        base *= _spread(d.cpt(var), (var,) + d.parents(var), ids)
+    util = np.zeros(cards)
     for var in d.value_ids:
-        idx = tuple(states[p] for p in d.parents(var))
-        util += _gather(d.reward(var), idx, total)
-    return base * util
+        util += _spread(d.reward(var), d.parents(var), ids)
+    base *= util
+    return ids, base
 
 
 def brute_force_meu(d: InfluenceDiagram,
@@ -481,8 +476,7 @@ def brute_force_meu(d: InfluenceDiagram,
         raise InstanceTooLargeError(
             f"instance too large: {total_strategies} pure strategies exceed the cap {cap}")
 
-    states, total = _joint_states(d)
-    base = _base_weights(d, states, total)
+    ids, base = _base_weights(d)
     if not decisions:
         return float(np.sum(base)), Strategy(())
 
@@ -495,15 +489,13 @@ def brute_force_meu(d: InfluenceDiagram,
 
     # per-assignment signature: which (parent assignment, action) cell each
     # decision takes, mixed radix over decisions
-    sig = np.zeros(total, dtype=np.int64)
-    for dec, card, gamma, site in zip(decisions, cards, gammas, sites):
-        pa_cards = tuple(d.cardinality(p) for p in d.parents(dec))
-        if pa_cards:
-            pa_flat = np.ravel_multi_index(tuple(states[p] for p in d.parents(dec)), pa_cards)
-        else:
-            pa_flat = np.zeros(total, dtype=np.int64)
-        sig = sig * site + pa_flat * card + states[dec]
-    weights = np.bincount(sig, weights=base, minlength=site_total)
+    sig = np.zeros(base.shape, dtype=np.int64)
+    for dec, card, site in zip(decisions, cards, sites):
+        sig *= site
+        # parent assignment pa (C order) and action a make cell pa * card + a
+        cells = np.arange(site).reshape(tuple(d.cardinality(p) for p in d.parents(dec)) + (card,))
+        sig += _spread(cells, d.parents(dec) + (dec,), ids)
+    weights = np.bincount(sig.ravel(), weights=base.ravel(), minlength=site_total)
 
     # contract all decisions but the last against their explicit policy matrices
     acc = weights.reshape(1, site_total)

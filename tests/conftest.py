@@ -16,7 +16,6 @@ from limid import (
     utility_bounds,
 )
 from limid.cli import generate_diagram
-from limid.model import _joint_states
 
 #: relative slack admitted by is_covering's dominance test
 _COVER_SLACK = 1e-12
@@ -132,9 +131,13 @@ def verify_chain_identity(r: ReductionResult, d: InfluenceDiagram) -> float:
     The left side comes from the forward recurrence over the chain tables of
     ``r``, the right from ``d``'s own reward tables.
     """
-    states, total = _joint_states(d)
+    ids = tuple(sorted(d.chance_ids + d.decision_ids))
+    cards = tuple(d.cardinality(x) for x in ids)
+    total = math.prod(cards)
     if total > CHAIN_CHECK_CAP:
         raise InstanceTooLargeError(f"{total} joint assignments exceed the chain check cap")
+    # one index grid per variable, an enumeration apart from the oracles'
+    states = dict(zip(ids, np.unravel_index(np.arange(total), cards))) if ids else {}
     lo, hi = utility_bounds(d)
     deviation = 0.0
     running = np.zeros(total)

@@ -1,5 +1,6 @@
 import itertools
 import re
+import tracemalloc
 from graphlib import CycleError, TopologicalSorter
 
 import numpy as np
@@ -17,7 +18,7 @@ from limid import (
     pure_policy_count,
     validate_diagram,
 )
-from limid.model import CHANCE, DECISION, PROB_TOL, VALUE
+from limid.model import CHANCE, DECISION, PROB_TOL, VALUE, _spread
 from limid.reduction import minimal_diagram, normalize_utilities
 from limid.solver import SolverConfig, shape_and_reduce, solve_full
 
@@ -529,6 +530,43 @@ def test_the_oracles_refuse_before_they_enumerate():
     with pytest.raises(InstanceTooLargeError,
                        match="^instance too large: 64000000 policy cells$"):
         brute_force_meu(policy_cells_diagram())
+
+
+def test_the_oracles_hold_a_fixed_number_of_joint_arrays():
+    # 18 binary chance variables in a chain and one decision: 2 ** 19 joint
+    # assignments; an index grid per variable alone would take 152 bytes each
+    chance = [Variable(f"c{i:02d}", "chance", 2) for i in range(18)]
+    arcs = [(a.id, b.id) for a, b in zip(chance, chance[1:])]
+    cpts = {c.id: [[0.9, 0.2], [0.1, 0.8]] for c in chance[1:]}
+    d = InfluenceDiagram(chance + [Variable("d", "decision", 2), Variable("v", "value")],
+                         arcs + [("c17", "d"), ("c17", "v"), ("d", "v")],
+                         {**cpts, "c00": [0.5, 0.5]}, {"v": [[1.0, 0.0], [0.0, 1.0]]})
+    _, strategy = brute_force_meu(d)
+    for oracle in (brute_force_meu, lambda d: expected_utility(d, strategy)):
+        tracemalloc.start()
+        try:
+            oracle(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2 ** 19
+
+
+@pytest.mark.parametrize("ids, scope", [
+    (("a", "b", "c", "d"), ("c", "a")),
+    (("a", "b", "c", "d"), ("d", "b", "a")),
+    (("a", "b", "c", "d"), ("d", "c", "b", "a")),
+    (("a", "b", "c", "d"), ("b", "d", "a", "c")),
+    (("a", "b", "c", "d"), ()),  # a parentless reward
+    ((), ()),  # a diagram with no chance or decision variable
+])
+def test_spread_matches_explicit_indexing(ids, scope, rng):
+    # equal cardinalities, so an axis left untransposed keeps the shape and
+    # shows only in the entries
+    table = rng.random((3,) * len(scope))
+    view = np.broadcast_to(_spread(table, scope, ids), (3,) * len(ids))
+    for x in itertools.product(range(3), repeat=len(ids)):
+        assert view[x] == table[tuple(x[ids.index(v)] for v in scope)]
 
 
 def test_determinism_bit_identical():

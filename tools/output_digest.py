@@ -1,8 +1,9 @@
-"""Print one SHA-256 for each of three outputs of the library, so that two
+"""Print one SHA-256 for each of four outputs of the library, so that two
 commits can be compared for byte-identical behaviour with one command each.
 
 Usage: ``PYTHONPATH=src python tools/output_digest.py``.  Standard library
-plus ``limid``; about two seconds on a 2-core VM.
+plus ``limid``; about 8 seconds and 350 MB on a 2-core VM, most of it the
+``oracle`` digest.
 
 The pools: the benchmark's hard pool, ``generate_diagram(12, 5, 3, 2, 3,
 seed, decision_max_parents=2)`` for seeds 0-39, and its corpus recipe (as
@@ -14,12 +15,15 @@ seed, decision_max_parents=2)`` for seeds 0-39, and its corpus recipe (as
 - ``cli``: exit code, stdout and stderr of ``solve --exact --stats``,
   ``solve --epsilon 0.5 --stats``, ``reduce`` and ``validate`` on every
   document, and of ``oracle`` on the corpus documents, plus
-  ``serialize(parse(doc))``.  The oracle is left out on the hard pool, where
-  it enumerates up to 50 million joint assignments: about 96 s and 3 GB.
+  ``serialize(parse(doc))``.  The ``oracle`` command is left out on the hard
+  pool, which the ``oracle`` digest covers.
 - ``validate``: ``validate_diagram``'s report on every diagram and on four
   seeded faulty variants of each: a NaN entry, a negative entry, an entry
   above 1, and every column of a table set within a few ulps of
   ``1 +- PROB_TOL``.
+- ``oracle``: ``brute_force_meu``'s value and every policy table, bit for
+  bit, on the hard pool, or its refusal message where a cap refuses the
+  diagram; it enumerates up to 50 million joint assignments a diagram.
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ import sys
 
 import numpy as np
 
-from limid import InfluenceDiagram, SolverConfig, solve_full, validate_diagram
+from limid import (InfluenceDiagram, InstanceTooLargeError, SolverConfig, brute_force_meu,
+                   solve_full, validate_diagram)
 from limid.cli import generate_diagram, main, parse, serialize
 from limid.model import PROB_TOL
 
@@ -57,15 +62,20 @@ def pools() -> list[tuple[str, InfluenceDiagram, tuple[float, ...]]]:
     return hard + corpus
 
 
+def update_policies(h, strategy) -> None:
+    """Feed every policy table of ``strategy`` to ``h``, bit for bit."""
+    for p in strategy.policies:
+        h.update(repr((p.decision, p.parents, p.table.shape)).encode())
+        h.update(p.table.tobytes())
+
+
 def solve_digest(diagrams) -> str:
     h = hashlib.sha256()
     for name, d, epsilons in diagrams:
         for eps in epsilons:
             result = solve_full(d, SolverConfig(epsilon=eps))
             h.update(repr((name, eps, result.value, result.stats.alpha, result.stats.m)).encode())
-            for p in result.strategy.policies:
-                h.update(repr((p.decision, p.parents, p.table.shape)).encode())
-                h.update(p.table.tobytes())
+            update_policies(h, result.strategy)
             h.update(repr(result.stats.nodes).encode())
     return h.hexdigest()
 
@@ -126,11 +136,27 @@ def validate_digest(diagrams) -> str:
     return h.hexdigest()
 
 
+def oracle_digest(diagrams) -> str:
+    h = hashlib.sha256()
+    for name, d, _ in diagrams:
+        if not name.startswith("hard"):
+            continue
+        try:
+            value, strategy = brute_force_meu(d)
+        except InstanceTooLargeError as e:
+            h.update(repr((name, str(e))).encode())
+            continue
+        h.update(repr((name, value)).encode())
+        update_policies(h, strategy)
+    return h.hexdigest()
+
+
 def main_digest() -> int:
     diagrams = pools()
     print(f"solve     {solve_digest(diagrams)}")
     print(f"cli       {cli_digest(diagrams)}")
     print(f"validate  {validate_digest(diagrams)}")
+    print(f"oracle    {oracle_digest(diagrams)}")
     return 0
 
 
