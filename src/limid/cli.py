@@ -164,7 +164,6 @@ def document_to_diagram(doc: Any) -> tuple[InfluenceDiagram, TreeDecomposition |
         if not skeleton.has_variable(var):
             raise DocumentError(f"reward table for unknown variable {var!r}")
         rewards[var] = _parse_table(skeleton, var, spec, None)
-    diagram = InfluenceDiagram(skeleton.variables, skeleton.arcs, cpts, rewards)
 
     decomposition = None
     if "decomposition" in doc:
@@ -183,7 +182,7 @@ def document_to_diagram(doc: Any) -> tuple[InfluenceDiagram, TreeDecomposition |
             decomposition = TreeDecomposition(clusters, edges, root=root)
         except ValueError as exc:
             raise DocumentError(f"bad decomposition: {exc}") from None
-    return diagram, decomposition
+    return skeleton.with_tables(cpts, rewards), decomposition
 
 
 def diagram_to_document(d: InfluenceDiagram,
@@ -430,8 +429,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except InstanceTooLargeError as exc:
-        print(f"limid: {exc}", file=sys.stderr)
+    except (InstanceTooLargeError, MemoryError) as exc:
+        # numpy's allocation failure names its size in one line; Python's own has no text
+        print(f"limid: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
     except (DocumentError, ValueError, OSError) as exc:
         print(f"limid: {exc}", file=sys.stderr)

@@ -109,7 +109,7 @@ class InfluenceDiagram:
     ``chance_ids``, ``decision_ids`` and ``value_ids`` list each kind's
     ids in id order.  Flat inputs are reshaped.  Every table given is
     copied into a read-only array, even another diagram's.  A diagram
-    derived by :meth:`with_reward` or by :mod:`limid.reduction` shares its
+    derived by :meth:`with_tables` or by :mod:`limid.reduction` shares its
     source's tables, and a table the library allocates is made read-only
     where it is made.  Construction enforces structure only (known ids,
     table shapes); semantic invariants are reported by
@@ -140,19 +140,9 @@ class InfluenceDiagram:
             # come sorted, so each parent list comes out sorted.
             if by_id[a].kind != VALUE:
                 parents[b].append(a)
-        self._assemble(variables, arcs, {x: tuple(ps) for x, ps in parents.items()}, {}, {})
-        cpt_map: dict[str, np.ndarray] = {}
-        for var, table in dict(cpts or {}).items():
-            if var not in by_id:
-                raise ValueError(f"cpt for unknown variable {var!r}")
-            lead = (by_id[var].cardinality,) if by_id[var].kind != VALUE else ()
-            cpt_map[var] = self._shaped("cpt", var, table, lead)
-        reward_map: dict[str, np.ndarray] = {}
-        for var, table in dict(rewards or {}).items():
-            if var not in by_id:
-                raise ValueError(f"reward table for unknown variable {var!r}")
-            reward_map[var] = self._shaped("reward table", var, table, ())
-        vars(self).update(cpts=cpt_map, rewards=reward_map)
+        tabled = self._assemble(variables, arcs, {x: tuple(ps) for x, ps in parents.items()},
+                                {}, {}).with_tables(cpts, rewards)
+        vars(self).update(cpts=tabled.cpts, rewards=tabled.rewards)
 
     def _assemble(self, variables: tuple[Variable, ...], arcs: tuple[tuple[str, str], ...],
                   parents: dict[str, tuple[str, ...]], cpts: dict[str, np.ndarray],
@@ -172,9 +162,12 @@ class InfluenceDiagram:
                           decision_ids=tuple(ids[DECISION]), value_ids=tuple(ids[VALUE]))
         return self
 
-    def _shaped(self, tag: str, var: str, table: object, lead: tuple[int, ...]) -> np.ndarray:
-        """``table`` as ``var``'s read-only table, of shape ``lead`` and its
-        parents' cardinalities, copied by :func:`_freeze`."""
+    def _shaped(self, tag: str, var: str, table: object) -> np.ndarray:
+        """``table`` as ``var``'s read-only table, copied by :func:`_freeze`:
+        of its parents' cardinalities, led by ``var``'s own for a cpt of a
+        chance or decision variable."""
+        card = self._by_id[var].cardinality
+        lead = (card,) if tag == "cpt" and card is not None else ()
         cards = lead + tuple(self._by_id[p].cardinality for p in self._table_parents[var])
         arr = np.asarray(table, dtype=float)
         try:
@@ -184,15 +177,20 @@ class InfluenceDiagram:
                              f"expected shape {cards}") from None
         return _freeze(arr)
 
-    def with_reward(self, var: str, table: object) -> InfluenceDiagram:
-        """This diagram with value variable ``var``'s reward table replaced by
-        ``table``, checked and frozen as the constructor would; everything
-        else, every other table included, is shared with this diagram."""
-        if not self.has_variable(var) or self.kind(var) != VALUE:
-            raise ValueError(f"{var!r} is not a value variable of the diagram")
+    def with_tables(self, cpts: Mapping[str, object] | None = None,
+                    rewards: Mapping[str, object] | None = None) -> InfluenceDiagram:
+        """This diagram with the given tables added or replaced, each checked
+        and frozen here, where the constructor's tables come in too;
+        everything else, every other table included, is shared with this
+        diagram."""
         out = object.__new__(InfluenceDiagram)
         vars(out).update(vars(self))
-        vars(out)["rewards"] = {**self.rewards, var: self._shaped("reward table", var, table, ())}
+        for field, tag, given in (("cpts", "cpt", cpts), ("rewards", "reward table", rewards)):
+            tables = vars(out)[field] = dict(vars(self)[field])
+            for var, table in (given or {}).items():
+                if var not in self._by_id:
+                    raise ValueError(f"{tag} for unknown variable {var!r}")
+                tables[var] = self._shaped(tag, var, table)
         return out
 
     # -- lookups -----------------------------------------------------------
@@ -476,16 +474,16 @@ def brute_force_meu(d: InfluenceDiagram,
         raise InstanceTooLargeError(
             f"instance too large: {total_strategies} pure strategies exceed the cap {cap}")
 
-    ids, base = _base_weights(d)
-    if not decisions:
-        return float(np.sum(base)), Strategy(())
-
     cards = [d.cardinality(dec) for dec in decisions]
     gammas = [parent_assignment_count(d, dec) for dec in decisions]
     sites = [g * c for g, c in zip(gammas, cards)]
     site_total = math.prod(sites)
     if site_total > ENUMERATION_CAP:
         raise InstanceTooLargeError(f"instance too large: {site_total} policy cells")
+
+    ids, base = _base_weights(d)
+    if not decisions:
+        return float(np.sum(base)), Strategy(())
 
     # per-assignment signature: which (parent assignment, action) cell each
     # decision takes, mixed radix over decisions

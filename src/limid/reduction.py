@@ -185,7 +185,7 @@ def normalize_utilities(d: InfluenceDiagram
     unaffected.  ``unit`` is 1.0 unless the rewards span more than the
     largest float, and then offset and scale count in units of 2.0.  A
     reward spanning [0, 1] maps to itself.  The diagram is ``d`` with its
-    reward swapped (:meth:`~limid.model.InfluenceDiagram.with_reward`).
+    reward swapped (:meth:`~limid.model.InfluenceDiagram.with_tables`).
     The bounds are :func:`utility_bounds`', so a constant reward maps to
     zeros with ``scale`` the width that function gives it: 1.0 for 3.0, but
     2.0 at 2**53, where it widens by one ulp.
@@ -196,7 +196,7 @@ def normalize_utilities(d: InfluenceDiagram
     lo, hi = utility_bounds(d)
     unit, scale = _span(lo, hi)
     offset = lo / unit
-    normalized = d.with_reward(v, (d.reward(v) / unit - offset) / scale)
+    normalized = d.with_tables(rewards={v: (d.reward(v) / unit - offset) / scale})
     return normalized, offset, scale, unit
 
 

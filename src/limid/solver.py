@@ -80,8 +80,9 @@ class SolverConfig:
     ``float`` (a bool or a string is refused); ``epsilon == 0`` means exact
     mode (no pruning), and so does an ``epsilon`` too small to move
     ``alpha`` off 1.  ``max_set_size`` (an integer of at least 1) caps each
-    decision's pure-policy count and each node's product, of its own tables
-    and then with its children's messages, even where it is walked in blocks.
+    node's product, of its own tables and then with its children's messages,
+    each predicted from pure-policy counts and checked before the node's
+    sets are built, even where the product is walked in blocks.
     """
 
     epsilon: float = 0.0
@@ -154,23 +155,17 @@ def _in_scope_order(table: np.ndarray, at: int, scope: tuple[str, ...],
     return np.ascontiguousarray(table.transpose(axes))
 
 
-def _table_set(d: InfluenceDiagram, var: str) -> PotentialSet:
-    """The one-member set of ``var``'s table, entries checked by :func:`solve`;
-    it views the diagram's read-only array where that needs no reordering."""
+def _own_set(d: InfluenceDiagram, var: str) -> PotentialSet:
+    """The set ``var`` brings to its home: every pure policy of a decision,
+    else the one member of its table, entries checked by :func:`solve`,
+    which views the diagram's read-only array where that needs no reordering."""
     scope = d.family(var)
+    if d.kind(var) == DECISION:
+        tables = _in_scope_order(pure_policy_tables(d, var), 1, scope, var)
+        indices = np.arange(len(tables), dtype=np.int64).reshape(-1, 1)
+        return _derived(scope, tables.shape[1:], tables, (var,), indices)
     table = d.reward(var) if var in d.rewards else _in_scope_order(d.cpt(var), 0, scope, var)
     return _derived(scope, table.shape, table[np.newaxis])
-
-
-def _policy_potential_set(d: InfluenceDiagram, dec: str, cap: int) -> PotentialSet:
-    count = pure_policy_count(d, dec)
-    if count > cap:
-        raise InstanceTooLargeError(
-            f"decision {dec!r} has {count} pure policies, over the set-size cap {cap}")
-    scope = d.family(dec)
-    tables = _in_scope_order(pure_policy_tables(d, dec), 1, scope, dec)
-    indices = np.arange(count, dtype=np.int64).reshape(-1, 1)
-    return _derived(scope, tables.shape[1:], tables, (dec,), indices)
 
 
 def _check_cap(size: int, cap: int, node: int, stage: str) -> None:
@@ -274,13 +269,15 @@ def solve(d: InfluenceDiagram, t: TreeDecomposition, cfg: SolverConfig) -> Solve
     # a direct call may bring tables no validation has seen: check them all at once
     check_entries(np.concatenate([d.cpt(v).ravel() for v in d.chance_ids]
                                  + [d.reward(v).ravel() for v in d.value_ids]))
-    # every table sits at its home, which validation guarantees exists
+    # every table sits at its home, which validation guarantees exists; a
+    # node's sets are built when the walk reaches it, each size checked first
     home = homes(d, t)
-    hold: list[list[PotentialSet]] = [[] for _ in range(m)]
+    own: list[list[str]] = [[] for _ in range(m)]
     for var in d.chance_ids + d.decision_ids + d.value_ids:
-        hold[home[var]].append(_policy_potential_set(d, var, cap) if d.kind(var) == DECISION
-                               else _table_set(d, var))
-    own_size = [math.prod(map(len, own)) for own in hold]
+        own[home[var]].append(var)
+    own_size = [1] * m
+    for dec in d.decision_ids:
+        own_size[home[dec]] *= pure_policy_count(d, dec)
     for i, size in enumerate(own_size):
         _check_cap(size, cap, i, "initialization")
 
@@ -288,13 +285,13 @@ def solve(d: InfluenceDiagram, t: TreeDecomposition, cfg: SolverConfig) -> Solve
     node_stats: list[NodeStats] = []
     messages: dict[int, PotentialSet] = {}
     for i in reversed(walk):
-        own, hold[i] = hold[i], []
-        parts = own + [messages.pop(c) for c in children[i]]
-        size = math.prod(map(len, parts))
+        received = [messages.pop(c) for c in children[i]]
+        size = own_size[i] * math.prod(map(len, received))
         _check_cap(size, cap, i, "combination")
+        parts = [_own_set(d, var) for var in own[i]] + received
         parent = parents[i]
         gone = cluster_sets[i] - cluster_sets[parent] if parent is not None else cluster_sets[i]
-        if not parts or (not own and len(parts) == 1 and not gone):
+        if not parts or (not own[i] and len(parts) == 1 and not gone):
             # an empty node sends the unit, and a pass-through node its one
             # child's message, which is already covered at alpha: covering
             # either would keep every member

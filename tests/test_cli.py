@@ -21,7 +21,7 @@ from limid.cli import (
     parse,
     serialize,
 )
-from limid.treedecomp import TreeDecomposition
+from limid.treedecomp import TreeDecomposition, build_decomposition
 
 from conftest import pick_diagram, policy_cells_diagram, two_agent_diagram
 
@@ -101,6 +101,23 @@ def test_decomposition_block_round_trip():
     parsed, decomposition = parse(serialize(d, t))
     assert decomposition == t
     assert validate_diagram(parsed) == []
+
+
+def test_parse_builds_one_diagram_a_document(monkeypatch):
+    built = []
+    construct = InfluenceDiagram.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        construct(self, *args, **kwargs)
+
+    monkeypatch.setattr(InfluenceDiagram, "__init__", counted)
+    d = generate_diagram(4, 2, 3, 2, 2, 5)
+    for text in (serialize(pick_diagram()), serialize(d, build_decomposition(d))):
+        built.clear()
+        parsed, _ = parse(text)
+        assert len(built) == 1
+    assert serialize(parsed) == serialize(d)
 
 
 def test_numpy_integers_serialize_and_parse_back():
@@ -348,6 +365,23 @@ def test_solver_cap_env_override_exits_2(capsys, tmp_path, monkeypatch):
     code, _, err = run(capsys, "solve", "--exact", path)
     assert code == 2
     assert "cap" in err
+
+
+@pytest.mark.parametrize("raised, line", [
+    (MemoryError("Unable to allocate 1.52 GiB for an array with shape (236196, 2, 2, 3) "
+                 "and data type float64"),
+     "limid: Unable to allocate 1.52 GiB for an array with shape (236196, 2, 2, 3) "
+     "and data type float64\n"),
+    (MemoryError(), "limid: out of memory\n"),
+], ids=["numpy", "bare"])
+def test_running_out_of_memory_exits_2_with_one_line(capsys, tmp_path, monkeypatch,
+                                                     raised, line):
+    def exhaust(*args, **kwargs):
+        raise raised
+
+    monkeypatch.setattr("limid.cli.solve_full", exhaust)
+    path = write(tmp_path, "d.json", serialize(pick_diagram()))
+    assert run(capsys, "solve", "--epsilon", "0.5", path) == (2, "", line)
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-5", "1.5"])

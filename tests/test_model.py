@@ -270,6 +270,26 @@ def test_tables_are_copied_from_callers_and_passed_through_by_derived_diagrams()
     assert reduced.cpt("c") is d.cpt("c")
 
 
+def test_with_tables_copies_what_it_is_given_and_shares_the_rest():
+    d = two_agent_diagram()
+    cpt, reward = np.array([0.3, 0.6, 0.7, 0.4]), np.array([0.5, 0.25])
+    got = d.with_tables(cpts={"c1": cpt}, rewards={"v2": reward})
+    cpt[0] = reward[0] = 9.0
+    assert got.cpt("c1").tolist() == [[0.3, 0.6], [0.7, 0.4]]
+    assert got.reward("v2").tolist() == [0.5, 0.25]
+    assert not got.cpt("c1").flags.writeable and not got.reward("v2").flags.writeable
+    assert got.cpt("c2") is d.cpt("c2") and got.reward("v1") is d.reward("v1")
+    assert got.variables is d.variables and got.arcs is d.arcs
+    assert d.reward("v2").tolist() == [0.3, 0.8]  # the source keeps its own tables
+    with pytest.raises(ValueError, match="^cpt for unknown variable 'z'$"):
+        d.with_tables(cpts={"z": [1.0]})
+    with pytest.raises(ValueError, match="^reward table for unknown variable 'z'$"):
+        d.with_tables(rewards={"z": 1.0})
+    with pytest.raises(ValueError, match=re.escape(
+            "reward table for 'v2' has size 3, expected shape (2,)")):
+        d.with_tables(rewards={"v2": [0.0, 0.5, 1.0]})
+
+
 def test_validate_reports_value_child():
     d = InfluenceDiagram(
         [Variable("c1", "chance", 2), Variable("c2", "chance", 2), Variable("v1", "value")],
@@ -297,6 +317,7 @@ def test_validate_reports_missing_tables_and_cycles():
 ], ids=["decision-cpt", "chance-reward", "nan-reward"])
 def test_validate_names_a_misplaced_table_or_a_non_finite_reward(cpts, rewards, violation):
     d = pick_diagram()
+    assert validate_diagram(d.with_tables(cpts, rewards)) == [violation]
     d = InfluenceDiagram(d.variables, d.arcs, {**d.cpts, **cpts}, {**d.rewards, **rewards})
     assert validate_diagram(d) == [violation]
 
@@ -530,6 +551,23 @@ def test_the_oracles_refuse_before_they_enumerate():
     with pytest.raises(InstanceTooLargeError,
                        match="^instance too large: 64000000 policy cells$"):
         brute_force_meu(policy_cells_diagram())
+
+
+def test_the_policy_cell_cap_fires_before_the_joint_arrays_exist():
+    # 1,638,400 joint assignments, within the enumeration cap, and 400 ** 3 policy cells
+    cells = policy_cells_diagram()
+    extra = [Variable(f"e{i:02d}", "chance", 2) for i in range(12)]
+    d = InfluenceDiagram(cells.variables + tuple(extra), cells.arcs,
+                         {**cells.cpts, **{e.id: [0.5, 0.5] for e in extra}}, cells.rewards)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InstanceTooLargeError,
+                           match="^instance too large: 64000000 policy cells$"):
+            brute_force_meu(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_the_oracles_hold_a_fixed_number_of_joint_arrays():

@@ -378,10 +378,9 @@ def test_normalize_swaps_the_reward_table_and_shares_the_rest():
             assert normalized.family(x) == fresh.family(x)
         # the swapped table is checked as the constructor checks it
         with pytest.raises(ValueError, match=f"reward table for {v!r} has size 3"):
-            reduced.with_reward(v, [0.0, 0.5, 1.0])
-        for other in (reduced.chance_ids[0], "nowhere"):
-            with pytest.raises(ValueError, match="not a value variable"):
-                reduced.with_reward(other, table)
+            reduced.with_tables(rewards={v: [0.0, 0.5, 1.0]})
+        with pytest.raises(ValueError, match="reward table for unknown variable 'nowhere'"):
+            reduced.with_tables(rewards={"nowhere": table})
 
 
 def test_the_widened_tree_is_canonical_and_shares_its_parent_tree():
