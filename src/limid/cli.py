@@ -59,57 +59,58 @@ EXIT_USAGE = 64
 MAX_SET_SIZE_ENV = "LIMID_MAX_SET_SIZE"
 
 
-class DocumentError(ValueError):
-    """The input document is malformed or fails validation."""
-
-
 def _expect(value: Any, kind: type, what: str) -> Any:
-    """``value`` if it is a ``kind``: ``list`` for a JSON array, ``dict`` for an object."""
+    """``value`` if it is a ``kind``: ``list`` for a JSON array, ``dict`` for
+    an object, ``str`` for a string."""
     if not isinstance(value, kind):
-        raise DocumentError(f"{what} must be a JSON {'array' if kind is list else 'object'}")
+        word = {list: "array", dict: "object", str: "string"}[kind]
+        raise ValueError(f"{what} must be a JSON {word}")
     return value
 
 
 def _integer(value: Any, what: str) -> int:
     """``value`` as an int: ``2.0`` reads as 2; ``2.7``, ``true`` and ``"2"`` are rejected."""
     if not (type(value) is int or type(value) is float and value.is_integer()):
-        raise DocumentError(f"{what} must be an integer, got {value!r}")
+        raise ValueError(f"{what} must be an integer, got {value!r}")
     return int(value)
 
 
 # -- table layout -------------------------------------------------------------
 
-def _parse_table(skeleton: InfluenceDiagram, owner: str, spec: Any,
-                 lead_card: int | None) -> np.ndarray:
+def _parse_table(skeleton: InfluenceDiagram, tag: str, owner: str, spec: Any) -> np.ndarray:
+    """``owner``'s table of ``spec``, ``tag`` being ``"cpt"`` or ``"reward
+    table"``, as an array over the model's :meth:`~InfluenceDiagram.table_shape`."""
+    # the model refuses an unknown id and gives the shape over the sorted parents
+    shape = skeleton.table_shape(tag, owner)
     if not isinstance(spec, dict) or "parents" not in spec or "table" not in spec:
-        raise DocumentError(f"table for {owner!r} needs 'parents' and 'table' keys")
-    listed = [str(p) for p in _expect(spec["parents"], list, f"'parents' of {owner!r}")]
+        raise ValueError(f"table for {owner!r} needs 'parents' and 'table' keys")
+    where = f"'parents' of {owner!r}"
+    listed = [_expect(p, str, "each id in " + where)
+              for p in _expect(spec["parents"], list, where)]
     parents = list(skeleton.parents(owner))
     if sorted(listed) != parents:
-        raise DocumentError(f"table for {owner!r} declares parents {sorted(listed)}, "
-                            f"arcs give {parents}")
-    lead = () if lead_card is None else (lead_card,)
-    shape = lead + tuple(skeleton.cardinality(p) for p in listed)
-    table = spec["table"]
-    kind = "reward" if lead_card is None else "cpt"
+        raise ValueError(f"table for {owner!r} declares parents {sorted(listed)}, "
+                         f"arcs give {parents}")
+    table, kind = spec["table"], tag.split()[0]
     # numpy would also read nested arrays, booleans and numeric strings
     if not isinstance(table, list) or any(type(x) not in (int, float) for x in table):
-        raise DocumentError(f"{kind} table of {owner!r} must be a flat array of numbers")
+        raise ValueError(f"{kind} table of {owner!r} must be a flat array of numbers")
     try:
         flat = np.asarray(table, dtype=float)
     except OverflowError:
-        raise DocumentError(f"{kind} table of {owner!r} holds a number too large") from None
+        raise ValueError(f"{kind} table of {owner!r} holds a number too large") from None
     expected = math.prod(shape)
     if flat.size != expected:
-        raise DocumentError(f"table for {owner!r} has {flat.size} entries, "
-                            f"expected {expected}")
-    arr = flat.reshape(shape, order="F")
-    # reorder listed parents into canonical sorted order
-    perm = sorted(range(len(listed)), key=lambda i: listed[i])
-    offset = len(lead)
-    axes = tuple(range(offset)) + tuple(offset + i for i in perm)
+        raise ValueError(f"table for {owner!r} has {flat.size} entries, "
+                         f"expected {expected}")
     # a view: the diagram makes the one copy of every table it is given
-    return arr.transpose(axes)
+    if listed == parents:
+        return flat.reshape(shape, order="F")
+    # the listed parents' axes, moved into the model's sorted order
+    lead = len(shape) - len(listed)
+    axes = [*range(lead), *(lead + listed.index(p) for p in parents)]
+    layout = [shape[axes.index(axis)] for axis in range(len(shape))]
+    return flat.reshape(layout, order="F").transpose(axes)
 
 
 def _emit_table(parents: tuple[str, ...], arr: np.ndarray) -> dict[str, Any]:
@@ -120,69 +121,53 @@ def _emit_table(parents: tuple[str, ...], arr: np.ndarray) -> dict[str, Any]:
 
 def document_to_diagram(doc: Any) -> tuple[InfluenceDiagram, TreeDecomposition | None]:
     if not isinstance(doc, dict):
-        raise DocumentError("document must be a JSON object")
+        raise ValueError("document must be a JSON object")
     variables: list[Variable] = []
     for entry in _expect(doc.get("variables", []), list, "'variables'"):
         if not isinstance(entry, dict) or "id" not in entry or "kind" not in entry:
-            raise DocumentError("every variable needs 'id' and 'kind'")
-        vid = str(entry["id"])
+            raise ValueError("every variable needs 'id' and 'kind'")
+        vid = _expect(entry["id"], str, "each variable's 'id'")
         card = entry.get("cardinality")
         if card is not None:
             card = _integer(card, f"'cardinality' of {vid!r}")
         states = entry.get("states")
         if states is not None:
             if not isinstance(states, list) or any(type(x) is not str for x in states):
-                raise DocumentError(f"'states' of {vid!r} must be a JSON array of strings")
-        try:
-            variables.append(Variable(vid, str(entry["kind"]), card, states))
-        except ValueError as exc:
-            raise DocumentError(str(exc)) from None
+                raise ValueError(f"'states' of {vid!r} must be a JSON array of strings")
+        variables.append(Variable(vid, str(entry["kind"]), card, states))
 
     arcs = []
     for arc in _expect(doc.get("arcs", []), list, "'arcs'"):
         if not isinstance(arc, (list, tuple)) or len(arc) != 2:
-            raise DocumentError(f"arcs must be [from, to] pairs, got {arc!r}")
-        arcs.append((str(arc[0]), str(arc[1])))
+            raise ValueError(f"arcs must be [from, to] pairs, got {arc!r}")
+        arcs.append((_expect(arc[0], str, "each id in 'arcs'"),
+                     _expect(arc[1], str, "each id in 'arcs'")))
     # the diagram's own rules refuse duplicate ids, unknown arc ends and
-    # self-arcs, and fix each table's parents before any table is read
-    try:
-        skeleton = InfluenceDiagram(variables, arcs)
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from None
-
-    cpts: dict[str, np.ndarray] = {}
-    for var, spec in _expect(doc.get("cpts", {}), dict, "'cpts'").items():
-        var = str(var)
-        if not skeleton.has_variable(var):
-            raise DocumentError(f"cpt for unknown variable {var!r}")
-        if skeleton.kind(var) == VALUE:
-            raise DocumentError(f"cpt given for value variable {var!r}")
-        cpts[var] = _parse_table(skeleton, var, spec, skeleton.cardinality(var))
-    rewards: dict[str, np.ndarray] = {}
-    for var, spec in _expect(doc.get("rewards", {}), dict, "'rewards'").items():
-        var = str(var)
-        if not skeleton.has_variable(var):
-            raise DocumentError(f"reward table for unknown variable {var!r}")
-        rewards[var] = _parse_table(skeleton, var, spec, None)
+    # self-arcs, and fix each table's id, parents and shape before it is read
+    skeleton = InfluenceDiagram(variables, arcs)
+    tables = {field: {var: _parse_table(skeleton, tag, var, spec)
+                      for var, spec in _expect(doc.get(field, {}), dict, f"'{field}'").items()}
+              for field, tag in (("cpts", "cpt"), ("rewards", "reward table"))}
 
     decomposition = None
     if "decomposition" in doc:
         spec = doc["decomposition"]
         if not isinstance(spec, dict) or "clusters" not in spec:
-            raise DocumentError("decomposition needs a 'clusters' key")
-        clusters = [[str(v) for v in _expect(c, list, "each of 'clusters'")]
+            raise ValueError("decomposition needs a 'clusters' key")
+        clusters = [[_expect(v, str, "each id in 'clusters'")
+                     for v in _expect(c, list, "each of 'clusters'")]
                     for c in _expect(spec["clusters"], list, "'clusters'")]
         edges = []
         for edge in _expect(spec.get("edges", []), list, "'edges'"):
             if not isinstance(edge, list) or len(edge) != 2:
-                raise DocumentError(f"'edges' must hold [i, j] pairs, got {edge!r}")
+                raise ValueError(f"'edges' must hold [i, j] pairs, got {edge!r}")
             edges.append([_integer(i, "a node id in 'edges'") for i in edge])
         root = None if spec.get("root") is None else _integer(spec["root"], "'root'")
         try:
             decomposition = TreeDecomposition(clusters, edges, root=root)
         except ValueError as exc:
-            raise DocumentError(f"bad decomposition: {exc}") from None
-    return skeleton.with_tables(cpts, rewards), decomposition
+            raise ValueError(f"bad decomposition: {exc}") from None
+    return skeleton.with_tables(**tables), decomposition
 
 
 def diagram_to_document(d: InfluenceDiagram,
@@ -217,7 +202,7 @@ def parse(text: str) -> tuple[InfluenceDiagram, TreeDecomposition | None]:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         # a document nested past the interpreter's recursion limit is malformed too
-        raise DocumentError(f"malformed JSON: {exc}") from None
+        raise ValueError(f"malformed JSON: {exc}") from None
     return document_to_diagram(doc)
 
 
@@ -337,7 +322,7 @@ def _result_document(result: SolverResult, with_stats: bool) -> dict[str, Any]:
 def _require_valid(d: InfluenceDiagram) -> None:
     problems = validate_diagram(d)
     if problems:
-        raise DocumentError("invalid diagram: " + "; ".join(problems))
+        raise ValueError("invalid diagram: " + "; ".join(problems))
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -433,7 +418,7 @@ def main(argv: list[str] | None = None) -> int:
         # numpy's allocation failure names its size in one line; Python's own has no text
         print(f"limid: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (DocumentError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"limid: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -162,13 +162,20 @@ class InfluenceDiagram:
                           decision_ids=tuple(ids[DECISION]), value_ids=tuple(ids[VALUE]))
         return self
 
+    def table_shape(self, tag: str, var: str) -> tuple[int, ...]:
+        """The shape of ``var``'s table, ``tag`` being ``"cpt"`` or ``"reward
+        table"``: its parents' cardinalities, led by ``var``'s own for a cpt
+        of a chance or decision variable.  An unknown ``var`` is refused."""
+        v = self._by_id.get(var)
+        if v is None:
+            raise ValueError(f"{tag} for unknown variable {var!r}")
+        lead = (v.cardinality,) if tag == "cpt" and v.cardinality is not None else ()
+        return lead + tuple(self._by_id[p].cardinality for p in self._table_parents[var])
+
     def _shaped(self, tag: str, var: str, table: object) -> np.ndarray:
-        """``table`` as ``var``'s read-only table, copied by :func:`_freeze`:
-        of its parents' cardinalities, led by ``var``'s own for a cpt of a
-        chance or decision variable."""
-        card = self._by_id[var].cardinality
-        lead = (card,) if tag == "cpt" and card is not None else ()
-        cards = lead + tuple(self._by_id[p].cardinality for p in self._table_parents[var])
+        """``table`` as ``var``'s read-only table of :meth:`table_shape`,
+        copied by :func:`_freeze`."""
+        cards = self.table_shape(tag, var)
         arr = np.asarray(table, dtype=float)
         try:
             arr = arr.reshape(cards)
@@ -188,8 +195,6 @@ class InfluenceDiagram:
         for field, tag, given in (("cpts", "cpt", cpts), ("rewards", "reward table", rewards)):
             tables = vars(out)[field] = dict(vars(self)[field])
             for var, table in (given or {}).items():
-                if var not in self._by_id:
-                    raise ValueError(f"{tag} for unknown variable {var!r}")
                 tables[var] = self._shaped(tag, var, table)
         return out
 

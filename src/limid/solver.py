@@ -182,21 +182,17 @@ def sum_out_set(k: PotentialSet, zs: set[str]) -> PotentialSet:
 
 
 def _blocks(sizes: Sequence[int], step: int) -> Iterator[list[tuple[int, int]]]:
-    """Contiguous runs of the lexicographic product of sets of ``sizes``
-    members (each at least one), in order, of at most ``step`` members each;
-    a block is given as one member range per set.
+    """Contiguous runs of the lexicographic product of one or more sets of
+    ``sizes`` members (each at least one), in order, of at most ``step``
+    members each; a block is given as one member range per set.
 
     The split set is the earliest one whose later sets together fit in one
     block.  A block takes one member of every earlier set, a run of members
     of the split set and the whole of every later set.  The split set is cut
     into as few equal runs as fit, but a shorter last one, so no block is
     larger than the one before it under the same prefix and each fits in
-    the memory its predecessor freed.  The empty product is one block of no
-    ranges.
+    the memory its predecessor freed.
     """
-    if not sizes:
-        yield []
-        return
     split = next(k for k in range(len(sizes)) if math.prod(sizes[k + 1:]) <= step)
     count = sizes[split]
     runs = -(-count // (step // math.prod(sizes[split + 1:])))

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import re
 
@@ -14,7 +15,6 @@ from limid import (
     validate_diagram,
 )
 from limid.cli import (
-    DocumentError,
     document_to_diagram,
     generate_diagram,
     main,
@@ -70,6 +70,27 @@ def test_parent_order_is_respected():
     assert np.array_equal(parsed.cpt("c2"), two_agent_diagram().cpt("c2"))
 
 
+def test_every_parent_order_reads_the_same_tables(rng):
+    # three parents of unlike cardinalities, so no two axes can stand in for each other
+    cards = {"a": 2, "b": 3, "c": 4}
+    d = InfluenceDiagram(
+        [Variable(p, "chance", n) for p, n in cards.items()]
+        + [Variable("x", "chance", 2), Variable("v", "value")],
+        [(p, child) for p in cards for child in ("x", "v")],
+        cpts={**{p: np.full(n, 1 / n) for p, n in cards.items()},
+              "x": rng.dirichlet([1.0, 1.0], size=24).T.reshape(2, 2, 3, 4)},
+        rewards={"v": rng.uniform(size=(2, 3, 4))})
+    canonical = serialize(d)
+    for listed in itertools.permutations(cards):
+        doc = json.loads(canonical)
+        for field, var, lead in (("cpts", "x", [0]), ("rewards", "v", [])):
+            table = (d.cpt(var) if lead else d.reward(var))
+            axes = lead + [len(lead) + sorted(cards).index(p) for p in listed]
+            doc[field][var] = {"parents": list(listed),
+                               "table": table.transpose(axes).ravel(order="F").tolist()}
+        assert serialize(document_to_diagram(doc)[0]) == canonical
+
+
 def test_empty_variables_list_is_valid():
     parsed, _ = parse('{"variables": [], "arcs": [], "cpts": {}, "rewards": {}}')
     assert validate_diagram(parsed) == []
@@ -78,10 +99,10 @@ def test_empty_variables_list_is_valid():
 def test_parse_errors_name_the_variable():
     doc = json.loads(serialize(pick_diagram()))
     doc["cpts"]["c"]["table"] = [0.8, 0.2, 0.3]
-    with pytest.raises(DocumentError) as err:
+    with pytest.raises(ValueError) as err:
         document_to_diagram(doc)
     assert "'c'" in str(err.value)
-    with pytest.raises(DocumentError):
+    with pytest.raises(ValueError):
         parse("{not json")
 
 
@@ -89,7 +110,7 @@ def test_parse_rejects_parent_mismatch():
     doc = json.loads(serialize(pick_diagram()))
     doc["cpts"]["c"]["parents"] = []
     doc["cpts"]["c"]["table"] = [0.8, 0.2]
-    with pytest.raises(DocumentError) as err:
+    with pytest.raises(ValueError) as err:
         document_to_diagram(doc)
     assert "arcs" in str(err.value)
 
@@ -589,8 +610,6 @@ def value_parent_document() -> dict:
     (value_parent_document(), "table for 'v' declares parents ['w'], arcs give ['c']"),
     ({**one_reward_document(), "cpts": {"z": {"parents": [], "table": [1.0]}}},
      "cpt for unknown variable 'z'"),
-    ({**one_reward_document(), "cpts": {"v": {"parents": [], "table": [1.0]}}},
-     "cpt given for value variable 'v'"),
     ({**one_reward_document(), "rewards": {"z": {"parents": [], "table": [1.0]}}},
      "reward table for unknown variable 'z'"),
     ({**decomposed_document(), "decomposition": {"edges": []}},
@@ -604,11 +623,51 @@ def value_parent_document() -> dict:
      "arc ('c', 'z') references an unknown variable"),
 ], ids=["not-an-object", "no-kind", "duplicate-id", "short-arc", "unknown-arc-end",
         "no-table-key", "twice-listed-parent", "unknown-parent", "value-parent",
-        "unknown-cpt", "value-cpt", "unknown-reward", "no-clusters", "short-edge",
+        "unknown-cpt", "unknown-reward", "no-clusters", "short-edge",
         "edge-out-of-range", "root-out-of-range", "unknown-arc-end-before-table"])
 def test_each_document_fault_is_refused_with_its_message(doc, message):
-    with pytest.raises(DocumentError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         document_to_diagram(doc)
+
+
+def test_a_cpt_on_a_value_variable_is_a_violation(capsys, tmp_path):
+    # read over the value variable's parents, and reported as a decision's cpt is
+    doc = one_reward_document()
+    doc["cpts"]["v"] = {"parents": ["c"], "table": [0.5, 0.5]}
+    path = write(tmp_path, "value-cpt.json", json.dumps(doc))
+    violations = ["'v' is not a chance variable but has a cpt"]
+    code, out, err = run(capsys, "validate", path)
+    assert (code, json.loads(out), err) == (1, {"violations": violations}, "")
+    assert run(capsys, "solve", "--exact", path) == (1, "", f"limid: invalid diagram: "
+                                                            f"{violations[0]}\n")
+
+
+def bad_id_documents() -> list:
+    """Documents that hold one id that is not a string, each with its field."""
+    cases = []
+    for bad in (None, ["c"], 1.5):
+        doc = one_reward_document()
+        doc["variables"].append({"id": bad, "kind": "decision", "cardinality": 2})
+        cases.append((doc, "each variable's 'id'"))
+    doc = decomposed_document()
+    doc["arcs"][0][1] = None
+    cases.append((doc, "each id in 'arcs'"))
+    doc = decomposed_document()
+    doc["cpts"]["c"]["parents"][0] = ["d"]
+    cases.append((doc, "each id in 'parents' of 'c'"))
+    doc = decomposed_document()
+    doc["decomposition"]["clusters"][1] = [1]
+    cases.append((doc, "each id in 'clusters'"))
+    return cases
+
+
+@pytest.mark.parametrize("doc, where", bad_id_documents(),
+                         ids=["null-id", "list-id", "number-id", "arc-end", "parent", "cluster"])
+def test_ids_must_be_json_strings(capsys, tmp_path, doc, where):
+    # a null id is no variable 'None': the document is refused, not solved
+    path = write(tmp_path, "bad-id.json", json.dumps(doc))
+    assert run(capsys, "solve", "--exact", path) == (1, "", f"limid: {where} must be a "
+                                                            f"JSON string\n")
 
 
 @pytest.mark.parametrize("listed", [[], ["a"]], ids=["table-without-a", "table-with-a"])

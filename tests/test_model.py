@@ -290,6 +290,20 @@ def test_with_tables_copies_what_it_is_given_and_shares_the_rest():
         d.with_tables(rewards={"v2": [0.0, 0.5, 1.0]})
 
 
+def test_table_shape_leads_a_cpt_with_its_own_cardinality():
+    d = InfluenceDiagram([Variable("a", "chance", 3), Variable("b", "chance", 4),
+                          Variable("d", "decision", 2), Variable("v", "value")],
+                         [("a", "d"), ("a", "b"), ("d", "b"), ("a", "v"), ("b", "v")])
+    assert d.table_shape("cpt", "b") == (4, 3, 2)  # parents in id order
+    assert d.table_shape("cpt", "d") == (2, 3)
+    assert d.table_shape("reward table", "v") == (3, 4)
+    # a value variable has no cardinality to lead with; validation reports its cpt
+    assert d.table_shape("cpt", "v") == (3, 4)
+    for tag in ("cpt", "reward table"):
+        with pytest.raises(ValueError, match=f"^{tag} for unknown variable 'z'$"):
+            d.table_shape(tag, "z")
+
+
 def test_validate_reports_value_child():
     d = InfluenceDiagram(
         [Variable("c1", "chance", 2), Variable("c2", "chance", 2), Variable("v1", "value")],

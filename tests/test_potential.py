@@ -320,11 +320,6 @@ def test_blocks_tile_the_product(sizes, step):
     check_tiling(sizes, step)
 
 
-def test_the_empty_product_is_one_empty_block():
-    for step in (1, 10):
-        assert list(_blocks([], step)) == [[]]
-
-
 @pytest.mark.parametrize("alpha", [None, 2.0])
 def test_a_node_without_parts_gives_the_scalar_unit(alpha):
     message, stats = node_message([], set(), alpha)

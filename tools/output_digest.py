@@ -16,7 +16,11 @@ seed, decision_max_parents=2)`` for seeds 0-39, and its corpus recipe (as
   ``solve --epsilon 0.5 --stats``, ``reduce`` and ``validate`` on every
   document, and of ``oracle`` on the corpus documents, plus
   ``serialize(parse(doc))``.  The ``oracle`` command is left out on the hard
-  pool, which the ``oracle`` digest covers.
+  pool, which the ``oracle`` digest covers.  Each corpus diagram is also
+  written with its min-fill tree as a ``decomposition`` block,
+  ``serialize(d, build_decomposition(d))``, and run through ``solve
+  --epsilon 0.5 --stats`` and ``reduce``: that covers reading a supplied
+  tree, its checks, and its restriction to the minimal diagram.
 - ``validate``: ``validate_diagram``'s report on every diagram and on four
   seeded faulty variants of each: a NaN entry, a negative entry, an entry
   above 1, and every column of a table set within a few ulps of
@@ -39,9 +43,11 @@ from limid import (InfluenceDiagram, InstanceTooLargeError, SolverConfig, brute_
                    solve_full, validate_diagram)
 from limid.cli import generate_diagram, main, parse, serialize
 from limid.model import PROB_TOL
+from limid.treedecomp import build_decomposition
 
 COMMANDS = (["solve", "--exact", "--stats"], ["solve", "--epsilon", "0.5", "--stats"],
             ["reduce"], ["validate"], ["oracle"])
+DECOMPOSED_COMMANDS = (["solve", "--epsilon", "0.5", "--stats"], ["reduce"])
 
 
 def corpus_diagram(seed: int) -> InfluenceDiagram:
@@ -101,6 +107,10 @@ def cli_digest(diagrams) -> str:
             if argv == ["oracle"] and name.startswith("hard"):
                 continue
             h.update(repr((name, argv, run_cli(argv, text))).encode())
+        if name.startswith("corpus"):
+            decomposed = serialize(d, build_decomposition(d))
+            for argv in DECOMPOSED_COMMANDS:
+                h.update(repr((name, "decomposed", argv, run_cli(argv, decomposed))).encode())
     return h.hexdigest()
 
 
