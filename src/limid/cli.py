@@ -46,6 +46,7 @@ from .solver import (
     DEFAULT_MAX_SET_SIZE,
     SolverConfig,
     SolverResult,
+    _require_valid,
     shape_and_reduce,
     solve_full,
 )
@@ -317,12 +318,6 @@ def _result_document(result: SolverResult, with_stats: bool) -> dict[str, Any]:
     if with_stats:
         doc["stats"] = [dataclasses.asdict(s) for s in result.stats.nodes]
     return doc
-
-
-def _require_valid(d: InfluenceDiagram) -> None:
-    problems = validate_diagram(d)
-    if problems:
-        raise ValueError("invalid diagram: " + "; ".join(problems))
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:

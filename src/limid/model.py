@@ -26,6 +26,7 @@ and flat indices follow C order over those axes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -78,6 +79,8 @@ class Variable:
     state_labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.id, str):
+            raise ValueError(f"variable id must be a string, got {self.id!r}")
         if self.kind not in (CHANCE, DECISION, VALUE):
             raise ValueError(f"unknown variable kind {self.kind!r}")
         if self.kind == VALUE:
@@ -128,7 +131,12 @@ class InfluenceDiagram:
         by_id = {v.id: v for v in variables}
         if len(by_id) != len(variables):
             raise ValueError("duplicate variable ids")
-        arcs = tuple(sorted({(str(a), str(b)) for a, b in arcs}))
+        arcs = [(a, b) for a, b in arcs]
+        for a, b in arcs:
+            # an end that is no string names no variable, and may not even sort or hash
+            if not (isinstance(a, str) and isinstance(b, str)):
+                raise ValueError(f"arc ({a!r}, {b!r}) references an unknown variable")
+        arcs = tuple(sorted(set(arcs)))
         parents: dict[str, list[str]] = {v.id: [] for v in variables}
         for a, b in arcs:
             if a not in by_id or b not in by_id:
@@ -356,15 +364,12 @@ class Strategy:
         raise KeyError(decision)
 
 
-def parent_assignment_count(d: InfluenceDiagram, var: str) -> int:
-    return math.prod(d.cardinality(p) for p in d.parents(var))
-
-
 def pure_policy_count(d: InfluenceDiagram, decision: str) -> int:
     """Number of pure policies, card ** (number of parent assignments)."""
     if d.kind(decision) != DECISION:
         raise ValueError(f"{decision!r} is not a decision variable")
-    return d.cardinality(decision) ** parent_assignment_count(d, decision)
+    card, *cards = d.table_shape("cpt", decision)
+    return card ** math.prod(cards)
 
 
 def pure_policy(d: InfluenceDiagram, decision: str, index: int) -> Policy:
@@ -374,10 +379,8 @@ def pure_policy(d: InfluenceDiagram, decision: str, index: int) -> Policy:
     over parent assignments (first assignment most significant, assignments
     in C order over the sorted parents).
     """
-    card = d.cardinality(decision)
-    parents = d.parents(decision)
-    shape = (card,) + tuple(d.cardinality(p) for p in parents)
-    gamma = math.prod(shape[1:])
+    shape = d.table_shape("cpt", decision)
+    card, gamma = shape[0], math.prod(shape[1:])
     if not 0 <= index < card ** gamma:
         raise ValueError(f"policy index {index} out of range for {decision!r}")
     # index's base-card digits, the last parent assignment least significant
@@ -391,21 +394,20 @@ def pure_policy(d: InfluenceDiagram, decision: str, index: int) -> Policy:
         index, actions[j] = divmod(index, card)
     table = np.zeros(shape)
     table.reshape(card, gamma)[actions, np.arange(gamma)] = 1.0
-    return Policy(decision, parents, table)
+    return Policy(decision, d.parents(decision), table)
 
 
 def pure_policy_tables(d: InfluenceDiagram, decision: str) -> np.ndarray:
     """Stacked tables of every pure policy, shape (count, card, *parent cards)."""
-    card = d.cardinality(decision)
-    gamma = parent_assignment_count(d, decision)
+    shape = d.table_shape("cpt", decision)
+    card, gamma = shape[0], math.prod(shape[1:])
     n = card ** gamma
     rows = np.arange(n, dtype=np.int64)
     tables = np.zeros((n, card, gamma))
     for j in range(gamma):
         acts = (rows // card ** (gamma - 1 - j)) % card
         tables[rows, acts, j] = 1.0
-    shape = (n, card) + tuple(d.cardinality(p) for p in d.parents(decision))
-    return tables.reshape(shape)
+    return tables.reshape((n,) + shape)
 
 
 # -- exact evaluation ---------------------------------------------------------
@@ -426,7 +428,7 @@ def _check_strategy(d: InfluenceDiagram, s: Strategy) -> None:
         if p.parents != d.parents(p.decision):
             raise ValueError(f"policy for {p.decision!r} has parents {p.parents}, "
                              f"diagram has {d.parents(p.decision)}")
-        shape = (d.cardinality(p.decision),) + tuple(d.cardinality(q) for q in p.parents)
+        shape = d.table_shape("cpt", p.decision)
         if p.table.shape != shape:
             raise ValueError(f"policy table for {p.decision!r} has shape {p.table.shape}, "
                              f"expected {shape}")
@@ -479,9 +481,10 @@ def brute_force_meu(d: InfluenceDiagram,
         raise InstanceTooLargeError(
             f"instance too large: {total_strategies} pure strategies exceed the cap {cap}")
 
-    cards = [d.cardinality(dec) for dec in decisions]
-    gammas = [parent_assignment_count(d, dec) for dec in decisions]
-    sites = [g * c for g, c in zip(gammas, cards)]
+    shapes = [d.table_shape("cpt", dec) for dec in decisions]
+    cards = [shape[0] for shape in shapes]
+    sites = [math.prod(shape) for shape in shapes]
+    gammas = [site // card for site, card in zip(sites, cards)]
     site_total = math.prod(sites)
     if site_total > ENUMERATION_CAP:
         raise InstanceTooLargeError(f"instance too large: {site_total} policy cells")
@@ -493,10 +496,10 @@ def brute_force_meu(d: InfluenceDiagram,
     # per-assignment signature: which (parent assignment, action) cell each
     # decision takes, mixed radix over decisions
     sig = np.zeros(base.shape, dtype=np.int64)
-    for dec, card, site in zip(decisions, cards, sites):
+    for dec, shape, site in zip(decisions, shapes, sites):
         sig *= site
         # parent assignment pa (C order) and action a make cell pa * card + a
-        cells = np.arange(site).reshape(tuple(d.cardinality(p) for p in d.parents(dec)) + (card,))
+        cells = np.arange(site).reshape(shape[1:] + shape[:1])
         sig += _spread(cells, d.parents(dec) + (dec,), ids)
     weights = np.bincount(sig.ravel(), weights=base.ravel(), minlength=site_total)
 
@@ -505,11 +508,9 @@ def brute_force_meu(d: InfluenceDiagram,
     rest = site_total
     for dec, card, gamma, site, n in list(zip(decisions, cards, gammas, sites, counts))[:-1]:
         rest //= site
-        rows = np.arange(n, dtype=np.int64)
-        mat = np.zeros((n, site))
-        for j in range(gamma):
-            acts = (rows // card ** (gamma - 1 - j)) % card
-            mat[rows, j * card + acts] = 1.0
+        # each pure policy's row marks cell pa * card + a for the action a it takes at pa
+        mat = pure_policy_tables(d, dec).reshape(n, card, gamma).transpose(0, 2, 1)
+        mat = mat.reshape(n, site)
         acc = np.einsum("pcr,nc->pnr", acc.reshape(acc.shape[0], site, rest), mat)
         acc = acc.reshape(acc.shape[0] * n, rest)
 
@@ -522,15 +523,13 @@ def brute_force_meu(d: InfluenceDiagram,
     best = int(np.argmax(totals))
     value = float(totals[best])
 
-    digits = np.argmax(acc[best], axis=1)
-    last_index = 0
-    for a in digits:
-        last_index = last_index * card_k + int(a)
-    indices = []
-    rem = best
+    # the last policy's index is its best actions read as base-card_k digits, and
+    # best a mixed-radix number over the other counts; in Python ints, as
+    # numpy's index functions take at most 64 axes and int64 sizes
+    digits = np.argmax(acc[best], axis=1).tolist()
+    indices = [functools.reduce(lambda i, a: i * card_k + a, digits, 0)]
     for n in reversed(counts[:-1]):
-        indices.append(rem % n)
-        rem //= n
-    indices = list(reversed(indices)) + [last_index]
+        best, i = divmod(best, n)
+        indices.insert(0, i)
     strategy = Strategy(pure_policy(d, dec, i) for dec, i in zip(decisions, indices))
     return value, strategy

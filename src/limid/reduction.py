@@ -170,7 +170,7 @@ def reduce_to_single_value(d: InfluenceDiagram, t: TreeDecomposition,
     for i in range(2, q + 1):
         for node in tour[first[value_order[i - 2]]:first[value_order[i - 1]] + 1]:
             clusters[node].add(o_names[i - 2])
-    widened = t._sharing(("_adjacency", "_orientation"),
+    widened = t._sharing(("adjacency", "orientation"),
                          clusters=tuple(tuple(sorted(c)) for c in clusters))
 
     return ReductionResult(reduced, widened, (lo, hi), tuple(o_names), value_order)
@@ -294,7 +294,7 @@ def minimal_diagram(d: InfluenceDiagram
             elif len(parents[dec]) == len(full):
                 policies.append(s.policy_for(dec))
             else:
-                cards = (d.cardinality(dec),) + tuple(map(d.cardinality, full))
+                cards = d.table_shape("cpt", dec)
                 kept = (cards[0],) + tuple(c if q in parents[dec] else 1
                                            for q, c in zip(full, cards[1:]))
                 table = np.broadcast_to(s.policy_for(dec).table.reshape(kept), cards)

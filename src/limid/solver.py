@@ -135,6 +135,13 @@ class SolverResult:
     stats: SolveStats
 
 
+def _require_valid(d: InfluenceDiagram) -> None:
+    # looks validate_diagram up in this module, so tracers can rebind it
+    problems = validate_diagram(d)
+    if problems:
+        raise ValueError("invalid diagram: " + "; ".join(problems))
+
+
 def _check_decomposition(d: InfluenceDiagram, t: TreeDecomposition) -> None:
     # looks validate_decomposition up in this module, so tracers can rebind it
     problems = validate_decomposition(d, t)
@@ -254,7 +261,7 @@ def solve(d: InfluenceDiagram, t: TreeDecomposition, cfg: SolverConfig) -> Solve
     _check_decomposition(d, t)
     # the orientation walk reversed lists each subtree before its root; it
     # needs a root, so an unrooted t fails here, before any set is built
-    parents, children, walk = t._orientation
+    parents, children, walk = t.orientation
 
     m = t.n
     alpha = 1.0 + cfg.epsilon / (2 * m)
@@ -339,7 +346,7 @@ def _restrict(t: TreeDecomposition, d: InfluenceDiagram) -> TreeDecomposition:
     empty node separates no variable, so the result stays valid; one empty
     node stays when every cluster is empty."""
     clusters = [tuple(v for v in c if d.has_variable(v)) for c in t.clusters]
-    adj = [set(t.neighbors(i)) for i in range(t.n)]
+    adj = [set(nb) for nb in t.adjacency]
     kept = []
     for i, cluster in enumerate(clusters):
         if cluster or not adj[i]:
@@ -366,10 +373,7 @@ def solve_full(d: InfluenceDiagram, cfg: SolverConfig,
     minimal diagram.
     """
     started = time.perf_counter()
-    problems = validate_diagram(d)
-    if problems:
-        raise ValueError("invalid diagram: " + "; ".join(problems))
-
+    _require_valid(d)
     minimal, lift = minimal_diagram(d)
     if not minimal.value_ids:
         # no rewards anywhere: every strategy has expected utility zero

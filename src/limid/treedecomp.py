@@ -70,31 +70,27 @@ class TreeDecomposition:
         return len(self.clusters)
 
     @cached_property
-    def _adjacency(self) -> tuple[tuple[int, ...], ...]:
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Each node's neighbors, sorted; a node's degree is their count."""
         adj: list[list[int]] = [[] for _ in range(self.n)]
         for i, j in self.edges:
             adj[i].append(j)
             adj[j].append(i)
         return tuple(tuple(sorted(a)) for a in adj)
 
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        return self._adjacency[i]
-
-    def degree(self, i: int) -> int:
-        return len(self._adjacency[i])
-
     def width(self) -> int:
+        """The treewidth of this decomposition: its largest cluster's size less one."""
         return max((len(c) for c in self.clusters), default=0) - 1
 
     def is_tree(self) -> bool:
         """``n - 1`` edges that join all ``n`` nodes: the orientation walk
         from node 0 (:func:`_orient`) reaches every one of them."""
         return (self.n > 0 and len(self.edges) == self.n - 1
-                and len(_orient(self._adjacency, 0)[2]) == self.n)
+                and len(_orient(self.adjacency, 0)[2]) == self.n)
 
     def is_binary(self) -> bool:
         """Every node has at most three neighbors."""
-        return max(map(len, self._adjacency), default=0) <= 3
+        return max(map(len, self.adjacency), default=0) <= 3
 
     @cached_property
     def _holders(self) -> dict[str, set[int]]:
@@ -107,17 +103,13 @@ class TreeDecomposition:
     # -- rooted structure ---------------------------------------------------
 
     @cached_property
-    def _orientation(self) -> tuple[tuple[int | None, ...], tuple[tuple[int, ...], ...],
-                                    tuple[int, ...]]:
+    def orientation(self) -> tuple[tuple[int | None, ...], tuple[tuple[int, ...], ...],
+                                   tuple[int, ...]]:
+        """Each node's parent and children under the root, and the walk
+        that reaches them (:func:`_orient`); an unrooted tree is refused."""
         if self.root is None:
             raise ValueError("decomposition is not rooted")
-        return _orient(self._adjacency, self.root)
-
-    def parent(self, i: int) -> int | None:
-        return self._orientation[0][i]
-
-    def children(self, i: int) -> tuple[int, ...]:
-        return self._orientation[1][i]
+        return _orient(self.adjacency, self.root)
 
     def euler_tour(self) -> tuple[int, ...]:
         """Walk printing each node once more than its child count (2m - 1 symbols).
@@ -125,7 +117,7 @@ class TreeDecomposition:
         The walk keeps its own stack, so a deep tree cannot exhaust Python's
         recursion limit.
         """
-        children = self._orientation[1]
+        children = self.orientation[1]
         tour = [self.root]
         stack = [(self.root, iter(children[self.root]))]
         while stack:
@@ -289,7 +281,7 @@ def binarize(t: TreeDecomposition) -> TreeDecomposition:
     if t.is_binary():
         return t
     clusters = [set(c) for c in t.clusters]
-    adj: list[set[int]] = [set(t.neighbors(i)) for i in range(t.n)]
+    adj = [set(nb) for nb in t.adjacency]
     i = 0
     while i < len(clusters):
         if len(adj[i]) <= 3:
@@ -326,7 +318,7 @@ def ensure_value_leaves(d: InfluenceDiagram, t: TreeDecomposition
         return t, {}
 
     # orient at a low-degree node so splits never push a degree past three
-    adjacency = t._adjacency
+    adjacency = t.adjacency
     orient = min(i for i, nb in enumerate(adjacency) if len(nb) <= 2) if t.n > 1 else 0
     parents, kids, _ = _orient(adjacency, orient)
     parent = dict(enumerate(parents))
@@ -383,7 +375,7 @@ def root_and_order(t: TreeDecomposition, r: int) -> TreeDecomposition:
     traces it by name."""
     if not 0 <= r < t.n:
         raise ValueError(f"unknown node id {r}")
-    return t._sharing(("_adjacency", "_holders"), root=r)
+    return t._sharing(("adjacency", "_holders"), root=r)
 
 
 def default_root(t: TreeDecomposition, leaves: dict[str, int]) -> int:
@@ -397,4 +389,5 @@ def default_root(t: TreeDecomposition, leaves: dict[str, int]) -> int:
     leaf_nodes = set(leaves.values())
     if len(leaf_nodes) == 1:
         return next(iter(leaf_nodes))
-    return min((i for i in range(t.n) if t.degree(i) <= 2), key=lambda i: (i in leaf_nodes, i))
+    return min((i for i, nb in enumerate(t.adjacency) if len(nb) <= 2),
+               key=lambda i: (i in leaf_nodes, i))

@@ -18,7 +18,7 @@ from limid import (
     pure_policy_count,
     validate_diagram,
 )
-from limid.model import CHANCE, DECISION, PROB_TOL, VALUE, _spread
+from limid.model import CHANCE, DECISION, PROB_TOL, VALUE, _spread, pure_policy_tables
 from limid.reduction import minimal_diagram, normalize_utilities
 from limid.solver import SolverConfig, shape_and_reduce, solve_full
 
@@ -101,6 +101,23 @@ X = Variable("x", "chance", 2)
 def test_each_model_fault_is_refused_with_its_message(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
+
+
+def test_ids_are_strings():
+    # None once made a variable, and 1 a bare TypeError from sorting beside "v"
+    for vid in (None, 1, ("c",)):
+        message = f"variable id must be a string, got {vid!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Variable(vid, "chance", 2)
+    # an arc end is never turned into a string: (1, "v") does not name "1", and
+    # an unhashable end is refused the same way
+    one, v = Variable("1", "chance", 1), Variable("v", "value")
+    for end in (1, ["1"]):
+        message = f"arc ({end!r}, 'v') references an unknown variable"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            InfluenceDiagram([one, v], [(end, "v")], {"1": [1.0]}, {"v": [0.0]})
+    d = InfluenceDiagram([one, v], [("1", "v")], {"1": [1.0]}, {"v": [0.0]})
+    assert d.parents("v") == ("1",)
 
 
 def test_a_strategy_has_no_policy_for_a_decision_it_lacks():
@@ -354,11 +371,18 @@ def binary_decision_diagram(card=2, parent_cards=()):
     (2, (), 2),
     (3, (2,), 9),
     (2, (2, 2), 16),
+    (3, (2, 3), 3 ** 6),
 ])
 def test_pure_policy_counts(card, parent_cards, expected):
     d = binary_decision_diagram(card, parent_cards)
     assert pure_policy_count(d, "d") == expected
-    assert len(pure_policies(d, "d")) == expected
+    policies = pure_policies(d, "d")
+    assert len(policies) == expected
+    # the stacked tables the solver starts from are the pure policies, in order
+    tables = pure_policy_tables(d, "d")
+    assert tables.shape == (expected,) + d.table_shape("cpt", "d")
+    for row, policy in zip(tables, policies):
+        assert np.array_equal(row, policy.table)
 
 
 def test_enumerate_rejects_non_decision():
@@ -545,6 +569,31 @@ def test_brute_force_dominates_random_strategies(rng):
         value, _ = brute_force_meu(d)
         for _ in range(100):
             assert expected_utility(d, random_strategy(d, rng)) <= value + 1e-9
+
+
+def test_the_oracle_decodes_policy_indices_numpy_cannot_index():
+    # numpy indexes at most 64 axes and int64 sizes; the oracle's last decision
+    # is solved per parent assignment, so neither bounds it
+    arcs = [("a", "d"), ("b", "d"), ("c", "d"), ("a", "v"), ("d", "v")]
+    # one action over 75 parent assignments, under the default cap
+    variables = [Variable("a", "chance", 5), Variable("b", "chance", 5),
+                 Variable("c", "chance", 3), Variable("d", "decision", 1), Variable("v", "value")]
+    cpts = {"a": np.full(5, 0.2), "b": np.full(5, 0.2), "c": np.full(3, 1 / 3)}
+    d = InfluenceDiagram(variables, arcs, cpts, {"v": np.arange(5.0).reshape(5, 1)})
+    value, strategy = brute_force_meu(d)
+    assert value == pytest.approx(2.0)
+    assert np.array_equal(strategy.policy_for("d").table, np.ones((1, 5, 5, 3)))
+    # two actions over 70 parent assignments: 2 ** 70 pure policies, under a raised cap
+    variables = [Variable("a", "chance", 2), Variable("b", "chance", 5),
+                 Variable("c", "chance", 7), Variable("d", "decision", 2), Variable("v", "value")]
+    cpts = {"a": np.full(2, 0.5), "b": np.full(5, 0.2), "c": np.full(7, 1 / 7)}
+    d = InfluenceDiagram(variables, arcs, cpts, {"v": [[0.0, 1.0], [3.0, 2.0]]})
+    value, strategy = brute_force_meu(d, cap=2 ** 80)
+    assert value == pytest.approx(2.0)
+    # the best action is 1 where a is 0 and 0 where a is 1, whatever b and c are
+    want = np.zeros((2, 2, 5, 7))
+    want[1, 0] = want[0, 1] = 1.0
+    assert np.array_equal(strategy.policy_for("d").table, want)
 
 
 def test_brute_force_cap():

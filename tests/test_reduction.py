@@ -390,10 +390,9 @@ def test_the_widened_tree_is_canonical_and_shares_its_parent_tree():
         widened = reduce_to_single_value(d, t, leaves).decomposition
         fresh = TreeDecomposition(widened.clusters, t.edges, root=t.root)
         assert widened == fresh
-        assert widened.edges is t.edges and widened._adjacency is t._adjacency
-        for i in range(t.n):
-            assert widened.parent(i) == fresh.parent(i)
-            assert widened.children(i) == fresh.children(i)
+        assert widened.edges is t.edges and widened.adjacency is t.adjacency
+        assert widened.orientation is t.orientation
+        assert widened.orientation == fresh.orientation
         assert widened._holders == fresh._holders != t._holders
 
 

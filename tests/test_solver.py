@@ -541,7 +541,7 @@ def test_empty_nodes_send_the_unit_without_a_product(monkeypatch):
             got = solve(reduced.diagram, t, SolverConfig(epsilon=epsilon))
             assert got.stats.m == t.n == len(got.stats.nodes)
             for row in got.stats.nodes:
-                if row.node in held or t.children(row.node):
+                if row.node in held or t.orientation[1][row.node]:
                     continue
                 empty += 1
                 bound = (1.0, 1) if epsilon else (None, None)

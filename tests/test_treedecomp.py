@@ -171,7 +171,7 @@ def bfs_running_intersection(t):
         holders = {i for i, c in enumerate(clusters) if var in c}
         seen, stack = {min(holders)}, [min(holders)]
         while stack:
-            for j in t.neighbors(stack.pop()):
+            for j in t.adjacency[stack.pop()]:
                 if j in holders and j not in seen:
                     seen.add(j)
                     stack.append(j)
@@ -228,7 +228,7 @@ def test_binarize_star():
     star = TreeDecomposition(
         (("x",),) * 6, tuple((0, j) for j in range(1, 6)))
     got = binarize(star)
-    assert max(got.degree(i) for i in range(got.n)) <= 3
+    assert max(map(len, got.adjacency)) <= 3
     assert got.width() == star.width()
     assert set(star.clusters) <= set(got.clusters)
     assert got.is_tree()
@@ -268,7 +268,7 @@ def test_two_value_nodes_sharing_a_covering_node():
     assert len(set(leaves.values())) == 2
     for v, leaf in leaves.items():
         assert set(got.clusters[leaf]) == set(d.parents(v))
-        assert got.degree(leaf) == 1
+        assert len(got.adjacency[leaf]) == 1
     assert validate_decomposition(d, got) == []
 
 
@@ -313,16 +313,16 @@ def test_a_value_leaf_needs_a_cluster_covering_its_parents():
 def test_root_path_at_end():
     t = TreeDecomposition((("a",), ("a", "b"), ("b",)), ((0, 1), (1, 2)))
     rooted = root_and_order(t, 0)
-    assert rooted.parent(0) is None
-    assert rooted.parent(1) == 0 and rooted.parent(2) == 1
-    assert rooted.children(0) == (1,)
-    assert [i for i in range(rooted.n) if not rooted.children(i)] == [2]
+    parents, children, _ = rooted.orientation
+    assert parents == (None, 0, 1)
+    assert children[0] == (1,)
+    assert [i for i in range(rooted.n) if not children[i]] == [2]
 
 
 def test_single_node_tour():
     t = root_and_order(TreeDecomposition((("a",),), ()), 0)
     assert t.euler_tour() == (0,)
-    assert t.children(0) == ()
+    assert t.orientation[1] == ((),)
 
 
 def test_unknown_root_rejected():
@@ -334,20 +334,18 @@ def test_unknown_root_rejected():
 def test_rerooting_shares_what_does_not_depend_on_the_root():
     for seed in range(12):
         t = binarize(build_decomposition(generate_diagram(8, 3, 3, 2, 3, seed)))
-        t._adjacency, t._holders  # computed before the trees that share them are made
+        t.adjacency, t._holders  # computed before the trees that share them are made
         for r in range(t.n):
             rooted = root_and_order(t, r)
             fresh = dataclasses.replace(t, root=r)
             assert rooted == fresh
-            assert rooted._adjacency is t._adjacency and rooted._holders is t._holders
+            assert rooted.adjacency is t.adjacency and rooted._holders is t._holders
             again = root_and_order(rooted, t.n - 1 - r)
             # the orientation depends on the root, so it is never carried over
             assert again == dataclasses.replace(t, root=t.n - 1 - r)
             for tree, reference in ((rooted, fresh),
                                     (again, dataclasses.replace(t, root=t.n - 1 - r))):
-                for i in range(t.n):
-                    assert tree.parent(i) == reference.parent(i)
-                    assert tree.children(i) == reference.children(i)
+                assert tree.orientation == reference.orientation
         for r in (-1, t.n):
             with pytest.raises(ValueError, match=f"unknown node id {r}"):
                 root_and_order(t, r)
@@ -362,8 +360,8 @@ def test_tour_length_and_visit_counts():
         counts = {i: 0 for i in range(t.n)}
         for node in tour:
             counts[node] += 1
-        for i in range(t.n):
-            if not t.children(i):
+        for i, kids in enumerate(t.orientation[1]):
+            if not kids:
                 assert counts[i] == 1
         for i in range(t.n):
             assert counts[i] <= 3
@@ -405,5 +403,5 @@ def test_pipeline_round_trip_validates():
         assert t2.width() <= t1.width()
         t3 = root_and_order(t2, default_root(t2, leaves))
         assert validate_decomposition(d, t3) == []
-        assert max(t3.degree(i) for i in range(t3.n)) <= 3
-        assert all(len(t3.children(i)) <= 2 for i in range(t3.n))
+        assert max(map(len, t3.adjacency)) <= 3
+        assert all(len(kids) <= 2 for kids in t3.orientation[1])
